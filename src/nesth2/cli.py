@@ -236,7 +236,7 @@ def cmd_verify(plant, args):
     def attempt(label, fn):
         try:
             value = fn()
-        except SolverError as exc:
+        except (SolverError, np.linalg.LinAlgError) as exc:
             rep.check(label, False, exc)
             return None
         rep.check(label, True)
@@ -271,7 +271,7 @@ def cmd_verify(plant, args):
         data = youla_data(plant, synth.gains)
         res = va.structured_optimality_residual(data, params[0])
         worst = max(res[0, 0], res[1, 0], res[1, 1])
-        if worst > args.tol:
+        if not worst <= args.tol:
             raise SolverError(
                 f"constrained blocks carry causal content {worst:.3e}")
         return worst
@@ -288,7 +288,7 @@ def cmd_verify(plant, args):
             n_struct, _ = _closed_norms(plant, synth)
             _, n_oracle = va.vectorization_oracle(data)
             rel = abs(n_oracle - n_struct) / (1.0 + n_struct)
-            if rel > args.tol:
+            if not rel <= args.tol:
                 raise SolverError(f"oracle norm {n_oracle:.9e} disagrees "
                                   f"with the design norm {n_struct:.9e}")
             return n_oracle, rel
@@ -310,7 +310,7 @@ def cmd_verify(plant, args):
                                                    seed=args.seed)
             rel = np.linalg.norm(sample - target) \
                 / max(np.linalg.norm(target), 1e-12)
-            if rel > MONTE_CARLO_REL_TOL:
+            if not rel <= MONTE_CARLO_REL_TOL:
                 raise SolverError(
                     f"sample covariance off by {rel:.3f} relative")
             return rel

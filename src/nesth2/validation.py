@@ -29,7 +29,7 @@ IDENTITY_TOL = 1e-8
 def _close(actual, expected, tol, label):
     err = np.linalg.norm(np.asarray(actual) - np.asarray(expected))
     scale = 1.0 + np.linalg.norm(np.asarray(expected))
-    if err > tol * scale:
+    if not err <= tol * scale:
         raise SolverError(f"identity check '{label}' failed: "
                           f"mismatch {err:.3e} against scale {scale:.3e}")
     return err

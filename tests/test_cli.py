@@ -130,6 +130,24 @@ def test_verify_oracle_guard_failure_is_numerical(tmp_path, capsys, monkeypatch)
     assert "verdict: FAIL" in out
 
 
+def test_verify_linalg_error_is_numerical(tmp_path, capsys, monkeypatch):
+    # numpy's SVD can fail to converge inside minreal on large plants (for
+    # random_plant(37) with (12, 12) splits it does under two OpenBLAS
+    # threads, not under one); the check fails and the exit code stays 2
+    import nesth2.cli as cli
+
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(cli.va, "structured_optimality_residual", no_convergence)
+    path = _write_plant(tmp_path, make_random_fixture())
+    assert main(["verify", path]) == 2
+    out = capsys.readouterr().out
+    assert "FAIL  structured optimality certificate: SVD did not converge" in out
+    assert "  pass  partial-optimization fixed points" in out
+    assert "verdict: FAIL" in out
+
+
 def test_report_body_is_deterministic(tmp_path, capsys):
     path = _write_plant(tmp_path, make_random_fixture())
     assert main(["analyze", path, "--json"]) == 0

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -24,6 +26,14 @@ from nesth2.linalg import (
 def _stable_matrix(rng, n, shift=1.0):
     A = rng.standard_normal((n, n))
     return A - (np.max(np.linalg.eigvals(A).real) + shift) * np.eye(n)
+
+
+def _kron_sylvester(A1, A0, A2):
+    """Reference: A1 Om + Om A2 + A0 = 0 as one dense Kronecker solve."""
+    n, m = A0.shape
+    M = np.kron(np.eye(m), A1) + np.kron(A2.T, np.eye(n))
+    vec = np.linalg.solve(M, -A0.flatten(order="F"))
+    return vec.reshape((n, m), order="F")
 
 
 # ---------------------------------------------------------------- hurwitz
@@ -55,10 +65,39 @@ def test_lyapunov_matches_scipy():
         assert np.linalg.norm(P - P.T) < 1e-12 * (1.0 + np.linalg.norm(P))
 
 
+@pytest.mark.parametrize("n", [1, 5, 20])
+def test_lyapunov_matches_kronecker_reference(n):
+    rng = np.random.default_rng(105 + n)
+    A = _stable_matrix(rng, n)
+    Q = rng.standard_normal((n, n))  # not symmetric: no symmetrization
+    P = solve_lyapunov(A, Q)
+    P_ref = _kron_sylvester(A, Q, A.T)
+    assert np.linalg.norm(P - P_ref) < 1e-9 * (1.0 + np.linalg.norm(P_ref))
+
+
 def test_lyapunov_singular_operator_raises():
     # A and -A^T share the eigenvalue 0
     with pytest.raises(SolverError):
         solve_lyapunov(np.zeros((2, 2)), np.eye(2))
+    # A and -A^T share +-1, yet the equation is consistent (P = diag(-1/2, 1/2)
+    # solves it); the solution is not unique, so it is still refused
+    with pytest.raises(SolverError, match="singular Lyapunov operator"):
+        solve_lyapunov(np.diag([1.0, -1.0]), np.eye(2))
+
+
+def test_lyapunov_memory_is_quadratic():
+    # the dense Kronecker operator of a 48-state equation alone is 42 MB
+    rng = np.random.default_rng(106)
+    A = _stable_matrix(rng, 48)
+    Q = np.eye(48)
+    solve_lyapunov(A, Q)  # load LAPACK wrappers outside the measurement
+    tracemalloc.start()
+    try:
+        solve_lyapunov(A, Q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_sylvester_matches_scipy():
@@ -69,6 +108,24 @@ def test_sylvester_matches_scipy():
     Om = solve_sylvester(A1, A0, A2)
     Om_ref = scipy.linalg.solve_sylvester(A1, A2, -A0)
     assert np.linalg.norm(Om - Om_ref) < 1e-9 * (1.0 + np.linalg.norm(Om_ref))
+
+
+@pytest.mark.parametrize("n, m", [(1, 6), (5, 2), (20, 7)])
+def test_sylvester_matches_kronecker_reference(n, m):
+    rng = np.random.default_rng(107 + n)
+    A1 = _stable_matrix(rng, n)
+    A2 = _stable_matrix(rng, m)
+    A0 = rng.standard_normal((n, m))
+    Om = solve_sylvester(A1, A0, A2)
+    Om_ref = _kron_sylvester(A1, A0, A2)
+    assert np.linalg.norm(Om - Om_ref) < 1e-9 * (1.0 + np.linalg.norm(Om_ref))
+
+
+def test_sylvester_singular_operator_raises():
+    # A1 and -A2 share the eigenvalue 1
+    with pytest.raises(SolverError, match="singular Sylvester operator"):
+        solve_sylvester(np.diag([1.0, -2.0]), np.ones((2, 2)),
+                        np.diag([-1.0, 3.0]))
 
 
 # ---------------------------------------------------------------- pbh

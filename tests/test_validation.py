@@ -55,6 +55,15 @@ def _random_stable(rng, nx, nu, ny):
                       rng.standard_normal((ny, nu)))
 
 
+def test_close_refuses_nan():
+    # a NaN mismatch or scale compares False both ways; the gate must refuse
+    with pytest.raises(SolverError):
+        va._close(np.array([np.nan, 1.0]), np.ones(2), 1e-8, "nan actual")
+    with pytest.raises(SolverError):
+        va._close(np.ones(2), np.array([np.nan, 1.0]), 1e-8, "nan expected")
+    assert va._close(np.ones(2), np.ones(2), 1e-8, "equal") == 0.0
+
+
 # ---------------------------------------------------------------------------
 # Gap Lyapunov identities and the closed-loop Gramian
 
