@@ -2,16 +2,11 @@
 
 from .statespace import (
     StateSpace,
-    series,
-    add,
-    conjugate_transpose,
-    hcat,
     vcat,
     lft_lower,
     lft_upper,
     is_block_lower_tf,
     minreal,
-    triangularize_realization,
 )
 from .linalg import (
     AreSolution,
@@ -20,6 +15,7 @@ from .linalg import (
     solve_lyapunov,
     solve_sylvester,
     solve_are,
+    screen_are,
     pbh_stabilizable,
     pbh_detectable,
     axis_rank_ok,

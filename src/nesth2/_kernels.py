@@ -48,10 +48,19 @@ else:
 
     def _terminal_states(M, S, n_steps, n_paths, seed):
         rng = np.random.default_rng(seed)
-        nw = S.shape[1]
         X = np.zeros((M.shape[0], n_paths))
+        MX = np.empty_like(X)
+        SE = np.empty_like(X)
+        eta = np.empty((S.shape[1], n_paths))
+        # X = M X + S eta into preallocated buffers. A fresh (n, n_paths)
+        # array per step is large enough that malloc may map and unmap it
+        # every time, depending on what the process freed before; the page
+        # faults then cost about a third of the loop.
         for _ in range(n_steps):
-            X = M @ X + S @ rng.standard_normal((nw, n_paths))
+            np.matmul(M, X, out=MX)
+            rng.standard_normal(out=eta)
+            np.matmul(S, eta, out=SE)
+            np.add(MX, SE, out=X)
         return X.T.copy()
 
 

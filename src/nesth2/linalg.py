@@ -198,7 +198,23 @@ class AreSolution:
     residual: float
 
 
-def solve_are(A, B, C, D, hurwitz_margin=HURWITZ_MARGIN, axis_tol=AXIS_TOL,
+def screen_are(A, B, C, D):
+    """Refuse Riccati data that has no stabilizing solution, before solving.
+
+    Raises SolverError if (A, B) is not stabilizable or the pencil
+    [A - iwI, B; C, D] loses column rank on the imaginary axis. `solve_are`
+    does not run this screen: for the plant equations it is implied by
+    `check_assumptions`. Only callers whose data those checks do not cover
+    call it.
+    """
+    if not pbh_stabilizable(A, B):
+        raise SolverError("(A, B) is not stabilizable")
+    if not axis_rank_ok(A, B, C, D, side="column"):
+        raise SolverError("axis-rank condition fails: the pencil "
+                          "[A - iwI, B; C, D] loses column rank on the axis")
+
+
+def solve_are(A, B, C, D, hurwitz_margin=HURWITZ_MARGIN,
               residual_tol=RESIDUAL_TOL):
     """Stabilizing solution of the Riccati equation with cross weights.
 
@@ -214,9 +230,12 @@ def solve_are(A, B, C, D, hurwitz_margin=HURWITZ_MARGIN, axis_tol=AXIS_TOL,
     symmetrized and verified: residual, positive semidefiniteness and the
     closed-loop Hurwitz property are all checked.
 
-    Raises SolverError if (A, B) is not stabilizable, the axis-rank condition
-    fails, D^T D is not positive definite, a Hamiltonian eigenvalue falls in
-    the +-hurwitz_margin band, or any verification fails.
+    Raises SolverError if D^T D is not positive definite, a Hamiltonian
+    eigenvalue falls in the +-hurwitz_margin band, the stable eigenvalues do
+    not number n, or any verification fails. Data without a stabilizing
+    solution ends in one of those. The structural preconditions (stabilizable
+    (A, B), no axis zero) are not re-checked here: `check_assumptions` covers
+    the plant's equations, and `screen_are` covers the rest.
     """
     A = _mat(A, "A")
     B = _mat(B, "B")
@@ -227,11 +246,6 @@ def solve_are(A, B, C, D, hurwitz_margin=HURWITZ_MARGIN, axis_tol=AXIS_TOL,
     R = D.T @ D
     if np.linalg.eigvalsh(0.5 * (R + R.T)).min() <= 0.0:
         raise SolverError("control weight D^T D is not positive definite")
-    if not pbh_stabilizable(A, B, margin=hurwitz_margin):
-        raise SolverError("(A, B) is not stabilizable")
-    if not axis_rank_ok(A, B, C, D, side="column", tol=axis_tol):
-        raise SolverError("axis-rank condition fails: the pencil "
-                          "[A - iwI, B; C, D] loses column rank on the axis")
     S = C.T @ D
     Qm = C.T @ C
     Rinv = np.linalg.inv(R)
@@ -291,7 +305,7 @@ def h2_norm(sys, consistency_tol=1e-6):
     Wo = gramian(sys, "observability")
     sq_c = float(np.trace(sys.C @ Wc @ sys.C.T))
     sq_o = float(np.trace(sys.B.T @ Wo @ sys.B))
-    if abs(sq_c - sq_o) > consistency_tol * (1.0 + abs(sq_c)):
+    if not abs(sq_c - sq_o) <= consistency_tol * (1.0 + abs(sq_c)):
         raise SolverError(
             f"Gramian forms disagree: {sq_c:.12e} vs {sq_o:.12e}")
     return float(np.sqrt(max(sq_c, 0.0)))

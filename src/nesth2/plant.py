@@ -19,11 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .statespace import StateSpace, _mat
-from .linalg import (
-    axis_rank_ok,
-    pbh_detectable,
-    pbh_stabilizable,
-)
+from .linalg import AXIS_TOL, axis_rank_ok
+from .stabilization import (StabilizabilityDiagnostics,
+                            exists_triangular_stabilizing)
 
 
 def _pair(v, name):
@@ -207,11 +205,6 @@ class TwoPlayerPlant:
         ])
         return StateSpace(self.A, B, C, D)
 
-    def measurement_system(self):
-        """StateSpace from (w, u) to y."""
-        return StateSpace(self.A, np.hstack([self.B1, self.B2]), self.C2,
-                          np.hstack([self.D21, np.zeros((self.k, self.m))]))
-
     def cost_cov(self):
         return cost_cov_matrices(self)
 
@@ -296,7 +289,7 @@ class AssumptionResult:
 
 @dataclass
 class AssumptionReport:
-    """Outcome of the six structural checks plus a minimality warning.
+    """Outcome of the six structural checks.
 
     The labels A1..A6 are this package's own numbering of the conditions,
     in the order they are checked:
@@ -308,12 +301,15 @@ class AssumptionReport:
       A5  (C2_11, A11) and (C2_22, A22) detectable
       A6  no filter-side invariant zero on the imaginary axis
 
-    Minimality of the supplied realization is diagnostic only: synthesis
-    needs A1-A6, not minimality, so a non-minimal plant yields a warning.
+    `stabilizability` holds the four per-player verdicts behind A2 and A5.
+    Together with the block-triangular structure, A1-A6 imply that all four
+    Riccati equations of the synthesis have stabilizing solutions, so the
+    solver does not screen them again. Minimality of the realization is not
+    needed and not checked.
     """
 
     checks: list
-    minimal: bool
+    stabilizability: StabilizabilityDiagnostics
 
     @property
     def passed(self):
@@ -330,9 +326,10 @@ class AssumptionReport:
         raise KeyError(label)
 
 
-def check_assumptions(plant, axis_tol=1e-7):
+def check_assumptions(plant, axis_tol=AXIS_TOL):
     """Evaluate the six synthesis preconditions; failures are reported, not raised."""
     cc = plant.cost_cov()
+    diag = exists_triangular_stabilizing(plant)
     checks = []
 
     def record(label, passed, description):
@@ -340,43 +337,19 @@ def check_assumptions(plant, axis_tol=1e-7):
 
     record("A1", np.linalg.eigvalsh(cc.R).min() > 0.0,
            "control weight D12'D12 is positive definite")
-    record("A2",
-           pbh_stabilizable(plant.A11, plant.B2_11)
-           and pbh_stabilizable(plant.A22, plant.B2_22),
+    record("A2", diag.player1_stabilizable and diag.player2_stabilizable,
            "each player's subsystem is stabilizable through its own input")
     record("A3", axis_rank_ok(plant.A, plant.B2, plant.C1, plant.D12,
                               side="column", tol=axis_tol),
            "no control-side invariant zero on the imaginary axis")
     record("A4", np.linalg.eigvalsh(cc.V).min() > 0.0,
            "measurement noise covariance D21 D21' is positive definite")
-    record("A5",
-           pbh_detectable(plant.C2_11, plant.A11)
-           and pbh_detectable(plant.C2_22, plant.A22),
+    record("A5", diag.player1_detectable and diag.player2_detectable,
            "each player's subsystem is detectable from its own measurement")
     record("A6", axis_rank_ok(plant.A, plant.B1, plant.C2, plant.D21,
                               side="row", tol=axis_tol),
            "no filter-side invariant zero on the imaginary axis")
-
-    minimal = (pbh_controllable(plant.A, np.hstack([plant.B1, plant.B2]))
-               and pbh_observable(np.vstack([plant.C1, plant.C2]), plant.A))
-    return AssumptionReport(checks=checks, minimal=minimal)
-
-
-def pbh_controllable(A, B, rank_tol=1e-9):
-    """Full PBH controllability (every mode, not only the unstable ones)."""
-    A = _mat(A, "A")
-    B = _mat(B, "B")
-    n = A.shape[0]
-    scale = max(1.0, np.linalg.norm(A) + np.linalg.norm(B))
-    for lam in np.linalg.eigvals(A):
-        M = np.hstack([A - lam * np.eye(n), B.astype(complex)])
-        if np.linalg.svd(M, compute_uv=False)[-1] <= rank_tol * scale:
-            return False
-    return True
-
-
-def pbh_observable(C, A, rank_tol=1e-9):
-    return pbh_controllable(_mat(A, "A").T, _mat(C, "C").T, rank_tol)
+    return AssumptionReport(checks=checks, stabilizability=diag)
 
 
 # ---------------------------------------------------------------------------

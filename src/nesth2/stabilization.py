@@ -14,7 +14,8 @@ import numpy as np
 import scipy.linalg
 
 from .statespace import StateSpace, lft_lower, lft_upper
-from .linalg import SolverError, is_hurwitz, pbh_detectable, pbh_stabilizable, solve_are
+from .linalg import (SolverError, is_hurwitz, pbh_detectable, pbh_stabilizable,
+                     screen_are, solve_are)
 
 
 @dataclass
@@ -65,9 +66,10 @@ class NominalGains:
     """Block-diagonal state feedback K_d and injection L_d, with derived loops.
 
     K_d = diag(K1, K2) and L_d = diag(L1, L2) are pinned to ARE-derived
-    gains: K2 and L1 are exactly the gains of the small player-2 control and
-    player-1 filter AREs reused by the optimal synthesis, which makes the
-    downstream simplifications exact rather than merely admissible.
+    gains: K2 and L1 are the gains K_loc2 and L_loc1 of the synthesis'
+    player-2 control and player-1 filter AREs, taken from its AreBundle, which
+    makes the downstream simplifications exact rather than merely admissible.
+    K1 and L2 solve the player-1 control and player-2 filter AREs.
     """
 
     K_d: np.ndarray
@@ -78,22 +80,25 @@ class NominalGains:
     B_Ld: np.ndarray
 
 
-def nominal_gains(plant):
-    diag = exists_triangular_stabilizing(plant)
-    if not diag:
-        raise SolverError("no block-lower stabilizing controller exists: "
-                          + "; ".join(diag.failures))
+def nominal_gains(plant, bundle):
+    """Block-diagonal nominal gains of an admissible plant.
+
+    `bundle` is the plant's AreBundle (see `synthesis.solve_four_ares`); its
+    K_loc2 and L_loc1 become K2 and L1. The two equations solved here are
+    screened first: `check_assumptions` covers their stabilizability (A2,
+    A5) but not their axis-rank conditions, because the player-1 control
+    and player-2 filter pencils drop rows that A3 and A6 keep.
+    """
     n1, m1, k1 = plant.n1, plant.m1, plant.k1
-    K1 = solve_are(plant.A11, plant.B2_11,
-                   plant.C1[:, :n1], plant.D12[:, :m1]).K
-    K2 = solve_are(plant.A22, plant.B2_22,
-                   plant.C1[:, n1:], plant.D12[:, m1:]).K
-    L1 = solve_are(plant.A11.T, plant.C2_11.T,
-                   plant.B1[:n1, :].T, plant.D21[:k1, :].T).K.T
-    L2 = solve_are(plant.A22.T, plant.C2_22.T,
-                   plant.B1[n1:, :].T, plant.D21[k1:, :].T).K.T
-    K_d = scipy.linalg.block_diag(K1, K2)
-    L_d = scipy.linalg.block_diag(L1, L2)
+    ctrl1 = (plant.A11, plant.B2_11, plant.C1[:, :n1], plant.D12[:, :m1])
+    filt2 = (plant.A22.T, plant.C2_22.T, plant.B1[n1:, :].T,
+             plant.D21[k1:, :].T)
+    screen_are(*ctrl1)
+    screen_are(*filt2)
+    K1 = solve_are(*ctrl1).K
+    L2 = solve_are(*filt2).K.T
+    K_d = scipy.linalg.block_diag(K1, bundle.K_loc2)
+    L_d = scipy.linalg.block_diag(bundle.L_loc1, L2)
     A_Kd = plant.A + plant.B2 @ K_d
     A_Ld = plant.A + L_d @ plant.C2
     if not is_hurwitz(A_Kd, margin=0.0) or not is_hurwitz(A_Ld, margin=0.0):
@@ -105,11 +110,10 @@ def nominal_gains(plant):
     )
 
 
-def nominal_controller(plant, gains=None):
+def nominal_controller(plant, gains):
     """The observer-based nominal stabilizing controller K0 (block-lower)."""
-    g = gains if gains is not None else nominal_gains(plant)
-    A0 = plant.A + plant.B2 @ g.K_d + g.L_d @ plant.C2
-    return StateSpace(A0, -g.L_d, g.K_d, np.zeros((plant.m, plant.k)))
+    A0 = plant.A + plant.B2 @ gains.K_d + gains.L_d @ plant.C2
+    return StateSpace(A0, -gains.L_d, gains.K_d, np.zeros((plant.m, plant.k)))
 
 
 @dataclass
@@ -131,33 +135,33 @@ class ModelMatchData:
     partition: object = None
 
 
-def youla_data(plant, gains=None):
-    g = gains if gains is not None else nominal_gains(plant)
+def youla_data(plant, gains):
+    """Two-port and model-matching data built on the nominal gains."""
     n, m, k = plant.n, plant.m, plant.k
-    A0 = plant.A + plant.B2 @ g.K_d + g.L_d @ plant.C2
+    A0 = plant.A + plant.B2 @ gains.K_d + gains.L_d @ plant.C2
     D_swap = np.block([
         [np.zeros((m, k)), np.eye(m)],
         [np.eye(k), np.zeros((k, m))],
     ])
-    J_d = StateSpace(A0, np.hstack([-g.L_d, plant.B2]),
-                     np.vstack([g.K_d, -plant.C2]), D_swap)
+    J_d = StateSpace(A0, np.hstack([-gains.L_d, plant.B2]),
+                     np.vstack([gains.K_d, -plant.C2]), D_swap)
     D_swap_inv = np.block([
         [np.zeros((k, m)), np.eye(k)],
         [np.eye(m), np.zeros((m, k))],
     ])
-    J_d_inverse = StateSpace(plant.A, np.hstack([plant.B2, -g.L_d]),
-                             np.vstack([plant.C2, -g.K_d]), D_swap_inv)
+    J_d_inverse = StateSpace(plant.A, np.hstack([plant.B2, -gains.L_d]),
+                             np.vstack([plant.C2, -gains.K_d]), D_swap_inv)
     A_T = np.block([
-        [g.A_Kd, -plant.B2 @ g.K_d],
-        [np.zeros((n, n)), g.A_Ld],
+        [gains.A_Kd, -plant.B2 @ gains.K_d],
+        [np.zeros((n, n)), gains.A_Ld],
     ])
-    B_w = np.vstack([plant.B1, g.B_Ld])
-    C_z = np.hstack([g.C_Kd, -plant.D12 @ g.K_d])
+    B_w = np.vstack([plant.B1, gains.B_Ld])
+    C_z = np.hstack([gains.C_Kd, -plant.D12 @ gains.K_d])
     T11 = StateSpace(A_T, B_w, C_z, np.zeros((plant.nz, plant.nw)))
     T12 = StateSpace(A_T, np.vstack([plant.B2, np.zeros((n, m))]), C_z, plant.D12)
     T21 = StateSpace(A_T, B_w, np.hstack([np.zeros((k, n)), plant.C2]), plant.D21)
     return ModelMatchData(J_d=J_d, J_d_inverse=J_d_inverse,
-                          T11=T11, T12=T12, T21=T21, gains=g,
+                          T11=T11, T12=T12, T21=T21, gains=gains,
                           partition=plant.partition)
 
 

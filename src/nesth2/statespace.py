@@ -147,31 +147,6 @@ class StateSpace:
         return StateSpace(A, B, C, self.D @ other.D)
 
 
-def series(g1, g2):
-    """Transfer-function product g1(s) g2(s) (the signal passes through g2 first)."""
-    return g1 * g2
-
-
-def add(g1, g2):
-    return g1 + g2
-
-
-def conjugate_transpose(g):
-    return g.conjugate_transpose()
-
-
-def hcat(*systems):
-    """Side-by-side connection [G1 G2 ...] sharing the output."""
-    ny = systems[0].ny
-    if any(g.ny != ny for g in systems):
-        raise ValueError("hcat needs a common output dimension")
-    A = sla.block_diag(*[g.A for g in systems])
-    B = sla.block_diag(*[g.B for g in systems])
-    C = np.hstack([g.C for g in systems])
-    D = np.hstack([g.D for g in systems])
-    return StateSpace(A, B, C, D)
-
-
 def vcat(*systems):
     """Stacked connection [G1; G2; ...] sharing the input."""
     nu = systems[0].nu
@@ -336,44 +311,3 @@ def balance_realization(sys, sweeps=10):
         if not changed:
             break
     return StateSpace(A, B, C, sys.D)
-
-
-def triangularize_realization(sys, out_split, in_split, tol=1e-8):
-    """Coordinate change putting a block-lower transfer matrix in block-lower form.
-
-    For a system whose (1,2) transfer block vanishes (checked first), returns
-    (sys_t, n_split) where sys_t has exactly zero upper-right blocks in A, B
-    and C at the state split n_split. The second state group is the subspace
-    reachable from the second input group; modes unreachable from those inputs
-    (including ones also unobservable from the first output group) land in the
-    first block. If the given realization already has the required zero blocks
-    at that split, it is returned unchanged.
-    """
-    if not is_block_lower_tf(sys, out_split, in_split, tol):
-        raise ValueError("the (1,2) transfer block is not zero; "
-                         "no triangular realization exists")
-    k1 = out_split[0]
-    m1 = in_split[0]
-    n = sys.nx
-    V = reachable_basis(sys.A, sys.B[:, m1:], tol=1e-9)
-    r = V.shape[1]
-    n1 = n - r
-    already = (
-        np.all(sys.A[:n1, n1:] == 0.0)
-        and np.all(sys.B[:n1, m1:] == 0.0)
-        and np.all(sys.C[:k1, n1:] == 0.0)
-    )
-    if already:
-        return sys, (n1, r)
-    # Complete V to an orthonormal basis; complement first, reachable part last.
-    Q, _ = np.linalg.qr(np.hstack([V, np.eye(n)]), mode="reduced")
-    W = Q[:, r:n] if r < n else np.zeros((n, 0))
-    T = np.hstack([W, V])
-    A = T.T @ sys.A @ T
-    B = T.T @ sys.B
-    C = sys.C @ T
-    # The upper-right blocks vanish in exact arithmetic; make them exact.
-    A[:n1, n1:] = 0.0
-    B[:n1, m1:] = 0.0
-    C[:k1, n1:] = 0.0
-    return StateSpace(A, B, C, sys.D), (n1, r)

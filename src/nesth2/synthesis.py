@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RESIDUAL_TOL, SolverError, is_hurwitz, solve_are
+from .linalg import RESIDUAL_TOL, SolverError, is_hurwitz, screen_are, solve_are
 from .plant import (AssumptionError, Partition, TwoPlayerPlant,
                     check_assumptions, cost_cov_matrices)
 from .stabilization import NominalGains, nominal_gains
@@ -77,7 +77,10 @@ class SynthesisResult:
     state matrix in the order (zeta, xi) = (player-1 estimate,
     full-measurement estimate). `controller` is the realization in those
     coordinates; `controller_alt` is the second displayed realization with
-    the same transfer function.
+    the same transfer function. `gains` are the nominal gains built on this
+    bundle. `centralized_norm` is the closed-loop H2 norm of the
+    information-unconstrained design, from the bundle's centralized
+    solutions; it equals `centralized_h2(plant)[1]`.
     """
 
     bundle: AreBundle
@@ -91,6 +94,7 @@ class SynthesisResult:
     gains: NominalGains
     controller: StateSpace
     controller_alt: StateSpace
+    centralized_norm: float
 
 
 def solve_four_ares(plant):
@@ -99,8 +103,9 @@ def solve_four_ares(plant):
     Parameters
     ----------
     plant : TwoPlayerPlant
-        Must satisfy the admissibility checks; failures surface here as
-        solver errors naming the offending equation.
+        Must pass `check_assumptions`. A1-A6 imply that all four equations
+        have stabilizing solutions, so they are solved without a screen;
+        should one still fail, the solver error names the equation.
 
     Returns
     -------
@@ -362,7 +367,7 @@ def optimal_controller(plant):
     A_gap = plant.A + plant.B2 @ K_private + L_common @ plant.C2
     if not is_hurwitz(A_gap, margin=0.0):
         raise SolverError("estimate-gap dynamics are not Hurwitz")
-    gains = nominal_gains(plant)
+    gains = nominal_gains(plant, bundle)
     controller, controller_alt = controller_realizations(
         plant, bundle, K_private, L_common)
     closed = lft_lower(plant.generalized(), controller, plant.nz, plant.nw)
@@ -375,20 +380,42 @@ def optimal_controller(plant):
         A_gap=A_gap,
         A_zeta=controller.A[:n, :n], A_xi=controller.A[n:, n:],
         gains=gains, controller=controller, controller_alt=controller_alt,
+        centralized_norm=_centralized_norm(
+            plant.B1, plant.C1, plant.D12, plant.D21,
+            bundle.X_cen, bundle.K_cen, bundle.Y_cen, bundle.L_cen),
     )
+
+
+def _centralized_norm(B1, C1, D12, D21, X, K, Y, L, tol=1e-6):
+    """Closed-loop H2 norm of the centralized design from its two AREs.
+
+    The squared norm is evaluated through the two standard trace formulas
+
+        tr(X W) + tr(Y K' R K)  and  tr(Y Q) + tr(X L V L')
+
+    which must agree within `tol` relative; their mean is returned under the
+    square root. Raises SolverError if they disagree.
+    """
+    Q, R = C1.T @ C1, D12.T @ D12
+    W, V = B1 @ B1.T, D21 @ D21.T
+    cost_x = float(np.trace(X @ W) + np.trace(Y @ K.T @ R @ K))
+    cost_y = float(np.trace(Y @ Q) + np.trace(X @ L @ V @ L.T))
+    if not abs(cost_x - cost_y) <= tol * (1.0 + abs(cost_y)):
+        raise SolverError(
+            f"centralized trace formulas disagree: {cost_x:.6e} vs {cost_y:.6e}")
+    return math.sqrt(max(0.5 * (cost_x + cost_y), 0.0))
 
 
 def centralized_h2(plant, tol=1e-6):
     """Centralized (information-unconstrained) design and its closed-loop norm.
 
     Accepts any object with attributes A, B1, B2, C1, C2, D12, D21; the
-    two-player structure is not used. The squared norm is evaluated through
-    the two standard trace formulas
-
-        tr(X W) + tr(Y K' R K)  and  tr(Y Q) + tr(X L V L')
-
-    which must agree within `tol` relative; their mean is returned under the
-    square root.
+    two-player structure is not used. Both Riccati equations are screened
+    first (see `linalg.screen_are`), since no assumption check covers an
+    arbitrary record. The norm comes from the two trace formulas of
+    `_centralized_norm`, which must agree within `tol` relative. A
+    synthesized design carries the same number as
+    `SynthesisResult.centralized_norm`.
 
     Returns
     -------
@@ -408,20 +435,17 @@ def centralized_h2(plant, tol=1e-6):
     C2 = np.asarray(plant.C2, dtype=float)
     D12 = np.asarray(plant.D12, dtype=float)
     D21 = np.asarray(plant.D21, dtype=float)
-    ctrl = solve_are(A, B2, C1, D12)
-    filt = solve_are(A.T, C2.T, B1.T, D21.T)
-    X, K = ctrl.X, ctrl.K
-    Y, L = filt.X, filt.K.T
-    Q, R = C1.T @ C1, D12.T @ D12
-    W, V = B1 @ B1.T, D21 @ D21.T
-    cost_x = float(np.trace(X @ W) + np.trace(Y @ K.T @ R @ K))
-    cost_y = float(np.trace(Y @ Q) + np.trace(X @ L @ V @ L.T))
-    if abs(cost_x - cost_y) > tol * (1.0 + abs(cost_y)):
-        raise SolverError(
-            f"centralized trace formulas disagree: {cost_x:.6e} vs {cost_y:.6e}")
+    ctrl_data = (A, B2, C1, D12)
+    filt_data = (A.T, C2.T, B1.T, D21.T)
+    screen_are(*ctrl_data)
+    screen_are(*filt_data)
+    ctrl = solve_are(*ctrl_data)
+    filt = solve_are(*filt_data)
+    K, L = ctrl.K, filt.K.T
+    norm = _centralized_norm(B1, C1, D12, D21, ctrl.X, K, filt.X, L, tol)
     K_cen = StateSpace(A + B2 @ K + L @ C2, -L, K,
                        np.zeros((B2.shape[1], C2.shape[0])))
-    return K_cen, math.sqrt(max(0.5 * (cost_x + cost_y), 0.0))
+    return K_cen, norm
 
 
 def _swapped(sizes):

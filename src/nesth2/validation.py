@@ -15,13 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .linalg import (SolverError, h2_norm, is_hurwitz, solve_are,
+from .linalg import (SolverError, h2_norm, is_hurwitz, screen_are, solve_are,
                      solve_lyapunov, solve_sylvester, stable_antistable_decompose)
 from .plant import AssumptionError, TwoPlayerPlant, check_assumptions
 from .stabilization import controller_from_q, q_from_controller, youla_data
 from .statespace import (StateSpace, balance_realization, lft_lower,
                          is_block_lower_tf, minreal)
-from .synthesis import centralized_h2
 
 IDENTITY_TOL = 1e-8
 
@@ -37,7 +36,7 @@ def _close(actual, expected, tol, label):
 
 def _psd_floor(M, tol, label):
     lo = float(np.linalg.eigvalsh(0.5 * (M + M.T)).min())
-    if lo < -tol * (1.0 + np.linalg.norm(M)):
+    if not lo >= -tol * (1.0 + np.linalg.norm(M)):
         raise SolverError(f"'{label}' is not positive semidefinite: "
                           f"min eigenvalue {lo:.3e}")
     return lo
@@ -194,7 +193,7 @@ def closed_loop_gramian(plant, synth, tol=1e-7):
             continue
         rel = np.linalg.norm(blk) / (1.0 + theta_scale)
         worst = max(worst, rel)
-        if rel > tol:
+        if not rel <= tol:
             raise SolverError(
                 f"Gramian off-diagonal block ({i + 1},{j + 1}) has norm "
                 f"{np.linalg.norm(blk):.3e}; expected zero")
@@ -212,9 +211,11 @@ def kalman_estimator(plant):
 
     Works for any record exposing A, B1, B2, C2, D21; the filter gain comes
     from the estimation Riccati equation and the estimator maps (y, u) to
-    the full state estimate. Built open loop: the realization is valid under
-    any control law applied afterwards, which is not true of the opposite
-    elimination order (see the worked fixture tests).
+    the full state estimate. A TwoPlayerPlant must pass A4-A6 of
+    `check_assumptions`; any other record is screened by `screen_are`.
+    Built open loop: the realization is valid under any control law applied
+    afterwards, which is not true of the opposite elimination order (see the
+    worked fixture tests).
 
     Returns
     -------
@@ -222,14 +223,16 @@ def kalman_estimator(plant):
         (A + L C2, [-L, B2], I, 0). The error system driven by the noise is
         (A + L C2, B1 + L D21, I, 0) and is Hurwitz.
     """
+    A, B1, B2 = plant.A, plant.B1, plant.B2
+    C2, D21 = plant.C2, plant.D21
     if isinstance(plant, TwoPlayerPlant):
         report = check_assumptions(plant)
         bad = [lab for lab in report.failures if lab in ("A4", "A5", "A6")]
         if bad:
             raise AssumptionError(
                 "estimation-side admissibility fails: " + ", ".join(bad))
-    A, B1, B2 = plant.A, plant.B1, plant.B2
-    C2, D21 = plant.C2, plant.D21
+    else:
+        screen_are(A.T, C2.T, B1.T, D21.T)
     n = A.shape[0]
     L = solve_are(A.T, C2.T, B1.T, D21.T).K.T
     A_L = A + L @ C2
@@ -356,17 +359,17 @@ def delta_cost(plant, synth, tol=1e-7):
     for a, bb, what in ((d_norm, d_trace_y, "norm vs Y-trace"),
                         (d_norm, d_trace_x, "norm vs X-trace"),
                         (d_trace_y, d_trace_x, "Y-trace vs X-trace")):
-        if abs(a - bb) > scale:
+        if not abs(a - bb) <= scale:
             raise SolverError(f"decentralization-cost forms disagree "
                               f"({what}): {a:.12e} vs {bb:.12e}")
-    if d_norm < -tol:
+    if not d_norm >= -tol:
         raise SolverError(f"decentralization cost is negative: {d_norm:.3e}")
 
     P = plant.generalized()
     cl_opt = lft_lower(P, synth.controller, plant.nz, plant.nw)
     sq_opt = h2_norm(cl_opt) ** 2
-    sq_cen = centralized_h2(plant)[1] ** 2
-    if abs(sq_opt - sq_cen - d_norm) > tol * (1.0 + sq_opt):
+    sq_cen = synth.centralized_norm ** 2
+    if not abs(sq_opt - sq_cen - d_norm) <= tol * (1.0 + sq_opt):
         raise SolverError(
             f"cost gap mismatch: closed-loop gap {sq_opt - sq_cen:.12e} "
             f"vs certificate {d_norm:.12e}")
@@ -409,12 +412,12 @@ def youla_parameters(plant, synth, tol=1e-7):
     data = youla_data(plant, synth.gains)
     Q_lft = q_from_controller(data, synth.controller)
     gap = _markov_mismatch(Q_opt, Q_lft)
-    if gap > tol:
+    if not gap <= tol:
         raise SolverError(f"parameter display disagrees with the two-port "
                           f"extraction: Markov mismatch {gap:.3e}")
     K_round = controller_from_q(data, Q_opt)
     gap = _markov_mismatch(K_round, synth.controller)
-    if gap > tol:
+    if not gap <= tol:
         raise SolverError(f"parameter round trip failed: Markov mismatch {gap:.3e}")
 
     dK = synth.K_private - b.K_cen
@@ -426,7 +429,7 @@ def youla_parameters(plant, synth, tol=1e-7):
     Y_gap = solve_lyapunov(synth.A_gap, dL @ cc.V @ dL.T)
     d_ref = float(np.trace(Y_gap @ dK.T @ cc.R @ dK))
     d_w = h2_norm(weighted) ** 2
-    if abs(d_w - d_ref) > tol * (1.0 + abs(d_ref)):
+    if not abs(d_w - d_ref) <= tol * (1.0 + abs(d_ref)):
         raise SolverError(f"weighted gap parameter norm {d_w:.12e} does not "
                           f"match the cost certificate {d_ref:.12e}")
     return Q_opt, Q_you
@@ -552,6 +555,9 @@ def _joint_realization(T11, T12, T21, reduce_tol=1e-9):
 
 
 def _match_core(A, B1, B2, C1, C2, D12, D21):
+    # a reduced joint realization is not a checked plant: screen both AREs
+    screen_are(A, B2, C1, D12)
+    screen_are(A.T, C2.T, B1.T, D21.T)
     K = solve_are(A, B2, C1, D12).K
     L = solve_are(A.T, C2.T, B1.T, D21.T).K.T
     n = A.shape[0]
@@ -600,7 +606,7 @@ def centralized_model_match(T11, T12, T21, residual_tol=1e-6, verify=True):
         stable = balance_realization(minreal(
             _stable_sandwich(T12b, cl, T21b)))
         res = h2_norm(_strictly_proper(stable)) + float(np.linalg.norm(stable.D))
-        if res > residual_tol * (1.0 + h2_norm(cl)):
+        if not res <= residual_tol * (1.0 + h2_norm(cl)):
             raise SolverError(
                 f"model-matching certificate failed: causal content {res:.3e}")
     return Q
@@ -743,10 +749,10 @@ def fixed_point_maps(plant, synth, tol=1e-7):
     blk11 = Q_opt.subsystem(rows=slice(0, m1), cols=slice(0, k1))
     blk22 = Q_opt.subsystem(rows=slice(m1, None), cols=slice(k1, None))
     gap = _markov_mismatch(g2, blk11)
-    if gap > tol:
+    if not gap <= tol:
         raise SolverError(f"player-1 fixed point fails: Markov mismatch {gap:.3e}")
     gap = _markov_mismatch(g1, blk22)
-    if gap > tol:
+    if not gap <= tol:
         raise SolverError(f"player-2 fixed point fails: Markov mismatch {gap:.3e}")
     return g1, g2
 

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -20,6 +21,45 @@ def _write_plant(tmp_path, plant, name="plant.json", mangle=None):
     path = tmp_path / name
     path.write_text(json.dumps(data))
     return str(path)
+
+
+def _count_calls(monkeypatch, names):
+    """Count calls of linalg functions from every nesth2 module namespace."""
+    import nesth2.linalg as linalg
+
+    counts = dict.fromkeys(names, 0)
+    modules = [m for key, m in list(sys.modules.items())
+               if m is not None and key.startswith("nesth2")]
+    for name in names:
+        original = getattr(linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return counts
+
+
+def test_each_riccati_equation_is_solved_once(tmp_path, capsys, monkeypatch):
+    # four synthesis AREs plus the two nominal ones; the structural screens
+    # run in check_assumptions and on the two nominal equations only
+    plant = make_random_fixture()
+    path = _write_plant(tmp_path, plant)
+    counts = _count_calls(monkeypatch, ("solve_are", "axis_rank_ok",
+                                        "pbh_stabilizable"))
+    optimal_controller(plant)
+    assert counts == {"solve_are": 6, "axis_rank_ok": 5, "pbh_stabilizable": 6}
+    counts.update(dict.fromkeys(counts, 0))
+    assert main(["synthesize", path]) == 0
+    assert counts["solve_are"] == 6
+    counts.update(dict.fromkeys(counts, 0))
+    assert main(["check", path]) == 0
+    assert counts["pbh_stabilizable"] == 4
+    capsys.readouterr()
 
 
 def test_check_passes_on_clean_plant(tmp_path, capsys):
@@ -145,6 +185,25 @@ def test_verify_linalg_error_is_numerical(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "FAIL  structured optimality certificate: SVD did not converge" in out
     assert "  pass  partial-optimization fixed points" in out
+    assert "verdict: FAIL" in out
+
+
+@pytest.mark.parametrize("residuals", [(0.0, np.nan), (np.nan, 0.0)])
+@pytest.mark.parametrize("command, label", [
+    ("analyze", "orthogonality residuals under tolerance"),
+    ("verify", "error/innovations orthogonality"),
+])
+def test_orthogonality_gate_refuses_nan(tmp_path, capsys, monkeypatch,
+                                        command, label, residuals):
+    # max(r1, r2) would depend on the order: max(0.0, nan) is 0.0
+    import nesth2.cli as cli
+
+    monkeypatch.setattr(cli.va, "orthogonality_residuals",
+                        lambda plant, synth: residuals)
+    path = _write_plant(tmp_path, make_decoupled())
+    assert main([command, path]) == 2
+    out = capsys.readouterr().out
+    assert f"FAIL  {label}" in out
     assert "verdict: FAIL" in out
 
 

@@ -16,6 +16,7 @@ from nesth2.linalg import (
     is_hurwitz,
     pbh_detectable,
     pbh_stabilizable,
+    screen_are,
     solve_are,
     solve_lyapunov,
     solve_sylvester,
@@ -198,6 +199,18 @@ def test_are_unstabilizable_rejected():
     D = np.array([[0.0], [0.0], [1.0]])
     with pytest.raises(SolverError):
         solve_are(A, B, C, D)
+
+
+def test_screen_are_names_the_failed_precondition():
+    A = np.diag([1.0, -1.0])
+    B = np.array([[0.0], [1.0]])
+    C = np.vstack([np.eye(2), np.zeros((1, 2))])
+    D = np.array([[0.0], [0.0], [1.0]])
+    with pytest.raises(SolverError, match=r"\(A, B\) is not stabilizable"):
+        screen_are(A, B, C, D)
+    with pytest.raises(SolverError, match="axis-rank"):
+        screen_are(1.0, 1.0, 1.0, 1.0)
+    screen_are(-1.0, 1.0, np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]))
 
 
 def test_are_sqrt2_and_sqrt5():

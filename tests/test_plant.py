@@ -127,7 +127,6 @@ def test_assumptions_decoupled_all_pass():
     report = check_assumptions(make_decoupled())
     assert report.passed
     assert report.failures == []
-    assert report.minimal
 
 
 def test_assumptions_unstabilizable_fixture():
@@ -180,7 +179,6 @@ def test_minimality_is_warning_not_failure():
     plant = TwoPlayerPlant(A, B1, B2, C1, C2, D12, D21, part)
     report = check_assumptions(plant)
     assert report.passed  # A1-A6 do not require minimality
-    assert not report.minimal  # but the report flags it
 
 
 def test_random_plant_deterministic_and_admissible():

@@ -1,8 +1,7 @@
 import numpy as np
-import pytest
 
-from nesth2.statespace import StateSpace, hcat, is_block_lower_tf, lft_lower, vcat
-from nesth2.linalg import SolverError, is_hurwitz, pbh_detectable, pbh_stabilizable
+from nesth2.statespace import StateSpace, is_block_lower_tf, lft_lower, vcat
+from nesth2.linalg import is_hurwitz, pbh_detectable, pbh_stabilizable
 from nesth2.stabilization import (
     controller_from_q,
     exists_triangular_stabilizing,
@@ -11,6 +10,7 @@ from nesth2.stabilization import (
     q_from_controller,
     youla_data,
 )
+from nesth2.synthesis import solve_four_ares
 from nesth2.fixtures import (
     make_decoupled,
     make_random_fixture,
@@ -21,6 +21,18 @@ from nesth2.fixtures import (
 
 SQRT2 = np.sqrt(2.0)
 SQRT5 = np.sqrt(5.0)
+
+
+def _gains(plant):
+    """Nominal gains on the plant's own Riccati bundle."""
+    return nominal_gains(plant, solve_four_ares(plant))
+
+
+def _side_by_side(g1, g2):
+    """[g1 g2] = g1 [I 0] + g2 [0 I]."""
+    nu = g1.nu + g2.nu
+    return (g1 * StateSpace.gain(np.eye(g1.nu, nu))
+            + g2 * StateSpace.gain(np.eye(g2.nu, nu, k=g1.nu)))
 
 
 def _closed_loop(plant, K):
@@ -47,7 +59,7 @@ def _random_stable_lower_q(rng, m_split, k_split, states=2):
     q21 = block(m_split[1], k_split[0])
     q22 = block(m_split[1], k_split[1])
     zero12 = StateSpace.gain(np.zeros((m_split[0], k_split[1])))
-    return vcat(hcat(q11, zero12), hcat(q21, q22))
+    return vcat(_side_by_side(q11, zero12), _side_by_side(q21, q22))
 
 
 def test_exists_triangular_stabilizing_fixtures():
@@ -70,7 +82,7 @@ def test_unstabilizable_fixture_still_centrally_stabilizable():
 
 
 def test_nominal_gains_frozen_decoupled_values():
-    g = nominal_gains(make_decoupled())
+    g = _gains(make_decoupled())
     assert np.allclose(g.K_d, np.diag([1.0 - SQRT2, 2.0 - SQRT5]), atol=1e-12)
     assert np.allclose(g.L_d, np.diag([1.0 - SQRT2, 2.0 - SQRT5]), atol=1e-12)
     assert is_hurwitz(g.A_Kd)
@@ -79,7 +91,7 @@ def test_nominal_gains_frozen_decoupled_values():
 
 def test_nominal_gains_block_diagonal():
     plant = make_random_fixture()
-    g = nominal_gains(plant)
+    g = _gains(plant)
     assert np.all(g.K_d[:plant.m1, plant.n1:] == 0.0)
     assert np.all(g.K_d[plant.m1:, :plant.n1] == 0.0)
     assert np.all(g.L_d[:plant.n1, plant.k1:] == 0.0)
@@ -88,14 +100,9 @@ def test_nominal_gains_block_diagonal():
     assert is_hurwitz(g.A_Ld, margin=0.0)
 
 
-def test_nominal_gains_rejects_unstabilizable():
-    with pytest.raises(SolverError, match="detectable"):
-        nominal_gains(make_unstabilizable_pair())
-
-
 def test_nominal_controller_stabilizes():
     for plant in (make_stabilizable_pair()[0], make_random_fixture()):
-        K0 = nominal_controller(plant)
+        K0 = nominal_controller(plant, _gains(plant))
         assert K0.nx == plant.n
         assert is_block_lower_tf(K0, plant.partition.m, plant.partition.k)
         cl = _closed_loop(plant, K0)
@@ -104,7 +111,7 @@ def test_nominal_controller_stabilizes():
 
 def test_parameterization_at_zero_recovers_nominal():
     plant = make_random_fixture()
-    data = youla_data(plant)
+    data = youla_data(plant, _gains(plant))
     K0 = nominal_controller(plant, data.gains)
     Q0 = StateSpace.gain(np.zeros((plant.m, plant.k)))
     assert _markov_close(controller_from_q(data, Q0), K0)
@@ -112,7 +119,7 @@ def test_parameterization_at_zero_recovers_nominal():
 
 def test_two_port_inverse_realization():
     plant = make_random_fixture()
-    data = youla_data(plant)
+    data = youla_data(plant, _gains(plant))
     J, Jinv = data.J_d, data.J_d_inverse
     # displayed inverse has the same state count and D-inverse feedthrough
     assert Jinv.nx == J.nx
@@ -124,7 +131,7 @@ def test_two_port_inverse_realization():
 
 def test_model_match_blocks_stable_and_strictly_proper():
     plant = make_random_fixture()
-    data = youla_data(plant)
+    data = youla_data(plant, _gains(plant))
     for blk in (data.T11, data.T12, data.T21):
         assert is_hurwitz(blk.A, margin=0.0)
     assert np.all(data.T11.D == 0.0)
@@ -133,7 +140,7 @@ def test_model_match_blocks_stable_and_strictly_proper():
 
 def test_closed_loop_equals_affine_model_match():
     plant = make_random_fixture()
-    data = youla_data(plant)
+    data = youla_data(plant, _gains(plant))
     rng = np.random.default_rng(3)
     Q = _random_stable_lower_q(rng, plant.partition.m, plant.partition.k)
     K = controller_from_q(data, Q)
@@ -148,7 +155,7 @@ def test_closed_loop_equals_affine_model_match():
 
 def test_round_trip_q_controller_q():
     plant = make_random_fixture()
-    data = youla_data(plant)
+    data = youla_data(plant, _gains(plant))
     rng = np.random.default_rng(4)
     Q = _random_stable_lower_q(rng, plant.partition.m, plant.partition.k)
     K = controller_from_q(data, Q)
@@ -165,7 +172,7 @@ def test_round_trip_q_controller_q():
 
 def test_non_lower_q_breaks_structure():
     plant = make_random_fixture()
-    data = youla_data(plant)
+    data = youla_data(plant, _gains(plant))
     rng = np.random.default_rng(5)
     Qfull = StateSpace.gain(rng.standard_normal((plant.m, plant.k)))
     K = controller_from_q(data, Qfull)
@@ -175,7 +182,7 @@ def test_non_lower_q_breaks_structure():
 def test_sixty_four_random_parameters_stay_lower_and_stabilizing():
     """Forward direction of the parameterization, checked over 64 seeds."""
     plant = make_random_fixture()
-    data = youla_data(plant)
+    data = youla_data(plant, _gains(plant))
     P = plant.generalized()
     for seed in range(64):
         rng = np.random.default_rng(1000 + seed)
@@ -188,7 +195,7 @@ def test_sixty_four_random_parameters_stay_lower_and_stabilizing():
 
 def test_q_maps_work_for_asymmetric_splits():
     plant = random_plant(7, n_split=(1, 2), m_split=(2, 1), k_split=(1, 2))
-    data = youla_data(plant)
+    data = youla_data(plant, _gains(plant))
     rng = np.random.default_rng(6)
     Q = _random_stable_lower_q(rng, plant.partition.m, plant.partition.k)
     K = controller_from_q(data, Q)

@@ -4,15 +4,10 @@ from hypothesis import given, settings
 
 from nesth2.statespace import (
     StateSpace,
-    add,
-    conjugate_transpose,
-    hcat,
     is_block_lower_tf,
     lft_lower,
     lft_upper,
     minreal,
-    series,
-    triangularize_realization,
     vcat,
 )
 
@@ -56,7 +51,7 @@ def test_series_matches_pointwise_product():
     rng = np.random.default_rng(7)
     g1 = _random_system(rng, 3, 2, 4)
     g2 = _random_system(rng, 2, 3, 2)
-    g = series(g1, g2)
+    g = g1 * g2
     assert g.nx == 5 and g.nu == 3 and g.ny == 4
     for s in EVAL_POINTS:
         assert np.linalg.norm(g.eval_at(s) - g1.eval_at(s) @ g2.eval_at(s)) < 1e-9
@@ -67,7 +62,7 @@ def test_add_sub_neg():
     g1 = _random_system(rng, 3, 2, 2)
     g2 = _random_system(rng, 2, 2, 2)
     for s in EVAL_POINTS:
-        assert np.linalg.norm(add(g1, g2).eval_at(s)
+        assert np.linalg.norm((g1 + g2).eval_at(s)
                               - (g1.eval_at(s) + g2.eval_at(s))) < 1e-9
         assert np.linalg.norm((g1 - g2).eval_at(s)
                               - (g1.eval_at(s) - g2.eval_at(s))) < 1e-9
@@ -78,7 +73,7 @@ def test_transpose_and_adjoint():
     rng = np.random.default_rng(9)
     g = _random_system(rng, 4, 2, 3)
     gt = g.transpose()
-    ga = conjugate_transpose(g)
+    ga = g.conjugate_transpose()
     for s in EVAL_POINTS:
         assert np.linalg.norm(gt.eval_at(s) - g.eval_at(s).T) < 1e-9
         # adjoint realization evaluates G(-s)^T
@@ -89,7 +84,9 @@ def test_hcat_vcat():
     rng = np.random.default_rng(10)
     g1 = _random_system(rng, 2, 2, 3)
     g2 = _random_system(rng, 3, 1, 3)
-    h = hcat(g1, g2)
+    # side by side, [g1 g2] = g1 [I 0] + g2 [0 I]
+    h = (g1 * StateSpace.gain(np.eye(2, 3))
+         + g2 * StateSpace.gain(np.eye(1, 3, k=2)))
     assert h.nu == 3 and h.ny == 3
     g3 = _random_system(rng, 2, 2, 1)
     v = vcat(g1, g3)
@@ -202,43 +199,6 @@ def test_minreal_keeps_transfer_function():
     assert _tf_close(red, g, tol=1e-8)
 
 
-def test_triangularize_realization_recovers_structure():
-    rng = np.random.default_rng(17)
-    # build a 3-state block-lower system, then scramble the state basis
-    A = np.array([[-1.0, 0.0, 0.0], [0.5, -2.0, 0.3], [1.0, 0.2, -3.0]])
-    B = np.array([[1.0, 0.0], [0.4, 1.0], [0.2, 0.5]])
-    C = np.array([[1.0, 0.0, 0.0], [0.3, 1.0, 0.7]])
-    g = StateSpace(A, B, C, np.zeros((2, 2)))
-    T = rng.standard_normal((3, 3)) + 3.0 * np.eye(3)
-    Ti = np.linalg.inv(T)
-    scrambled = StateSpace(Ti @ A @ T, Ti @ B, C @ T, g.D)
-    tri, (n1, n2) = triangularize_realization(scrambled, (1, 1), (1, 1))
-    assert (n1, n2) == (1, 2)
-    assert np.all(tri.A[:n1, n1:] == 0.0)
-    assert np.all(tri.B[:n1, 1:] == 0.0)
-    assert np.all(tri.C[:1, n1:] == 0.0)
-    assert _tf_close(tri, g, tol=1e-7)
-
-
-def test_triangularize_realization_identity_on_already_triangular():
-    A = np.array([[-1.0, 0.0], [0.5, -2.0]])
-    g = StateSpace(A, np.eye(2), np.eye(2), np.zeros((2, 2)))
-    tri, (n1, n2) = triangularize_realization(g, (1, 1), (1, 1))
-    assert (n1, n2) == (1, 1)
-    assert np.array_equal(tri.A, g.A)
-    assert np.array_equal(tri.B, g.B)
-
-
-def test_triangularize_realization_rejects_full_coupling():
-    A = np.array([[-1.0, 1.0], [0.5, -2.0]])
-    g = StateSpace(A, np.eye(2), np.eye(2), np.zeros((2, 2)))
-    try:
-        triangularize_realization(g, (1, 1), (1, 1))
-        assert False, "expected ValueError"
-    except ValueError:
-        pass
-
-
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10**6))
 def test_series_associativity_pointwise(seed):
@@ -246,8 +206,8 @@ def test_series_associativity_pointwise(seed):
     g1 = _random_system(rng, 2, 2, 2)
     g2 = _random_system(rng, 3, 2, 2)
     g3 = _random_system(rng, 1, 2, 2)
-    left = series(series(g1, g2), g3)
-    right = series(g1, series(g2, g3))
+    left = (g1 * g2) * g3
+    right = g1 * (g2 * g3)
     s = 0.37 + 1.1j
     assert np.linalg.norm(left.eval_at(s) - right.eval_at(s)) < 1e-8
 
@@ -257,6 +217,6 @@ def test_series_associativity_pointwise(seed):
 def test_adjoint_is_involutive(seed):
     rng = np.random.default_rng(seed)
     g = _random_system(rng, 3, 2, 2)
-    gg = conjugate_transpose(conjugate_transpose(g))
+    gg = g.conjugate_transpose().conjugate_transpose()
     s = -0.8 + 0.45j
     assert np.linalg.norm(gg.eval_at(s) - g.eval_at(s)) < 1e-9

@@ -195,7 +195,7 @@ def test_optimal_between_centralized_and_nominal():
     plant = make_random_fixture()
     res = optimal_controller(plant)
     n_opt = h2_norm(_closed_loop(plant, res.controller))
-    n_nom = h2_norm(_closed_loop(plant, nominal_controller(plant)))
+    n_nom = h2_norm(_closed_loop(plant, nominal_controller(plant, res.gains)))
     _, n_cen = centralized_h2(plant)
     assert n_cen <= n_opt + 1e-9
     assert n_opt <= n_nom + 1e-9
@@ -210,6 +210,20 @@ def test_zeta_xi_blocks_match_realization():
     expected_zeta = (plant.A + plant.B2 @ res.bundle.K_cen
                      + res.L_common @ plant.C2)
     assert np.allclose(res.A_zeta, expected_zeta, atol=1e-12)
+
+
+def test_synthesis_carries_the_centralized_norm():
+    plant = make_random_fixture()
+    res = optimal_controller(plant)
+    assert res.centralized_norm == centralized_h2(plant)[1]
+
+
+def test_nominal_gains_reuse_the_local_riccati_gains():
+    plant = make_random_fixture()
+    res = optimal_controller(plant)
+    n1, m1, k1 = plant.n1, plant.m1, plant.k1
+    assert np.array_equal(res.gains.K_d[m1:, n1:], res.bundle.K_loc2)
+    assert np.array_equal(res.gains.L_d[:n1, :k1], res.bundle.L_loc1)
 
 
 def test_centralized_h2_trace_formulas_agree():

@@ -64,6 +64,12 @@ def test_close_refuses_nan():
     assert va._close(np.ones(2), np.ones(2), 1e-8, "equal") == 0.0
 
 
+def test_psd_floor_refuses_nan():
+    with pytest.raises(SolverError):
+        va._psd_floor(np.array([[1.0, 0.0], [0.0, np.nan]]), 1e-8, "nan")
+    assert va._psd_floor(np.eye(2), 1e-8, "identity") == 1.0
+
+
 # ---------------------------------------------------------------------------
 # Gap Lyapunov identities and the closed-loop Gramian
 
