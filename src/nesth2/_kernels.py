@@ -1,96 +1,96 @@
-"""Path-simulation kernel for the Monte Carlo covariance checks.
+"""Path-simulation kernel for the Monte Carlo covariance check.
 
-The only hot loop in the package: fixed-step stochastic Euler integration of
-a linear system driven by white noise, across many independent sample paths.
-Compiled with numba when it is importable; set NESTH2_PURE_NUMPY=1 to force
-the vectorized numpy fallback. The two backends draw different (but each
-deterministic) random streams: the compiled kernel seeds one generator per
-path so the result is independent of the thread schedule, while the fallback
-advances a single generator across the whole path block.
+Samples the linear SDE dx = A x dt + B dW, x(0) = 0, across many independent
+paths with the exact discrete transition: over a step of length dt,
+
+    x <- Phi x + S eta,   Phi = e^{A dt},
+    S S^T = Q_d = int_0^dt e^{As} B B^T e^{A^T s} ds,
+
+with eta standard normal. The samples have exactly the distribution of the
+continuous-time state at the step times, so the step length sets resolution
+only and the one error left is sampling error. Phi and Q_d come from the
+block exponential of Van Loan (1978, IEEE TAC 23(3)) on a short sub-step,
+doubled up to dt. One numpy generator drives every path, so a seed fixes
+the result.
 """
 
-import os
-
 import numpy as np
+import scipy.linalg as sla
 
-USE_NUMBA = os.environ.get("NESTH2_PURE_NUMPY", "") != "1"
-if USE_NUMBA:
-    try:
-        from numba import njit, prange
-    except ImportError:
-        USE_NUMBA = False
+from .linalg import SolverError
 
-if USE_NUMBA:
+USE_NUMBA = False  # no compiled backend; read by tools that record one
 
-    @njit(parallel=True, cache=True)
-    def _terminal_states(M, S, n_steps, n_paths, seed):
-        n = M.shape[0]
-        nw = S.shape[1]
-        out = np.empty((n_paths, n))
-        for p in prange(n_paths):
-            np.random.seed(seed + p)
-            x = np.zeros(n)
-            y = np.empty(n)
-            for _ in range(n_steps):
-                eta = np.random.standard_normal(nw)
-                for i in range(n):
-                    acc = 0.0
-                    for j in range(n):
-                        acc += M[i, j] * x[j]
-                    for j in range(nw):
-                        acc += S[i, j] * eta[j]
-                    y[i] = acc
-                x, y = y, x
-            out[p, :] = x
-        return out
-
-else:
-
-    def _terminal_states(M, S, n_steps, n_paths, seed):
-        rng = np.random.default_rng(seed)
-        X = np.zeros((M.shape[0], n_paths))
-        MX = np.empty_like(X)
-        SE = np.empty_like(X)
-        eta = np.empty((S.shape[1], n_paths))
-        # X = M X + S eta into preallocated buffers. A fresh (n, n_paths)
-        # array per step is large enough that malloc may map and unmap it
-        # every time, depending on what the process freed before; the page
-        # faults then cost about a third of the loop.
-        for _ in range(n_steps):
-            np.matmul(M, X, out=MX)
-            rng.standard_normal(out=eta)
-            np.matmul(S, eta, out=SE)
-            np.add(MX, SE, out=X)
-        return X.T.copy()
+#: Q_d eigenvalues in [-NEGATIVE_TOL * lambda_max, 0) are rounding and are
+#: set to zero; anything more negative means Q_d is not a covariance
+NEGATIVE_TOL = 1e-12
 
 
-def _compensated_mean(rows):
-    """Mean over axis 0 with Kahan-compensated accumulation."""
-    total = np.zeros(rows.shape[1:])
-    comp = np.zeros_like(total)
-    for r in rows:
-        y = r - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total / rows.shape[0]
+def transition(A, B, dt):
+    """Phi = e^{A dt} and the noise covariance Q_d of one step of length dt.
+
+    Van Loan's block exponential of [[-A, B B^T], [0, A^T]] h gives
+    Phi(h) = F22^T and Q(h) = F22^T F12. Its e^{-A h} block overflows on a
+    stiff loop when h is the whole step, so it is taken on h0 = dt / 2^s with
+    ||A||_1 h0 <= 1/2 and doubled s times:
+    Q(2h) = Q(h) + Phi(h) Q(h) Phi(h)^T, Phi(2h) = Phi(h)^2.
+    """
+    A = np.asarray(A, dtype=np.float64)
+    B = np.asarray(B, dtype=np.float64)
+    n = A.shape[0]
+    norm = np.linalg.norm(A, 1)
+    s, h = 0, float(dt)
+    while norm * h > 0.5:
+        s, h = s + 1, h / 2.0
+    block = np.zeros((2 * n, 2 * n))
+    block[:n, :n] = -A
+    block[:n, n:] = B @ B.T
+    block[n:, n:] = A.T
+    F = sla.expm(block * h)
+    Phi = F[n:, n:].T
+    Q = Phi @ F[:n, n:]
+    for _ in range(s):
+        Q = Q + Phi @ Q @ Phi.T
+        Phi = Phi @ Phi
+    return Phi, 0.5 * (Q + Q.T)
+
+
+def noise_factor(Q):
+    """S with S S^T = Q, from the symmetric eigendecomposition of Q.
+
+    Unlike a Cholesky factor it exists when Q is singular, as it is whenever
+    the noise does not reach every state. Raises SolverError when Q has an
+    eigenvalue below -NEGATIVE_TOL * lambda_max.
+    """
+    w, V = np.linalg.eigh(Q)
+    floor = -NEGATIVE_TOL * max(w[-1], 0.0) if w.size else 0.0
+    if not np.all(w >= floor):
+        raise SolverError(f"step noise covariance is not positive "
+                          f"semidefinite: min eigenvalue {w.min():.3e}")
+    return V * np.sqrt(np.maximum(w, 0.0))
 
 
 def terminal_state_covariance(A, B, dt, n_steps, n_paths, seed):
-    """Sample covariance of the state at the end of an Euler-integrated SDE.
+    """Sample covariance of x(n_steps dt) for dx = A x dt + B dW, x(0) = 0.
 
-    Integrates dx = A x dt + B dW from x(0) = 0 over `n_steps` steps of size
-    `dt` for `n_paths` independent paths and returns the sample covariance
-    of the terminal states. Paths are independent; the merge is a
-    compensated sum over the fixed path order, so the result does not depend
-    on how the paths were scheduled.
+    Takes `n_steps` exact steps of length `dt` on `n_paths` independent paths
+    and returns the sample covariance of the terminal states, with the
+    n_paths - 1 normalization.
     """
-    A = np.ascontiguousarray(A, dtype=np.float64)
-    B = np.ascontiguousarray(B, dtype=np.float64)
-    M = np.eye(A.shape[0]) + dt * A
-    S = np.sqrt(dt) * B
-    states = _terminal_states(M, S, int(n_steps), int(n_paths), int(seed))
-    mean = _compensated_mean(states)
-    centered = states - mean
-    outer = centered[:, :, None] * centered[:, None, :]
-    return _compensated_mean(outer) * (n_paths / (n_paths - 1.0))
+    Phi, Q = transition(A, B, dt)
+    S = noise_factor(Q)
+    rng = np.random.default_rng(int(seed))
+    n_paths = int(n_paths)
+    X = np.zeros((Phi.shape[0], n_paths))
+    PX = np.empty_like(X)
+    eta = np.empty_like(X)
+    # X = Phi X + S eta in preallocated buffers: a fresh (n, n_paths) array
+    # per step is large enough that malloc may map and unmap it every time.
+    for _ in range(int(n_steps)):
+        np.matmul(Phi, X, out=PX)
+        rng.standard_normal(out=eta)
+        np.matmul(S, eta, out=X)
+        X += PX
+    X -= X.mean(axis=1, keepdims=True)
+    cov = X @ X.T / (n_paths - 1.0)
+    return 0.5 * (cov + cov.T)

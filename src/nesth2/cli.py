@@ -270,7 +270,7 @@ def cmd_verify(plant, args):
             raise SolverError("skipped: parameter extraction failed")
         data = youla_data(plant, synth.gains)
         res = va.structured_optimality_residual(data, params[0])
-        worst = max(res[0, 0], res[1, 0], res[1, 1])
+        worst = float(np.max([res[0, 0], res[1, 0], res[1, 1]]))
         if not worst <= args.tol:
             raise SolverError(
                 f"constrained blocks carry causal content {worst:.3e}")
@@ -300,13 +300,7 @@ def cmd_verify(plant, args):
     if args.seed is not None:
         def run_monte_carlo():
             target = va.hat_pair(plant, synth).Y_common
-            # The library defaults integrate long enough for sub-percent
-            # agreement; a command-line check wants seconds, so this uses
-            # the lighter configuration certified by the test suite for
-            # the 5% gate.
             sample = va.simulated_error_covariance(plant, synth,
-                                                   n_paths=4000, step=2e-3,
-                                                   horizon_constants=15.0,
                                                    seed=args.seed)
             rel = np.linalg.norm(sample - target) \
                 / max(np.linalg.norm(target), 1e-12)

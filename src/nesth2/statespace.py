@@ -221,7 +221,7 @@ def is_block_lower_tf(sys, out_split, in_split, tol=1e-8, count=None):
     m1, _ = in_split
     count = 2 * sys.nx + 1 if count is None else count
     for M in sys.markov_parameters(count):
-        if np.linalg.norm(M[:k1, m1:]) > tol:
+        if not np.linalg.norm(M[:k1, m1:]) <= tol:
             return False
     return True
 
@@ -230,7 +230,12 @@ def _orth_cols(M, tol):
     """Orthonormal basis for the column space of M, rank decided at `tol`."""
     if M.shape[1] == 0:
         return np.zeros((M.shape[0], 0))
-    U, s, _ = np.linalg.svd(M, full_matrices=False)
+    try:
+        U, s, _ = np.linalg.svd(M, full_matrices=False)
+    except np.linalg.LinAlgError:
+        # gesdd can fail to converge on finite, well-scaled input, depending
+        # on the BLAS build and its thread count; gesvd is slower but sturdier
+        U, s, _ = sla.svd(M, full_matrices=False, lapack_driver="gesvd")
     if s.size == 0:
         return np.zeros((M.shape[0], 0))
     rank = int(np.sum(s > tol * max(1.0, s[0])))

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
+from ._kernels import terminal_state_covariance
 from .linalg import (SolverError, h2_norm, is_hurwitz, screen_are, solve_are,
                      solve_lyapunov, solve_sylvester, stable_antistable_decompose)
 from .plant import AssumptionError, TwoPlayerPlant, check_assumptions
@@ -48,9 +49,14 @@ def _markov_mismatch(g1, g2, count=None):
         count = 2 * max(g1.nx, g2.nx, 1) + 2
     p1 = g1.markov_parameters(count)
     p2 = g2.markov_parameters(count)
-    scale = 1.0 + max(max(np.abs(p).max(initial=0.0) for p in p1),
-                      max(np.abs(p).max(initial=0.0) for p in p2))
-    return max(np.abs(a - b).max(initial=0.0) for a, b in zip(p1, p2)) / scale
+    scale = 1.0 + _peak(p1 + p2)
+    return _peak([a - b for a, b in zip(p1, p2)]) / scale
+
+
+def _peak(mats):
+    """Largest absolute entry over all of `mats`; NaN if any entry is NaN."""
+    return float(np.max([np.abs(M).max(initial=0.0) for M in mats],
+                        initial=0.0))
 
 
 def _strictly_proper(sys):
@@ -761,25 +767,23 @@ def fixed_point_maps(plant, synth, tol=1e-7):
 # Monte Carlo covariance check support
 
 
-def simulated_error_covariance(plant, synth, n_paths=10000, step=1e-3,
+def simulated_error_covariance(plant, synth, n_paths=10000,
                                horizon_constants=50.0, seed=101):
     """Terminal sample covariance of the player-1 estimation error.
 
-    Simulates the closed loop under unit-intensity white noise with
-    fixed-step stochastic Euler integration and returns the sample
-    covariance of x - zeta at the final time, which should match Y_common.
-    The horizon is the given multiple of the slowest closed-loop time
-    constant; the seed is fixed for reproducibility.
+    Simulates the closed loop under unit-intensity white noise with the exact
+    discrete transition, one step per slowest closed-loop time constant, and
+    returns the sample covariance of x - zeta at the final time, which should
+    match Y_common. The horizon is the given multiple of that time constant,
+    rounded up to whole steps; the seed is fixed for reproducibility.
     """
-    from ._kernels import terminal_state_covariance
-
     P = plant.generalized()
     cl = lft_lower(P, synth.controller, plant.nz, plant.nw)
     decay = -np.max(np.linalg.eigvals(cl.A).real)
-    if decay <= 0:
+    if not decay > 0:
         raise SolverError("closed loop is not Hurwitz; simulation diverges")
-    n_steps = int(np.ceil(horizon_constants / (decay * step)))
-    cov_full = terminal_state_covariance(cl.A, cl.B, step, n_steps,
+    cov_full = terminal_state_covariance(cl.A, cl.B, 1.0 / decay,
+                                         int(np.ceil(horizon_constants)),
                                          n_paths, seed)
     n = plant.n
     sel = np.hstack([np.eye(n), -np.eye(n), np.zeros((n, n))])

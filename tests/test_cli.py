@@ -207,6 +207,22 @@ def test_orthogonality_gate_refuses_nan(tmp_path, capsys, monkeypatch,
     assert "verdict: FAIL" in out
 
 
+@pytest.mark.parametrize("cell", [(0, 0), (1, 0), (1, 1)])
+def test_structured_gate_refuses_nan(tmp_path, capsys, monkeypatch, cell):
+    # max(0.0, nan, 0.0) is 0.0: a NaN past the first block used to pass
+    import nesth2.cli as cli
+
+    res = np.zeros((2, 2))
+    res[cell] = np.nan
+    monkeypatch.setattr(cli.va, "structured_optimality_residual",
+                        lambda data, q: res)
+    path = _write_plant(tmp_path, make_decoupled())
+    assert main(["verify", path]) == 2
+    out = capsys.readouterr().out
+    assert "FAIL  structured optimality certificate" in out
+    assert "verdict: FAIL" in out
+
+
 def test_report_body_is_deterministic(tmp_path, capsys):
     path = _write_plant(tmp_path, make_random_fixture())
     assert main(["analyze", path, "--json"]) == 0

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 
 from nesth2.statespace import (
     StateSpace,
+    _orth_cols,
     is_block_lower_tf,
     lft_lower,
     lft_upper,
@@ -171,6 +172,29 @@ def test_is_block_lower_tf():
     assert is_block_lower_tf(g, (1, 1), (1, 1))
     g2 = StateSpace(np.array([[-1.0, 1.0], [2.0, -3.0]]), B, C, np.zeros((2, 2)))
     assert not is_block_lower_tf(g2, (1, 1), (1, 1))
+
+
+def test_is_block_lower_tf_refuses_nan():
+    A = np.array([[-1.0, 0.0], [2.0, -3.0]])
+    B = np.eye(2)
+    B[0, 1] = np.nan
+    g = StateSpace(A, B, np.eye(2), np.zeros((2, 2)))
+    assert not is_block_lower_tf(g, (1, 1), (1, 1))
+
+
+def test_orth_cols_falls_back_to_gesvd(monkeypatch):
+    rng = np.random.default_rng(4)
+    M = rng.standard_normal((8, 3)) @ rng.standard_normal((3, 5))
+    want = _orth_cols(M, 1e-9)
+
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    got = _orth_cols(M, 1e-9)
+    assert got.shape == want.shape == (8, 3)
+    assert np.allclose(got.T @ got, np.eye(3), atol=1e-12)
+    assert np.allclose(got @ got.T, want @ want.T, atol=1e-12)
 
 
 def test_minreal_removes_cancelling_states():

@@ -375,11 +375,21 @@ def test_fixed_point_maps_agree_with_parameter_blocks():
     assert va._markov_mismatch(g2, blk11) < 1e-7
 
 
+@pytest.mark.parametrize("g2", [StateSpace(-1.0, np.nan, 1.0, 0.0),
+                                StateSpace(-1.0, 1.0, np.nan, 0.0)])
+def test_markov_mismatch_refuses_nan(g2):
+    # a NaN in any parameter but the first used to drop out of max()
+    g1 = StateSpace(-1.0, 1.0, 1.0, 0.0)
+    assert np.isnan(va._markov_mismatch(g1, g2))
+    assert np.isnan(va._markov_mismatch(g2, g1))
+    assert va._markov_mismatch(g1, g1) == 0.0
+
+
 def test_simulated_covariance_matches_gap_lyapunov():
     plant = make_decoupled()
     synth = optimal_controller(plant)
     target = va.hat_pair(plant, synth).Y_common
-    sim = va.simulated_error_covariance(plant, synth, n_paths=4000, step=2e-3,
+    sim = va.simulated_error_covariance(plant, synth, n_paths=4000,
                                         horizon_constants=15.0, seed=11)
     rel = np.linalg.norm(sim - target) / np.linalg.norm(target)
     assert rel < 0.05
