@@ -9,6 +9,7 @@ bodies stays meaningful.
 """
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -198,34 +199,46 @@ def cmd_synthesize(plant, args):
     return rep, EXIT_PASS if rep.passed else EXIT_NUMERICAL
 
 
+def _attempt(rep, label, fn):
+    """Run one check: its value, or a FAIL line and None if it raised."""
+    try:
+        value = fn()
+    except (SolverError, np.linalg.LinAlgError) as exc:
+        rep.check(label, False, exc)
+        return None
+    rep.check(label, True)
+    return value
+
+
+def _orthogonality(plant, synth):
+    r1, r2 = va.orthogonality_residuals(plant, synth)
+    if not (r1 <= ORTHOGONALITY_TOL and r2 <= ORTHOGONALITY_TOL):
+        raise SolverError(f"residuals {r1:.3e}, {r2:.3e} above "
+                          f"{ORTHOGONALITY_TOL:.1e}")
+    return r1, r2
+
+
 def cmd_analyze(plant, args):
     rep = RunReport("analyze", plant)
     synth = optimal_controller(plant)
     n_struct, n_cen = _closed_norms(plant, synth)
     rep.number("centralized norm", n_cen)
     rep.number("structured norm", n_struct)
-    try:
-        d_norm, d_trace_y, d_trace_x = va.delta_cost(plant, synth)
-        rep.check("three delta formulas agree", True)
-        rep.number("delta (gap-system norm)", d_norm)
-        rep.number("delta (Y-weighted trace)", d_trace_y)
-        rep.number("delta (X-weighted trace)", d_trace_x)
-    except SolverError as exc:
-        rep.check("three delta formulas agree", False, exc)
-    try:
-        triple = va.closed_loop_gramian(plant, synth)
-        rep.check("closed-loop Gramian block diagonal", True)
+    deltas = _attempt(rep, "three delta formulas agree",
+                      lambda: va.delta_cost(plant, synth))
+    if deltas is not None:
+        rep.number("delta (gap-system norm)", deltas[0])
+        rep.number("delta (Y-weighted trace)", deltas[1])
+        rep.number("delta (X-weighted trace)", deltas[2])
+    triple = _attempt(rep, "closed-loop Gramian block diagonal",
+                      lambda: va.closed_loop_gramian(plant, synth))
+    if triple is not None:
         rep.number("Gramian off-diagonal residual", triple.offdiag)
-    except SolverError as exc:
-        rep.check("closed-loop Gramian block diagonal", False, exc)
-    try:
-        r1, r2 = va.orthogonality_residuals(plant, synth)
-        rep.check("orthogonality residuals under tolerance",
-                  r1 <= ORTHOGONALITY_TOL and r2 <= ORTHOGONALITY_TOL)
-        rep.number("orthogonality residual player 1", r1)
-        rep.number("orthogonality residual player 2", r2)
-    except SolverError as exc:
-        rep.check("orthogonality residuals under tolerance", False, exc)
+    pair = _attempt(rep, "orthogonality residuals under tolerance",
+                    lambda: _orthogonality(plant, synth))
+    if pair is not None:
+        rep.number("orthogonality residual player 1", pair[0])
+        rep.number("orthogonality residual player 2", pair[1])
     return rep, EXIT_PASS if rep.passed else EXIT_NUMERICAL
 
 
@@ -233,26 +246,13 @@ def cmd_verify(plant, args):
     rep = RunReport("verify", plant)
     synth = optimal_controller(plant)
 
-    def attempt(label, fn):
-        try:
-            value = fn()
-        except (SolverError, np.linalg.LinAlgError) as exc:
-            rep.check(label, False, exc)
-            return None
-        rep.check(label, True)
-        return value
-
-    attempt("gap Lyapunov identity chain", lambda: va.hat_pair(plant, synth))
+    attempt = functools.partial(_attempt, rep)
+    hats = attempt("gap Lyapunov identity chain",
+                   lambda: va.hat_pair(plant, synth))
     attempt("closed-loop Gramian block diagonal",
             lambda: va.closed_loop_gramian(plant, synth))
-
-    def run_orthogonality():
-        r1, r2 = va.orthogonality_residuals(plant, synth)
-        if not (r1 <= ORTHOGONALITY_TOL and r2 <= ORTHOGONALITY_TOL):
-            raise SolverError(f"residuals {r1:.3e}, {r2:.3e} above "
-                              f"{ORTHOGONALITY_TOL:.1e}")
-        return r1, r2
-    pair = attempt("error/innovations orthogonality", run_orthogonality)
+    pair = attempt("error/innovations orthogonality",
+                   lambda: _orthogonality(plant, synth))
     if pair is not None:
         rep.number("orthogonality residual player 1", pair[0])
         rep.number("orthogonality residual player 2", pair[1])
@@ -264,12 +264,13 @@ def cmd_verify(plant, args):
 
     params = attempt("parameter extraction round trip",
                      lambda: va.youla_parameters(plant, synth))
+    # built on first use and shared by the certificate and the oracle
+    data = functools.cache(lambda: youla_data(plant, synth.gains))
 
     def run_structured():
         if params is None:
             raise SolverError("skipped: parameter extraction failed")
-        data = youla_data(plant, synth.gains)
-        res = va.structured_optimality_residual(data, params[0])
+        res = va.structured_optimality_residual(data(), params[0])
         worst = float(np.max([res[0, 0], res[1, 0], res[1, 1]]))
         if not worst <= args.tol:
             raise SolverError(
@@ -284,9 +285,8 @@ def cmd_verify(plant, args):
 
     if args.oracle:
         def run_oracle():
-            data = youla_data(plant, synth.gains)
             n_struct, _ = _closed_norms(plant, synth)
-            _, n_oracle = va.vectorization_oracle(data)
+            _, n_oracle = va.vectorization_oracle(data())
             rel = abs(n_oracle - n_struct) / (1.0 + n_struct)
             if not rel <= args.tol:
                 raise SolverError(f"oracle norm {n_oracle:.9e} disagrees "
@@ -299,7 +299,10 @@ def cmd_verify(plant, args):
 
     if args.seed is not None:
         def run_monte_carlo():
-            target = va.hat_pair(plant, synth).Y_common
+            if hats is None:
+                raise SolverError(
+                    "skipped: gap Lyapunov identity chain failed")
+            target = hats.Y_common
             sample = va.simulated_error_covariance(plant, synth,
                                                    seed=args.seed)
             rel = np.linalg.norm(sample - target) \
@@ -364,7 +367,7 @@ def main(argv=None):
     except AssumptionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ASSUMPTION
-    except SolverError as exc:
+    except (SolverError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

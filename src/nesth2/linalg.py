@@ -7,6 +7,11 @@ coefficient, then LAPACK's quasi-triangular solver `trsyl`. That costs O(n^3)
 time and O(n^2) memory, where vectorizing with Kronecker products would cost
 O(n^6) time and O(n^4) memory. Every solver verifies its result with a
 residual check scaled to the size of the equation's terms.
+
+The structural preconditions of a Riccati equation are PBH rank tests, one
+SVD at each eigenvalue in the region of interest: stabilizability, and the
+absence of invariant zeros on the imaginary axis, which `axis_rank_ok`
+reduces to a PBH test by compressing out the feedthrough.
 """
 
 from dataclasses import dataclass
@@ -105,88 +110,57 @@ def solve_sylvester(A1, A0, A2):
     return Om
 
 
-def pbh_stabilizable(A, B, margin=HURWITZ_MARGIN, rank_tol=RANK_TOL):
-    """PBH test: every eigenvalue with Re(lambda) >= -margin is controllable."""
-    A = _mat(A, "A")
-    B = _mat(B, "B")
+def _pbh_rank_ok(A, B, region):
+    """[A - lambda I, B] has full row rank at each eigenvalue lambda of A
+    for which region(lambda) holds, at RANK_TOL against the data's size."""
     n = A.shape[0]
-    if n == 0:
-        return True
     scale = max(1.0, np.linalg.norm(A) + np.linalg.norm(B))
     for lam in np.linalg.eigvals(A):
-        if lam.real < -margin:
+        if not region(lam):
             continue
         M = np.hstack([A - lam * np.eye(n), B.astype(complex)])
-        if np.linalg.svd(M, compute_uv=False)[-1] <= rank_tol * scale:
+        if np.linalg.svd(M, compute_uv=False)[-1] <= RANK_TOL * scale:
             return False
     return True
 
 
-def pbh_detectable(C, A, margin=HURWITZ_MARGIN, rank_tol=RANK_TOL):
-    """PBH test: every eigenvalue with Re(lambda) >= -margin is observable."""
-    return pbh_stabilizable(_mat(A, "A").T, _mat(C, "C").T, margin, rank_tol)
+def pbh_stabilizable(A, B):
+    """PBH test: each eigenvalue with Re >= -HURWITZ_MARGIN is controllable."""
+    return _pbh_rank_ok(_mat(A, "A"), _mat(B, "B"),
+                        lambda lam: lam.real >= -HURWITZ_MARGIN)
 
 
-def _finite_pencil_eigs(M, N):
-    """Finite generalized eigenvalues of (M, N), infinite ones dropped."""
-    import scipy.linalg as sla
-
-    w = sla.eig(M, N, right=False, homogeneous_eigvals=True)
-    alpha = np.asarray(w[0]).ravel()
-    beta = np.asarray(w[1]).ravel()
-    keep = np.abs(beta) > 1e-10 * np.maximum(1.0, np.abs(alpha))
-    return alpha[keep] / beta[keep]
+def pbh_detectable(C, A):
+    """PBH test: each eigenvalue with Re >= -HURWITZ_MARGIN is observable."""
+    return pbh_stabilizable(_mat(A, "A").T, _mat(C, "C").T)
 
 
-def axis_rank_ok(A, B, C, D, side="column", tol=AXIS_TOL):
+def axis_rank_ok(A, B, C, D, side="column"):
     """Check full column (or row) rank of [A - iwI, B; C, D] for all real w.
 
-    Equivalent to: the system pencil ([A, B; C, D], diag(I, 0)) has full normal
-    rank and no finite generalized eigenvalue (invariant zero) within `tol` of
-    the imaginary axis. Non-square pencils are squared up with two seeded
-    random augmentations and only axis zeros appearing in both runs count, so
-    spurious augmentation zeros cannot trigger a failure.
+    With D of full column rank, the pencil loses column rank at s exactly
+    when s is an unobservable mode of (At, Ct) = (A - B F, C - D F), where
+    F = D^+ C (Zhou, Doyle & Glover 1996, ch. 13): the columns of D are
+    compressed out and what is left is a PBH test. It runs at each
+    eigenvalue of At within AXIS_TOL * max(1, ||A||_F) of the imaginary
+    axis. A D without full column rank (row rank for side="row") gives
+    False, so the check presupposes the weight condition that makes D of
+    full rank.
     """
     A = _mat(A, "A")
     B = _mat(B, "B")
     C = _mat(C, "C")
     D = _mat(D, "D")
     if side == "row":
-        return axis_rank_ok(A.T, C.T, B.T, D.T, side="column", tol=tol)
+        return axis_rank_ok(A.T, C.T, B.T, D.T, side="column")
     if side != "column":
         raise ValueError("side must be 'column' or 'row'")
-    n = A.shape[0]
-    m = B.shape[1]
-    p = C.shape[0]
-    if p < m:
-        return False  # fewer rows than columns below the state block
-    # Normal rank at a generic off-axis point.
-    s0 = 0.9501 + 1.2311j
-    pencil0 = np.block([[A - s0 * np.eye(n), B], [C, D]])
-    if np.linalg.matrix_rank(pencil0, tol=None) < n + m:
+    if np.linalg.matrix_rank(D) < D.shape[1]:
         return False
-    scale = max(1.0, np.linalg.norm(A))
-
-    def axis_zeros(Baug, Daug):
-        M = np.block([[A, Baug], [C, Daug]])
-        N = np.zeros_like(M)
-        N[:n, :n] = np.eye(n)
-        zeros = _finite_pencil_eigs(M, N)
-        return zeros[np.abs(zeros.real) <= tol * max(1.0, scale)]
-
-    if p == m:
-        return axis_zeros(B, D).size == 0
-    # Tall pencil: add p - m random input columns, twice, and intersect.
-    hits = []
-    for seed in (20260822, 20260823):
-        rng = np.random.default_rng(seed)
-        Bx = rng.standard_normal((n, p - m))
-        Dx = rng.standard_normal((p, p - m))
-        hits.append(axis_zeros(np.hstack([B, Bx]), np.hstack([D, Dx])))
-    for z in hits[0]:
-        if hits[1].size and np.min(np.abs(hits[1] - z)) <= 1e-5 * (1.0 + abs(z)):
-            return False
-    return True
+    F = np.linalg.lstsq(D, C, rcond=None)[0]
+    band = AXIS_TOL * max(1.0, np.linalg.norm(A))
+    return _pbh_rank_ok((A - B @ F).T, (C - D @ F).T,
+                        lambda lam: abs(lam.real) <= band)
 
 
 @dataclass
@@ -202,10 +176,12 @@ def screen_are(A, B, C, D):
     """Refuse Riccati data that has no stabilizing solution, before solving.
 
     Raises SolverError if (A, B) is not stabilizable or the pencil
-    [A - iwI, B; C, D] loses column rank on the imaginary axis. `solve_are`
-    does not run this screen: for the plant equations it is implied by
-    `check_assumptions`. Only callers whose data those checks do not cover
-    call it.
+    [A - iwI, B; C, D] loses column rank on the imaginary axis, by the PBH
+    tests of `pbh_stabilizable` and `axis_rank_ok`. The second test also
+    fails when D lacks full column rank, which `solve_are` refuses too.
+    `solve_are` does not run this screen: for the plant equations it is
+    implied by `check_assumptions`. Only callers whose data those checks do
+    not cover call it.
     """
     if not pbh_stabilizable(A, B):
         raise SolverError("(A, B) is not stabilizable")
@@ -214,8 +190,7 @@ def screen_are(A, B, C, D):
                           "[A - iwI, B; C, D] loses column rank on the axis")
 
 
-def solve_are(A, B, C, D, hurwitz_margin=HURWITZ_MARGIN,
-              residual_tol=RESIDUAL_TOL):
+def solve_are(A, B, C, D):
     """Stabilizing solution of the Riccati equation with cross weights.
 
         A^T X + X A + C^T C
@@ -231,7 +206,7 @@ def solve_are(A, B, C, D, hurwitz_margin=HURWITZ_MARGIN,
     closed-loop Hurwitz property are all checked.
 
     Raises SolverError if D^T D is not positive definite, a Hamiltonian
-    eigenvalue falls in the +-hurwitz_margin band, the stable eigenvalues do
+    eigenvalue falls in the +-HURWITZ_MARGIN band, the stable eigenvalues do
     not number n, or any verification fails. Data without a stabilizing
     solution ends in one of those. The structural preconditions (stabilizable
     (A, B), no axis zero) are not re-checked here: `check_assumptions` covers
@@ -253,10 +228,10 @@ def solve_are(A, B, C, D, hurwitz_margin=HURWITZ_MARGIN,
     Qt = Qm - S @ Rinv @ S.T
     H = np.block([[At, -B @ Rinv @ B.T], [-Qt, -At.T]])
     w, V = np.linalg.eig(H)
-    if np.any(np.abs(w.real) <= hurwitz_margin):
+    if np.any(np.abs(w.real) <= HURWITZ_MARGIN):
         raise SolverError("Hamiltonian eigenvalue inside the margin band; "
                           "no strictly stabilizing solution")
-    sel = w.real < -hurwitz_margin
+    sel = w.real < -HURWITZ_MARGIN
     if int(np.sum(sel)) != n:
         raise SolverError(
             f"Hamiltonian has {int(np.sum(sel))} stable eigenvalues, expected {n}")
@@ -271,7 +246,7 @@ def solve_are(A, B, C, D, hurwitz_margin=HURWITZ_MARGIN,
     quad = (X @ B + S) @ Rinv @ (B.T @ X + S.T)
     res = np.linalg.norm(A.T @ X + X @ A + Qm - quad)
     scale = 1.0 + 2.0 * np.linalg.norm(A.T @ X) + np.linalg.norm(Qm) + np.linalg.norm(quad)
-    if not res <= residual_tol * scale:
+    if not res <= RESIDUAL_TOL * scale:
         raise SolverError(f"Riccati residual {res:.2e} exceeds tolerance")
     if np.linalg.eigvalsh(X).min() < -1e-8 * (1.0 + np.linalg.norm(X)):
         raise SolverError("Riccati solution is not positive semidefinite")

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .statespace import StateSpace, _mat
-from .linalg import AXIS_TOL, axis_rank_ok
+from .linalg import axis_rank_ok
 from .stabilization import (StabilizabilityDiagnostics,
                             exists_triangular_stabilizing)
 
@@ -301,6 +301,11 @@ class AssumptionReport:
       A5  (C2_11, A11) and (C2_22, A22) detectable
       A6  no filter-side invariant zero on the imaginary axis
 
+    A3 presupposes A1 and A6 presupposes A4: the axis checks compress out
+    the columns of D12 (the rows of D21) and report a fail when D12 lacks
+    full column rank (D21 full row rank), so a plant that fails A1 or A4
+    fails A3 or A6 as well.
+
     `stabilizability` holds the four per-player verdicts behind A2 and A5.
     Together with the block-triangular structure, A1-A6 imply that all four
     Riccati equations of the synthesis have stabilizing solutions, so the
@@ -326,7 +331,7 @@ class AssumptionReport:
         raise KeyError(label)
 
 
-def check_assumptions(plant, axis_tol=AXIS_TOL):
+def check_assumptions(plant):
     """Evaluate the six synthesis preconditions; failures are reported, not raised."""
     cc = plant.cost_cov()
     diag = exists_triangular_stabilizing(plant)
@@ -340,14 +345,14 @@ def check_assumptions(plant, axis_tol=AXIS_TOL):
     record("A2", diag.player1_stabilizable and diag.player2_stabilizable,
            "each player's subsystem is stabilizable through its own input")
     record("A3", axis_rank_ok(plant.A, plant.B2, plant.C1, plant.D12,
-                              side="column", tol=axis_tol),
+                              side="column"),
            "no control-side invariant zero on the imaginary axis")
     record("A4", np.linalg.eigvalsh(cc.V).min() > 0.0,
            "measurement noise covariance D21 D21' is positive definite")
     record("A5", diag.player1_detectable and diag.player2_detectable,
            "each player's subsystem is detectable from its own measurement")
     record("A6", axis_rank_ok(plant.A, plant.B1, plant.C2, plant.D21,
-                              side="row", tol=axis_tol),
+                              side="row"),
            "no filter-side invariant zero on the imaginary axis")
     return AssumptionReport(checks=checks, stabilizability=diag)
 

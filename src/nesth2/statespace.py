@@ -211,17 +211,28 @@ def lft_upper(M, K, nq, np_):
     return lft_lower(flipped, K, nz, nw)
 
 
-def is_block_lower_tf(sys, out_split, in_split, tol=1e-8, count=None):
+def scaled_markov_parameters(systems, count):
+    """First `count` Markov parameters of each G(alpha s), realized as
+    (A/alpha, B/alpha, C, D), with one alpha = max(1, ||A||_2) over all of
+    `systems`. Powers of A/alpha stay bounded where C A^k B overflows on
+    large realizations, and zero blocks stay zero."""
+    alpha = max([1.0] + [np.linalg.norm(g.A, 2) for g in systems])
+    return [StateSpace(g.A / alpha, g.B / alpha, g.C, g.D)
+            .markov_parameters(count) for g in systems]
+
+
+def is_block_lower_tf(sys, out_split, in_split, tol=1e-8):
     """True iff the (1,2) transfer block of `sys` vanishes.
 
-    Checked structurally: the (1,2) blocks of D and of the first 2 nx Markov
-    parameters must all have Frobenius norm <= tol.
+    Checked structurally on the frequency-scaled G(alpha s) of
+    `scaled_markov_parameters`: the (1,2) blocks of D and of the first 2 nx
+    Markov parameters must all have Frobenius norm <= tol.
     """
-    k1, _ = out_split
-    m1, _ = in_split
-    count = 2 * sys.nx + 1 if count is None else count
-    for M in sys.markov_parameters(count):
-        if not np.linalg.norm(M[:k1, m1:]) <= tol:
+    rows, _ = out_split
+    cols, _ = in_split
+    params, = scaled_markov_parameters([sys], 2 * sys.nx + 1)
+    for M in params:
+        if not np.linalg.norm(M[:rows, cols:]) <= tol:
             return False
     return True
 

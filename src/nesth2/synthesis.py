@@ -242,7 +242,7 @@ def build_phi_psi_system(plant, bundle):
     return _CouplingTerms(plant, bundle).stacked_system()
 
 
-def solve_phi_psi(plant, bundle, residual_tol=RESIDUAL_TOL):
+def solve_phi_psi(plant, bundle):
     """Solve the coupled pair of linear matrix equations.
 
     A direct dense solve of the stacked system, falling back to the
@@ -266,7 +266,7 @@ def solve_phi_psi(plant, bundle, residual_tol=RESIDUAL_TOL):
     def attempt(z):
         Phi, Psi = terms.unpack(z)
         r_phi, r_psi, s_phi, s_psi = terms.residuals(Phi, Psi)
-        ok = r_phi <= residual_tol * s_phi and r_psi <= residual_tol * s_psi
+        ok = r_phi <= RESIDUAL_TOL * s_phi and r_psi <= RESIDUAL_TOL * s_psi
         return Phi, Psi, (float(r_phi), float(r_psi)), ok
 
     try:

@@ -21,7 +21,7 @@ from .linalg import (SolverError, h2_norm, is_hurwitz, screen_are, solve_are,
 from .plant import AssumptionError, TwoPlayerPlant, check_assumptions
 from .stabilization import controller_from_q, q_from_controller, youla_data
 from .statespace import (StateSpace, balance_realization, lft_lower,
-                         is_block_lower_tf, minreal)
+                         is_block_lower_tf, minreal, scaled_markov_parameters)
 
 IDENTITY_TOL = 1e-8
 
@@ -43,12 +43,11 @@ def _psd_floor(M, tol, label):
     return lo
 
 
-def _markov_mismatch(g1, g2, count=None):
-    """Largest scaled difference of the leading Markov parameters."""
-    if count is None:
-        count = 2 * max(g1.nx, g2.nx, 1) + 2
-    p1 = g1.markov_parameters(count)
-    p2 = g2.markov_parameters(count)
+def _markov_mismatch(g1, g2):
+    """Largest scaled difference of the leading Markov parameters of
+    g1(alpha s) and g2(alpha s), with one alpha for both."""
+    count = 2 * max(g1.nx, g2.nx, 1) + 2
+    p1, p2 = scaled_markov_parameters([g1, g2], count)
     scale = 1.0 + _peak(p1 + p2)
     return _peak([a - b for a, b in zip(p1, p2)]) / scale
 

@@ -10,6 +10,7 @@ from nesth2.fixtures import (
     make_random_fixture,
     make_unstabilizable_pair,
 )
+from nesth2.linalg import SolverError
 from nesth2.plant import plant_to_dict
 from nesth2.synthesis import optimal_controller
 
@@ -69,6 +70,18 @@ def test_check_passes_on_clean_plant(tmp_path, capsys):
     assert "verdict: pass" in out
     for label in ("A1", "A2", "A3", "A4", "A5", "A6"):
         assert label in out
+
+
+def test_check_fails_the_axis_check_without_full_rank_noise(tmp_path, capsys):
+    # A6 compresses out the rows of D21, so it presupposes A4
+    def mangle(data):
+        data["D21"] = np.zeros_like(np.array(data["D21"])).tolist()
+    path = _write_plant(tmp_path, make_decoupled(), mangle=mangle)
+    assert main(["check", path]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  A4 " in out
+    assert "FAIL  A6 " in out
+    assert out.count("FAIL") == 3  # A4, A6 and the verdict
 
 
 def test_check_rejects_structurally_unstabilizable(tmp_path, capsys):
@@ -186,6 +199,75 @@ def test_verify_linalg_error_is_numerical(tmp_path, capsys, monkeypatch):
     assert "FAIL  structured optimality certificate: SVD did not converge" in out
     assert "  pass  partial-optimization fixed points" in out
     assert "verdict: FAIL" in out
+
+
+def _no_convergence(*args, **kwargs):
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+
+def test_analyze_linalg_error_is_a_failed_check(tmp_path, capsys, monkeypatch):
+    import nesth2.cli as cli
+
+    monkeypatch.setattr(cli.va, "orthogonality_residuals", _no_convergence)
+    path = _write_plant(tmp_path, make_random_fixture())
+    assert main(["analyze", path]) == 2
+    out = capsys.readouterr().out
+    assert ("FAIL  orthogonality residuals under tolerance: "
+            "SVD did not converge") in out
+    assert "  pass  three delta formulas agree" in out
+    assert "verdict: FAIL" in out
+
+
+def test_escaping_linalg_error_is_numerical(tmp_path, capsys, monkeypatch):
+    import nesth2.cli as cli
+
+    monkeypatch.setattr(cli, "optimal_controller", _no_convergence)
+    path = _write_plant(tmp_path, make_random_fixture())
+    assert main(["synthesize", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: SVD did not converge\n"
+
+
+def test_verify_solves_the_shared_data_once(tmp_path, capsys, monkeypatch):
+    # the Monte Carlo target is the identity chain's HatPair, and one
+    # youla_data serves the structured certificate and the oracle; the other
+    # hat_pair and youla_data calls are delta_cost's and youla_parameters'
+    import nesth2.cli as cli
+
+    counts = {"hat_pair": 0, "youla_data": 0}
+
+    def counted(home, name):
+        original = getattr(home, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(home, name, wrapper)
+
+    counted(cli.va, "hat_pair")
+    counted(cli.va, "youla_data")
+    counted(cli, "youla_data")
+    path = _write_plant(tmp_path, make_decoupled())
+    assert main(["verify", path, "--oracle", "--seed", "7"]) == 0
+    assert counts == {"hat_pair": 2, "youla_data": 2}
+    capsys.readouterr()
+
+
+def test_monte_carlo_is_skipped_without_the_identity_chain(tmp_path, capsys,
+                                                          monkeypatch):
+    import nesth2.cli as cli
+
+    def broken(plant, synth):
+        raise SolverError("identity check failed")
+
+    monkeypatch.setattr(cli.va, "hat_pair", broken)
+    path = _write_plant(tmp_path, make_decoupled())
+    assert main(["verify", path, "--seed", "7"]) == 2
+    out = capsys.readouterr().out
+    assert "FAIL  gap Lyapunov identity chain: identity check failed" in out
+    assert ("FAIL  Monte Carlo covariance cross-check: "
+            "skipped: gap Lyapunov identity chain failed") in out
 
 
 @pytest.mark.parametrize("residuals", [(0.0, np.nan), (np.nan, 0.0)])

@@ -176,6 +176,109 @@ def test_axis_rank_row_side():
                             np.array([[1.0]]), np.array([[0.0, 1.0]]), side="row")
 
 
+def _pencil_axis_rank_ok(A, B, C, D):
+    """Reference: the column-side axis check on the system pencil by QZ.
+
+    Full normal rank at an off-axis point, then no finite generalized
+    eigenvalue of ([A, B; C, D], diag(I, 0)) in the axis band. A tall pencil
+    is squared up with two seeded random augmentations, and only axis zeros
+    found by both count.
+    """
+    A, B, C, D = (np.atleast_2d(np.asarray(M, dtype=float))
+                  for M in (A, B, C, D))
+    n, m, p = A.shape[0], B.shape[1], C.shape[0]
+    if p < m:
+        return False
+    s0 = 0.9501 + 1.2311j
+    pencil0 = np.block([[A - s0 * np.eye(n), B], [C, D]])
+    if np.linalg.matrix_rank(pencil0) < n + m:
+        return False
+    band = 1e-7 * max(1.0, np.linalg.norm(A))
+
+    def axis_zeros(Baug, Daug):
+        M = np.block([[A, Baug], [C, Daug]])
+        N = np.zeros_like(M)
+        N[:n, :n] = np.eye(n)
+        alpha, beta = scipy.linalg.eig(M, N, right=False,
+                                       homogeneous_eigvals=True)
+        keep = np.abs(beta) > 1e-10 * np.maximum(1.0, np.abs(alpha))
+        zeros = alpha[keep] / beta[keep]
+        return zeros[np.abs(zeros.real) <= band]
+
+    if p == m:
+        return axis_zeros(B, D).size == 0
+    hits = []
+    for seed in (20260822, 20260823):
+        rng = np.random.default_rng(seed)
+        Bx = rng.standard_normal((n, p - m))
+        Dx = rng.standard_normal((p, p - m))
+        hits.append(axis_zeros(np.hstack([B, Bx]), np.hstack([D, Dx])))
+    for z in hits[0]:
+        if hits[1].size and np.min(np.abs(hits[1] - z)) <= 1e-5 * (1 + abs(z)):
+            return False
+    return True
+
+
+def _system_with_zero(rng, n, m, p, zero):
+    """Random (A, B, C, D), D of full column rank; `zero` = (sigma, omega)
+    builds in an invariant zero at sigma + i omega (and its conjugate)."""
+    B = rng.standard_normal((n, m))
+    D = rng.standard_normal((p, m))
+    if zero is None:
+        return rng.standard_normal((n, n)), B, rng.standard_normal((p, n)), D
+    sigma, omega = zero
+    if omega:
+        J = np.array([[sigma, omega], [-omega, sigma]])
+    else:
+        J = np.array([[sigma]])
+    r = J.shape[0]
+    T = rng.standard_normal((n, n))
+    Ti = np.linalg.inv(T)
+    # an eigenvalue of At whose eigenvectors Ct does not see, with Ct
+    # orthogonal to the range of D; A, C then follow from any feedback F
+    rest = rng.standard_normal((n - r, n - r))
+    At = T @ scipy.linalg.block_diag(J, rest) @ Ti
+    P = np.eye(p) - D @ np.linalg.pinv(D)
+    G = P @ rng.standard_normal((p, n - r))
+    Ct = np.hstack([np.zeros((p, r)), G]) @ Ti
+    F = rng.standard_normal((m, n))
+    return At + B @ F, B, Ct + D @ F, D
+
+
+def test_axis_rank_matches_the_pencil_method():
+    rng = np.random.default_rng(2024)
+    verdicts = {True: 0, False: 0}
+    for _ in range(300):
+        n = int(rng.integers(3, 8))
+        m = int(rng.integers(1, 4))
+        p = m + int(rng.integers(0, 3))
+        kind = rng.integers(3)  # none, on the axis, off the axis
+        omega = float(rng.choice([0.0, rng.uniform(0.1, 3.0)]))
+        sigma = 0.0 if kind == 1 else \
+            float(rng.choice([-1, 1]) * rng.uniform(1e-3, 2.0))
+        A, B, C, D = _system_with_zero(rng, n, m, p,
+                                       None if kind == 0 else (sigma, omega))
+        expected = _pencil_axis_rank_ok(A, B, C, D)
+        assert expected == (kind != 1)
+        assert axis_rank_ok(A, B, C, D, side="column") == expected
+        assert axis_rank_ok(A.T, C.T, B.T, D.T, side="row") == expected
+        verdicts[expected] += 1
+    assert min(verdicts.values()) > 50
+
+
+def test_axis_rank_needs_full_rank_feedthrough():
+    # no finite zero at all: the pencil method passes it, but the columns of
+    # D cannot be compressed out
+    assert _pencil_axis_rank_ok(-1.0, 1.0, 1.0, 0.0)
+    assert not axis_rank_ok(-1.0, 1.0, 1.0, 0.0, side="column")
+    # more inputs than outputs, and a rank-one D of two columns
+    assert not axis_rank_ok(-1.0, np.ones((1, 2)), 1.0, np.ones((1, 2)))
+    assert not axis_rank_ok(-np.eye(2), np.eye(2), np.eye(3, 2),
+                            np.ones((3, 2)))
+    assert not axis_rank_ok(-1.0, np.array([[1.0, 0.0]]), 1.0,
+                            np.zeros((1, 2)), side="row")
+
+
 # ---------------------------------------------------------------- riccati
 
 def test_are_scalar_frozen_values():

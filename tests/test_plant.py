@@ -198,6 +198,40 @@ def test_random_plant_other_splits():
         assert check_assumptions(p).passed
 
 
+# A[0, 0] of the accepted draw, which tells the draws apart: a changed verdict
+# of a screen in check_assumptions or solve_are shows here as a failure, not
+# as silently different plants in the benchmark and the tests
+_STRESS_A00 = {
+    8: (0.04445234596761114, 0.12218246283994222, 0.06684046413622831,
+        0.7215738752923765, -0.2304429719645608, -0.28352557442165277,
+        -0.5123954906933128, 0.0004349248904876637),
+    16: (0.031432555273348324, 0.0863960480161965, 0.047263345448383266,
+         0.25028549060390964, -0.508989457456811, -0.08105275885523097,
+         0.26327893862168955, 0.19178326183992572),
+    24: (0.09109678365148904, -0.05586076772910334, 0.03859035996181094,
+         -0.017224554823887902, -0.14377404829798832, 0.045512518741423355,
+         0.2149663532148902, -0.044406003567796094),
+    32: (0.16586274799956152, 0.3382917432868202, 0.005628813998928333,
+         -0.048958220176611056, -0.08901151733840464, 0.043802597869091964,
+         0.15323822609823287, -0.20551456092586204),
+}
+_SWEEP_A00 = {8: 0.04445234596761114, 16: 0.031432555273348324,
+              20: 0.1266998241761009}
+
+
+def test_random_plant_draws_are_pinned():
+    # the benchmark's under-actuated stress family, its verify sweep (plant
+    # seed 0, (h, h) splits) and the shared fixture
+    for n, expected in _STRESS_A00.items():
+        got = tuple(random_plant(s, n_split=(n // 2, n // 2),
+                                 scale_cap=None).A[0, 0] for s in range(8))
+        assert got == expected, n
+    for n, expected in _SWEEP_A00.items():
+        h = (n // 2, n // 2)
+        assert random_plant(0, h, h, h).A[0, 0] == expected, n
+    assert make_random_fixture().A[0, 0] == 0.0197412033779641
+
+
 def test_pure_noise_channel_admissible():
     report = check_assumptions(make_pure_noise_channel())
     assert report.passed

@@ -182,6 +182,29 @@ def test_is_block_lower_tf_refuses_nan():
     assert not is_block_lower_tf(g, (1, 1), (1, 1))
 
 
+def _stiff_block_lower(rng, h=30, size=1e6):
+    """A block-lower system whose raw Markov parameters overflow."""
+    def lower(rows, cols):
+        M = rng.standard_normal((sum(rows), sum(cols)))
+        M[:rows[0], cols[0]:] = 0.0
+        return M
+    return StateSpace(size * lower((h, h), (h, h)), lower((h, h), (1, 1)),
+                      lower((1, 1), (h, h)), np.zeros((2, 2)))
+
+
+def test_is_block_lower_tf_on_a_stiff_realization():
+    # C A^k B reaches inf by k = 2 nx, and 0 * inf is NaN in the zero block;
+    # the frequency-scaled parameters stay bounded and exactly zero there
+    g = _stiff_block_lower(np.random.default_rng(3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = g.markov_parameters(2 * g.nx + 1)
+    assert not np.all(np.isfinite(raw[-1]))
+    assert is_block_lower_tf(g, (1, 1), (1, 1))
+    B = g.B.copy()
+    B[0, 1] = 1.0
+    assert not is_block_lower_tf(StateSpace(g.A, B, g.C, g.D), (1, 1), (1, 1))
+
+
 def test_orth_cols_falls_back_to_gesvd(monkeypatch):
     rng = np.random.default_rng(4)
     M = rng.standard_normal((8, 3)) @ rng.standard_normal((3, 5))

@@ -385,6 +385,21 @@ def test_markov_mismatch_refuses_nan(g2):
     assert va._markov_mismatch(g1, g1) == 0.0
 
 
+def test_markov_mismatch_on_a_stiff_realization():
+    # raw Markov parameters of a 60-state system with ||A|| ~ 1e7 overflow;
+    # both realizations are compared at one common frequency scale
+    rng = np.random.default_rng(4)
+    A = 1e6 * rng.standard_normal((60, 60))
+    g1 = StateSpace(A, 1e3 * rng.standard_normal((60, 2)),
+                    1e3 * rng.standard_normal((2, 60)), np.zeros((2, 2)))
+    T = np.eye(60) + 0.1 * rng.standard_normal((60, 60))
+    Ti = np.linalg.inv(T)
+    g2 = StateSpace(Ti @ g1.A @ T, Ti @ g1.B, g1.C @ T, g1.D)
+    assert va._markov_mismatch(g1, g2) < 1e-12
+    g3 = StateSpace(g1.A, g1.B, 1.001 * g1.C, g1.D)
+    assert va._markov_mismatch(g1, g3) > 1e-4
+
+
 def test_simulated_covariance_matches_gap_lyapunov():
     plant = make_decoupled()
     synth = optimal_controller(plant)
