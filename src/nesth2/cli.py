@@ -19,7 +19,7 @@ import numpy as np
 from .linalg import SolverError, h2_norm
 from .plant import AssumptionError, check_assumptions, load_plant
 from .stabilization import youla_data
-from .statespace import is_block_lower_tf, lft_lower
+from .statespace import is_block_lower_tf
 from .synthesis import optimal_controller
 from . import validation as va
 
@@ -148,18 +148,12 @@ def cmd_check(plant, args):
     return rep, EXIT_PASS if rep.passed else EXIT_ASSUMPTION
 
 
-def _closed_norms(plant, synth):
-    closed = lft_lower(plant.generalized(), synth.controller,
-                       plant.nz, plant.nw)
-    return h2_norm(closed), synth.centralized_norm
-
-
 def cmd_synthesize(plant, args):
     rep = RunReport("synthesize", plant)
     synth = optimal_controller(plant)
     K = synth.controller if args.realization == "primary" \
         else synth.controller_alt
-    n_struct, n_cen = _closed_norms(plant, synth)
+    n_struct, n_cen = h2_norm(synth.closed_loop), synth.centralized_norm
     rep.check("controller uses twice the plant state dimension",
               K.nx == 2 * plant.n, f"{K.nx} states")
     rep.check("controller transfer function is block lower",
@@ -221,11 +215,11 @@ def _orthogonality(plant, synth):
 def cmd_analyze(plant, args):
     rep = RunReport("analyze", plant)
     synth = optimal_controller(plant)
-    n_struct, n_cen = _closed_norms(plant, synth)
-    rep.number("centralized norm", n_cen)
-    rep.number("structured norm", n_struct)
+    rep.number("centralized norm", synth.centralized_norm)
+    rep.number("structured norm", h2_norm(synth.closed_loop))
     deltas = _attempt(rep, "three delta formulas agree",
-                      lambda: va.delta_cost(plant, synth))
+                      lambda: va.delta_cost(plant, synth,
+                                            va.hat_pair(plant, synth)))
     if deltas is not None:
         rep.number("delta (gap-system norm)", deltas[0])
         rep.number("delta (Y-weighted trace)", deltas[1])
@@ -257,20 +251,22 @@ def cmd_verify(plant, args):
         rep.number("orthogonality residual player 1", pair[0])
         rep.number("orthogonality residual player 2", pair[1])
 
+    def checked_hats():
+        if hats is None:
+            raise SolverError("skipped: gap Lyapunov identity chain failed")
+        return hats
+
     deltas = attempt("decentralization cost certificates",
-                     lambda: va.delta_cost(plant, synth))
+                     lambda: va.delta_cost(plant, synth, checked_hats()))
     if deltas is not None:
         rep.number("delta", deltas[0])
 
-    params = attempt("parameter extraction round trip",
-                     lambda: va.youla_parameters(plant, synth))
-    # built on first use and shared by the certificate and the oracle
-    data = functools.cache(lambda: youla_data(plant, synth.gains))
+    data = youla_data(plant, synth.gains)
+    attempt("parameter extraction round trip",
+            lambda: va.youla_parameters(plant, synth, data))
 
     def run_structured():
-        if params is None:
-            raise SolverError("skipped: parameter extraction failed")
-        res = va.structured_optimality_residual(data(), params[0])
+        res = va.structured_optimality_residual(data, synth.closed_loop)
         worst = float(np.max([res[0, 0], res[1, 0], res[1, 1]]))
         if not worst <= args.tol:
             raise SolverError(
@@ -285,8 +281,8 @@ def cmd_verify(plant, args):
 
     if args.oracle:
         def run_oracle():
-            n_struct, _ = _closed_norms(plant, synth)
-            _, n_oracle = va.vectorization_oracle(data())
+            n_struct = h2_norm(synth.closed_loop)
+            _, n_oracle = va.vectorization_oracle(data)
             rel = abs(n_oracle - n_struct) / (1.0 + n_struct)
             if not rel <= args.tol:
                 raise SolverError(f"oracle norm {n_oracle:.9e} disagrees "
@@ -299,10 +295,7 @@ def cmd_verify(plant, args):
 
     if args.seed is not None:
         def run_monte_carlo():
-            if hats is None:
-                raise SolverError(
-                    "skipped: gap Lyapunov identity chain failed")
-            target = hats.Y_common
+            target = checked_hats().Y_common
             sample = va.simulated_error_covariance(plant, synth,
                                                    seed=args.seed)
             rel = np.linalg.norm(sample - target) \

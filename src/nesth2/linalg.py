@@ -25,6 +25,7 @@ HURWITZ_MARGIN = 1e-9
 AXIS_TOL = 1e-7
 RESIDUAL_TOL = 1e-8
 RANK_TOL = 1e-9
+H2_CONSISTENCY_TOL = 1e-6
 
 
 class SolverError(RuntimeError):
@@ -266,7 +267,7 @@ def gramian(sys, kind="controllability"):
     raise ValueError("kind must be 'controllability' or 'observability'")
 
 
-def h2_norm(sys, consistency_tol=1e-6):
+def h2_norm(sys):
     """H2 norm sqrt(trace(C Wc C^T)), cross-checked via the observability form.
 
     Raises SolverError for a non-Hurwitz A, and ValueError for a nonzero
@@ -280,7 +281,7 @@ def h2_norm(sys, consistency_tol=1e-6):
     Wo = gramian(sys, "observability")
     sq_c = float(np.trace(sys.C @ Wc @ sys.C.T))
     sq_o = float(np.trace(sys.B.T @ Wo @ sys.B))
-    if not abs(sq_c - sq_o) <= consistency_tol * (1.0 + abs(sq_c)):
+    if not abs(sq_c - sq_o) <= H2_CONSISTENCY_TOL * (1.0 + abs(sq_c)):
         raise SolverError(
             f"Gramian forms disagree: {sq_c:.12e} vs {sq_o:.12e}")
     return float(np.sqrt(max(sq_c, 0.0)))

@@ -20,6 +20,8 @@ from .plant import (AssumptionError, Partition, TwoPlayerPlant,
 from .stabilization import NominalGains, nominal_gains
 from .statespace import StateSpace, lft_lower
 
+CENTRALIZED_TOL = 1e-6
+
 
 @dataclass
 class AreBundle:
@@ -77,7 +79,9 @@ class SynthesisResult:
     state matrix in the order (zeta, xi) = (player-1 estimate,
     full-measurement estimate). `controller` is the realization in those
     coordinates; `controller_alt` is the second displayed realization with
-    the same transfer function. `gains` are the nominal gains built on this
+    the same transfer function. `closed_loop` is the Hurwitz w -> z loop of
+    the generalized plant under `controller`, with 3n states in the order
+    (plant, zeta, xi). `gains` are the nominal gains built on this
     bundle. `centralized_norm` is the closed-loop H2 norm of the
     information-unconstrained design, from the bundle's centralized
     solutions; it equals `centralized_h2(plant)[1]`.
@@ -94,6 +98,7 @@ class SynthesisResult:
     gains: NominalGains
     controller: StateSpace
     controller_alt: StateSpace
+    closed_loop: StateSpace
     centralized_norm: float
 
 
@@ -380,40 +385,40 @@ def optimal_controller(plant):
         A_gap=A_gap,
         A_zeta=controller.A[:n, :n], A_xi=controller.A[n:, n:],
         gains=gains, controller=controller, controller_alt=controller_alt,
-        centralized_norm=_centralized_norm(
+        closed_loop=closed, centralized_norm=_centralized_norm(
             plant.B1, plant.C1, plant.D12, plant.D21,
             bundle.X_cen, bundle.K_cen, bundle.Y_cen, bundle.L_cen),
     )
 
 
-def _centralized_norm(B1, C1, D12, D21, X, K, Y, L, tol=1e-6):
+def _centralized_norm(B1, C1, D12, D21, X, K, Y, L):
     """Closed-loop H2 norm of the centralized design from its two AREs.
 
     The squared norm is evaluated through the two standard trace formulas
 
         tr(X W) + tr(Y K' R K)  and  tr(Y Q) + tr(X L V L')
 
-    which must agree within `tol` relative; their mean is returned under the
-    square root. Raises SolverError if they disagree.
+    which must agree within CENTRALIZED_TOL relative; their mean is returned
+    under the square root. Raises SolverError if they disagree.
     """
     Q, R = C1.T @ C1, D12.T @ D12
     W, V = B1 @ B1.T, D21 @ D21.T
     cost_x = float(np.trace(X @ W) + np.trace(Y @ K.T @ R @ K))
     cost_y = float(np.trace(Y @ Q) + np.trace(X @ L @ V @ L.T))
-    if not abs(cost_x - cost_y) <= tol * (1.0 + abs(cost_y)):
+    if not abs(cost_x - cost_y) <= CENTRALIZED_TOL * (1.0 + abs(cost_y)):
         raise SolverError(
             f"centralized trace formulas disagree: {cost_x:.6e} vs {cost_y:.6e}")
     return math.sqrt(max(0.5 * (cost_x + cost_y), 0.0))
 
 
-def centralized_h2(plant, tol=1e-6):
+def centralized_h2(plant):
     """Centralized (information-unconstrained) design and its closed-loop norm.
 
     Accepts any object with attributes A, B1, B2, C1, C2, D12, D21; the
     two-player structure is not used. Both Riccati equations are screened
     first (see `linalg.screen_are`), since no assumption check covers an
     arbitrary record. The norm comes from the two trace formulas of
-    `_centralized_norm`, which must agree within `tol` relative. A
+    `_centralized_norm`, which must agree within CENTRALIZED_TOL relative. A
     synthesized design carries the same number as
     `SynthesisResult.centralized_norm`.
 
@@ -442,7 +447,7 @@ def centralized_h2(plant, tol=1e-6):
     ctrl = solve_are(*ctrl_data)
     filt = solve_are(*filt_data)
     K, L = ctrl.K, filt.K.T
-    norm = _centralized_norm(B1, C1, D12, D21, ctrl.X, K, filt.X, L, tol)
+    norm = _centralized_norm(B1, C1, D12, D21, ctrl.X, K, filt.X, L)
     K_cen = StateSpace(A + B2 @ K + L @ C2, -L, K,
                        np.zeros((B2.shape[1], C2.shape[0])))
     return K_cen, norm

@@ -19,11 +19,14 @@ from ._kernels import terminal_state_covariance
 from .linalg import (SolverError, h2_norm, is_hurwitz, screen_are, solve_are,
                      solve_lyapunov, solve_sylvester, stable_antistable_decompose)
 from .plant import AssumptionError, TwoPlayerPlant, check_assumptions
-from .stabilization import controller_from_q, q_from_controller, youla_data
-from .statespace import (StateSpace, balance_realization, lft_lower,
-                         is_block_lower_tf, minreal, scaled_markov_parameters)
+from .stabilization import controller_from_q, q_from_controller
+from .statespace import (StateSpace, balance_realization, is_block_lower_tf,
+                         minreal, scaled_markov_parameters)
 
 IDENTITY_TOL = 1e-8
+CHECK_TOL = 1e-7
+MATCH_TOL = 1e-6
+REDUCE_TOL = 1e-9
 
 
 def _close(actual, expected, tol, label):
@@ -58,8 +61,11 @@ def _peak(mats):
                         initial=0.0))
 
 
-def _strictly_proper(sys):
-    return StateSpace(sys.A, sys.B, sys.C, np.zeros_like(sys.D))
+def _causal_size(sys):
+    """H2 norm of the strictly proper part of a stable system plus the
+    Frobenius norm of its feedthrough."""
+    strict = StateSpace(sys.A, sys.B, sys.C, np.zeros_like(sys.D))
+    return h2_norm(strict) + float(np.linalg.norm(sys.D))
 
 
 def _anticausal_residual(sys):
@@ -71,7 +77,7 @@ def _anticausal_residual(sys):
     tolerance) certifies membership.
     """
     stable, _ = stable_antistable_decompose(sys)
-    return h2_norm(_strictly_proper(stable)) + float(np.linalg.norm(stable.D))
+    return _causal_size(stable)
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +99,7 @@ class HatPair:
     X_private: np.ndarray
 
 
-def hat_pair(plant, synth, tol=IDENTITY_TOL):
+def hat_pair(plant, synth):
     """Solve the two gap Lyapunov equations and verify the identity chain.
 
     Parameters
@@ -102,13 +108,12 @@ def hat_pair(plant, synth, tol=IDENTITY_TOL):
         Plant the design was computed for.
     synth : SynthesisResult
         Output of `optimal_controller`.
-    tol : float
-        Scaled tolerance for every identity in the chain.
 
     Returns
     -------
     HatPair
-        The pair (Y_common, X_private) with all invariants checked: both
+        The pair (Y_common, X_private) with every identity of the chain
+        checked at the scaled tolerance IDENTITY_TOL: both
         dominate their centralized counterparts, their corner blocks equal
         the local ARE solutions and the coupling matrices, and both
         structured gains are reproduced from them by the displayed formulas.
@@ -121,25 +126,31 @@ def hat_pair(plant, synth, tol=IDENTITY_TOL):
 
     Y_gap = solve_lyapunov(synth.A_gap, dL @ cc.V @ dL.T)
     X_gap = solve_lyapunov(synth.A_gap.T, dK.T @ cc.R @ dK)
-    _psd_floor(Y_gap, tol, "Y_common - Y_cen")
-    _psd_floor(X_gap, tol, "X_private - X_cen")
+    _psd_floor(Y_gap, IDENTITY_TOL, "Y_common - Y_cen")
+    _psd_floor(X_gap, IDENTITY_TOL, "X_private - X_cen")
     Y_hat = b.Y_cen + Y_gap
     X_hat = b.X_cen + X_gap
 
-    _close(Y_hat[:n1, :n1], b.Y_loc1, tol, "Y_common upper-left vs local filter ARE")
-    _close(Y_hat[n1:, :n1], synth.coupling.Y_cross, tol, "Y_common lower-left vs coupling")
-    _close(X_hat[n1:, n1:], b.X_loc2, tol, "X_private lower-right vs local control ARE")
-    _close(X_hat[n1:, :n1], synth.coupling.X_cross, tol, "X_private lower-left vs coupling")
+    _close(Y_hat[:n1, :n1], b.Y_loc1, IDENTITY_TOL,
+           "Y_common upper-left vs local filter ARE")
+    _close(Y_hat[n1:, :n1], synth.coupling.Y_cross, IDENTITY_TOL,
+           "Y_common lower-left vs coupling")
+    _close(X_hat[n1:, n1:], b.X_loc2, IDENTITY_TOL,
+           "X_private lower-right vs local control ARE")
+    _close(X_hat[n1:, :n1], synth.coupling.X_cross, IDENTITY_TOL,
+           "X_private lower-left vs coupling")
 
     L_rebuilt = np.zeros_like(synth.L_common)
     L_rebuilt[:, :k1] = -np.linalg.solve(
         cc.V11.T, (Y_hat @ plant.C2.T + cc.U.T)[:, :k1].T).T
-    _close(L_rebuilt, synth.L_common, tol, "injection rebuilt from Y_common")
+    _close(L_rebuilt, synth.L_common, IDENTITY_TOL,
+           "injection rebuilt from Y_common")
 
     K_rebuilt = np.zeros_like(synth.K_private)
     K_rebuilt[m1:, :] = -np.linalg.solve(
         cc.R22, (plant.B2.T @ X_hat + cc.S.T)[m1:, :])
-    _close(K_rebuilt, synth.K_private, tol, "feedback rebuilt from X_private")
+    _close(K_rebuilt, synth.K_private, IDENTITY_TOL,
+           "feedback rebuilt from X_private")
     return HatPair(Y_common=Y_hat, X_private=X_hat)
 
 
@@ -159,14 +170,14 @@ class GramianTriple:
     offdiag: float = 0.0
 
 
-def closed_loop_gramian(plant, synth, tol=1e-7):
+def closed_loop_gramian(plant, synth):
     """Verify block-diagonality of the closed-loop Gramian.
 
     Builds the closed loop in the coordinates (zeta, xi - zeta, x - xi),
     solves the full 3n x 3n Lyapunov equation, and checks that the
-    off-diagonal blocks vanish relative to the Gramian norm while the
-    diagonal blocks match (Z, Y_common - Y_cen, Y_cen) where Z solves its
-    own small Lyapunov equation driven by the common injection.
+    off-diagonal blocks vanish to CHECK_TOL relative to the Gramian norm
+    while the diagonal blocks match (Z, Y_common - Y_cen, Y_cen) where Z
+    solves its own small Lyapunov equation driven by the common injection.
     """
     b = synth.bundle
     cc = plant.cost_cov()
@@ -194,16 +205,17 @@ def closed_loop_gramian(plant, synth, tol=1e-7):
     for i, j in blocks:
         blk = Theta[i * n:(i + 1) * n, j * n:(j + 1) * n]
         if i == j:
-            _close(blk, diag_ref[i], tol, f"Gramian diagonal block {i + 1}")
+            _close(blk, diag_ref[i], CHECK_TOL,
+                   f"Gramian diagonal block {i + 1}")
             continue
         rel = np.linalg.norm(blk) / (1.0 + theta_scale)
         worst = max(worst, rel)
-        if not rel <= tol:
+        if not rel <= CHECK_TOL:
             raise SolverError(
                 f"Gramian off-diagonal block ({i + 1},{j + 1}) has norm "
                 f"{np.linalg.norm(blk):.3e}; expected zero")
     for name, M in (("Z", Z), ("mid", mid), ("Y", b.Y_cen)):
-        _psd_floor(M, tol, f"Gramian block {name}")
+        _psd_floor(M, CHECK_TOL, f"Gramian block {name}")
     return GramianTriple(Z=Z, mid=mid, Y=b.Y_cen, offdiag=worst)
 
 
@@ -338,21 +350,23 @@ def orthogonality_residuals(plant, synth):
 # Cost of decentralization
 
 
-def delta_cost(plant, synth, tol=1e-7):
+def delta_cost(plant, synth, hats):
     """Extra H2 cost of the information constraint, three ways.
 
     Returns the squared-norm form, the trace form weighted by the feedback
     gap, and the trace form weighted by the injection gap. All three must
-    agree, be nonnegative, and equal the gap between the squared closed-loop
-    norms of the structured and the centralized designs.
+    agree to CHECK_TOL, be nonnegative, and equal the gap between the squared
+    norms of `synth.closed_loop` and of the centralized design.
+
+    `hats` is the design's HatPair from `hat_pair`. The gap system is the
+    weighted gap parameter of `youla_parameters`.
     """
     b = synth.bundle
     cc = plant.cost_cov()
     dK = synth.K_private - b.K_cen
     dL = synth.L_common - b.L_cen
-    hp = hat_pair(plant, synth)
-    Y_gap = hp.Y_common - b.Y_cen
-    X_gap = hp.X_private - b.X_cen
+    Y_gap = hats.Y_common - b.Y_cen
+    X_gap = hats.X_private - b.X_cen
 
     gap_sys = StateSpace(synth.A_gap, dL @ plant.D21, plant.D12 @ dK,
                          np.zeros((plant.nz, plant.nw)))
@@ -360,21 +374,19 @@ def delta_cost(plant, synth, tol=1e-7):
     d_trace_y = float(np.trace(Y_gap @ dK.T @ cc.R @ dK))
     d_trace_x = float(np.trace(X_gap @ dL @ cc.V @ dL.T))
 
-    scale = tol * (1.0 + abs(d_norm))
+    scale = CHECK_TOL * (1.0 + abs(d_norm))
     for a, bb, what in ((d_norm, d_trace_y, "norm vs Y-trace"),
                         (d_norm, d_trace_x, "norm vs X-trace"),
                         (d_trace_y, d_trace_x, "Y-trace vs X-trace")):
         if not abs(a - bb) <= scale:
             raise SolverError(f"decentralization-cost forms disagree "
                               f"({what}): {a:.12e} vs {bb:.12e}")
-    if not d_norm >= -tol:
+    if not d_norm >= -CHECK_TOL:
         raise SolverError(f"decentralization cost is negative: {d_norm:.3e}")
 
-    P = plant.generalized()
-    cl_opt = lft_lower(P, synth.controller, plant.nz, plant.nw)
-    sq_opt = h2_norm(cl_opt) ** 2
+    sq_opt = h2_norm(synth.closed_loop) ** 2
     sq_cen = synth.centralized_norm ** 2
-    if not abs(sq_opt - sq_cen - d_norm) <= tol * (1.0 + sq_opt):
+    if not abs(sq_opt - sq_cen - d_norm) <= CHECK_TOL * (1.0 + sq_opt):
         raise SolverError(
             f"cost gap mismatch: closed-loop gap {sq_opt - sq_cen:.12e} "
             f"vs certificate {d_norm:.12e}")
@@ -393,8 +405,11 @@ def _q_opt_display(plant, synth):
     return StateSpace(A_q, B_q, C_q, np.zeros((plant.m, plant.k)))
 
 
-def youla_parameters(plant, synth, tol=1e-7):
+def youla_parameters(plant, synth, data):
     """Optimal parameter and the parameter of the decentralization gap.
+
+    `data` is `youla_data(plant, synth.gains)`. Every Markov comparison
+    must pass at CHECK_TOL.
 
     Returns
     -------
@@ -403,7 +418,7 @@ def youla_parameters(plant, synth, tol=1e-7):
         controller through the inverted two-port, returned in its compact
         display realization after that realization is verified against the
         two-port computation. Q_you: the gap parameter whose weighted norm
-        squares to the decentralization cost.
+        squares to the decentralization cost; `delta_cost` checks that norm.
     """
     b = synth.bundle
     Q_opt = _q_opt_display(plant, synth)
@@ -411,32 +426,22 @@ def youla_parameters(plant, synth, tol=1e-7):
         raise SolverError("optimal parameter is not stable")
     out_split = (plant.m1, plant.m2)
     in_split = (plant.k1, plant.k2)
-    if not is_block_lower_tf(Q_opt, out_split, in_split, tol=tol):
+    if not is_block_lower_tf(Q_opt, out_split, in_split, tol=CHECK_TOL):
         raise SolverError("optimal parameter is not block lower triangular")
 
-    data = youla_data(plant, synth.gains)
     Q_lft = q_from_controller(data, synth.controller)
     gap = _markov_mismatch(Q_opt, Q_lft)
-    if not gap <= tol:
+    if not gap <= CHECK_TOL:
         raise SolverError(f"parameter display disagrees with the two-port "
                           f"extraction: Markov mismatch {gap:.3e}")
     K_round = controller_from_q(data, Q_opt)
     gap = _markov_mismatch(K_round, synth.controller)
-    if not gap <= tol:
+    if not gap <= CHECK_TOL:
         raise SolverError(f"parameter round trip failed: Markov mismatch {gap:.3e}")
 
     dK = synth.K_private - b.K_cen
     dL = synth.L_common - b.L_cen
     Q_you = StateSpace(synth.A_gap, dL, dK, np.zeros((plant.m, plant.k)))
-    weighted = StateSpace(synth.A_gap, dL @ plant.D21, plant.D12 @ dK,
-                          np.zeros((plant.nz, plant.nw)))
-    cc = plant.cost_cov()
-    Y_gap = solve_lyapunov(synth.A_gap, dL @ cc.V @ dL.T)
-    d_ref = float(np.trace(Y_gap @ dK.T @ cc.R @ dK))
-    d_w = h2_norm(weighted) ** 2
-    if not abs(d_w - d_ref) <= tol * (1.0 + abs(d_ref)):
-        raise SolverError(f"weighted gap parameter norm {d_w:.12e} does not "
-                          f"match the cost certificate {d_ref:.12e}")
     return Q_opt, Q_you
 
 
@@ -460,18 +465,13 @@ def _stable_sandwich(left, mid, right):
     antistable part is strictly proper, so multiplying it by the antistable
     right~ adds no further stable content. A second equation of the same
     shape then projects the product with right~.
-
-    Pass ``None`` for ``left`` or ``right`` to skip that factor.
     """
-    if left is not None:
-        if not is_hurwitz(left.A):
-            raise SolverError("adjoint projection requires a stable left factor")
-        Z1 = solve_sylvester(left.A.T, left.C.T @ mid.C, mid.A)
-        mid = StateSpace(mid.A, mid.B,
-                         left.D.T @ mid.C + left.B.T @ Z1,
-                         left.D.T @ mid.D)
-    if right is None:
-        return mid
+    if not is_hurwitz(left.A):
+        raise SolverError("adjoint projection requires a stable left factor")
+    Z1 = solve_sylvester(left.A.T, left.C.T @ mid.C, mid.A)
+    mid = StateSpace(mid.A, mid.B,
+                     left.D.T @ mid.C + left.B.T @ Z1,
+                     left.D.T @ mid.D)
     if not is_hurwitz(right.A):
         raise SolverError("adjoint projection requires a stable right factor")
     Z2 = solve_sylvester(mid.A, mid.B @ right.B.T, right.A.T)
@@ -480,21 +480,25 @@ def _stable_sandwich(left, mid, right):
                       mid.C, mid.D @ right.D.T)
 
 
-def structured_optimality_residual(T, Q):
+def structured_optimality_residual(T, cl):
     """Causal-content residuals of the structured optimality condition.
 
-    Forms the two-sided weighted closed loop and measures, block by block,
-    how far it is from the anticausality pattern that characterizes the
-    structured optimum: every block except the upper-right one must have no
-    stable causal content. The upper-right block is unconstrained and its
-    entry is reported as zero.
+    For a controller with parameter Q the closed loop F(P, K) equals
+    T11 + T12 Q T21 (Zhou, Doyle & Glover 1996, ch. 12), so the loop is
+    read off the plant directly rather than rebuilt from Q. The function
+    weights it by the adjoints of T12 and T21 and measures, block by block,
+    how far the result is from the anticausality pattern that characterizes
+    the structured optimum: every block except the upper-right one must
+    have no stable causal content. The upper-right block is unconstrained
+    and its entry is reported as zero.
 
     Parameters
     ----------
     T : ModelMatchData
         Model-matching data carrying the input/output partition.
-    Q : StateSpace
-        Stable parameter to test.
+    cl : StateSpace
+        Closed loop w -> z of the plant with the controller to test, for
+        instance `SynthesisResult.closed_loop`.
 
     Returns
     -------
@@ -506,30 +510,25 @@ def structured_optimality_residual(T, Q):
         raise ValueError("model-matching data lacks the block partition")
     m1 = T.partition.m[0]
     k1 = T.partition.k[0]
-    # Two numerical safeguards, both transfer-preserving: a feedback-extracted
-    # Q carries unreachable states with large couplings, so it is reduced
-    # first; and every realization entering a Sylvester or Lyapunov solve is
-    # rebalanced, since the residual lives many orders of magnitude below the
-    # raw product scales.
-    T11 = balance_realization(T.T11)
-    T12 = balance_realization(T.T12)
-    T21 = balance_realization(T.T21)
-    Q = balance_realization(minreal(Q))
-    cl = balance_realization(minreal(T11 + T12 * Q * T21))
     if not is_hurwitz(cl.A):
-        raise SolverError("parameter does not stabilize the matching loop")
-    stable = _stable_sandwich(T12, cl, T21)
+        raise SolverError("closed loop is not Hurwitz")
+    # Every realization entering a Sylvester or Lyapunov solve is rebalanced,
+    # since the residual lives many orders of magnitude below the raw
+    # product scales.
+    stable = _stable_sandwich(balance_realization(T.T12),
+                              balance_realization(cl),
+                              balance_realization(T.T21))
     out = np.zeros((2, 2))
     rows = (slice(0, m1), slice(m1, None))
     cols = (slice(0, k1), slice(k1, None))
     for i, j in ((0, 0), (1, 0), (1, 1)):
         blk = balance_realization(minreal(stable.subsystem(rows=rows[i],
                                                            cols=cols[j])))
-        out[i, j] = h2_norm(_strictly_proper(blk)) + float(np.linalg.norm(blk.D))
+        out[i, j] = _causal_size(blk)
     return out
 
 
-def _joint_realization(T11, T12, T21, reduce_tol=1e-9):
+def _joint_realization(T11, T12, T21):
     """Minimal joint realization of the three model-matching blocks.
 
     The naive stacked realization carries every mode three times, which is
@@ -554,7 +553,7 @@ def _joint_realization(T11, T12, T21, reduce_tol=1e-9):
         [T21.D, np.zeros((T21.ny, T12.nu))],
     ])
     stacked = minreal(StateSpace(A, np.hstack([B1, B2]),
-                                 np.vstack([C1, C2]), D), tol=reduce_tol)
+                                 np.vstack([C1, C2]), D), tol=REDUCE_TOL)
     return (stacked.A, stacked.B[:, :nw], stacked.B[:, nw:],
             stacked.C[:nz, :], stacked.C[nz:, :], T12.D, T21.D)
 
@@ -576,7 +575,7 @@ def _match_core(A, B1, B2, C1, C2, D12, D21):
     return StateSpace(A_q, B_q, C_q, np.zeros((m, k)))
 
 
-def centralized_model_match(T11, T12, T21, residual_tol=1e-6, verify=True):
+def centralized_model_match(T11, T12, T21, verify=True):
     """Closest stable parameter in the unstructured model-matching problem.
 
     Solves min over stable Q of the H2 norm of T11 + T12 Q T21 through the
@@ -588,13 +587,12 @@ def centralized_model_match(T11, T12, T21, residual_tol=1e-6, verify=True):
     ----------
     T11, T12, T21 : StateSpace
         Stable model-matching data; T11 must be strictly proper.
-    residual_tol : float
-        Scaled bound on the optimality certificate.
     verify : bool
-        Skip the certificate when False. The vectorized oracle disables it
-        because the product system there is far too large for the dense
-        certificate solves, and the oracle's output is checked end to end
-        against the closed-form design instead.
+        Check the certificate, scaled by MATCH_TOL; skip it when False.
+        The vectorized oracle skips it because the product system there is
+        far too large for the dense certificate solves, and the oracle's
+        output is checked end to end against the closed-form design
+        instead.
 
     Returns
     -------
@@ -610,8 +608,8 @@ def centralized_model_match(T11, T12, T21, residual_tol=1e-6, verify=True):
         cl = balance_realization(minreal(T11 + T12 * Q * T21))
         stable = balance_realization(minreal(
             _stable_sandwich(T12b, cl, T21b)))
-        res = h2_norm(_strictly_proper(stable)) + float(np.linalg.norm(stable.D))
-        if not res <= residual_tol * (1.0 + h2_norm(cl)):
+        res = _causal_size(stable)
+        if not res <= MATCH_TOL * (1.0 + h2_norm(cl)):
             raise SolverError(
                 f"model-matching certificate failed: causal content {res:.3e}")
     return Q
@@ -651,8 +649,7 @@ def _kept_vec_entries(m, k, m1, k1):
 _OWN_PARTITION = object()
 
 
-def vectorization_oracle(T, partition=_OWN_PARTITION, state_guard=200,
-                         reduce_tol=1e-9):
+def vectorization_oracle(T, partition=_OWN_PARTITION, state_guard=200):
     """Re-solve the structured problem by stacking the unknown into a vector.
 
     Rewrites the two-player model-matching problem as an unstructured one in
@@ -674,9 +671,7 @@ def vectorization_oracle(T, partition=_OWN_PARTITION, state_guard=200,
         as a sanity check against `centralized_model_match`).
     state_guard : int
         Upper bound on the joint state dimension the dense solvers accept,
-        measured after exact structural reduction.
-    reduce_tol : float
-        Truncation tolerance of the structural staircase reduction.
+        measured after exact structural reduction at REDUCE_TOL.
 
     Returns
     -------
@@ -688,14 +683,14 @@ def vectorization_oracle(T, partition=_OWN_PARTITION, state_guard=200,
         partition = getattr(T, "partition", None)
     T11, T12, T21 = T.T11, T.T12, T.T21
     m, k = T12.nu, T21.ny
-    target = minreal(_vec_system(T11), tol=reduce_tol)
+    target = minreal(_vec_system(T11), tol=REDUCE_TOL)
     lifted = _kron_identity_left(T21.transpose(), T12.ny) \
         * _kron_identity_right(T12, k)
     if partition is not None:
         keep = _kept_vec_entries(m, k, partition.m[0], partition.k[0])
     else:
         keep = list(range(m * k))
-    lifted = minreal(lifted.subsystem(cols=keep), tol=reduce_tol)
+    lifted = minreal(lifted.subsystem(cols=keep), tol=REDUCE_TOL)
 
     joint_states = target.nx + lifted.nx
     if joint_states > state_guard:
@@ -705,7 +700,7 @@ def vectorization_oracle(T, partition=_OWN_PARTITION, state_guard=200,
 
     q = centralized_model_match(target, lifted, StateSpace.gain(np.eye(1)),
                                 verify=False)
-    q = minreal(q, tol=reduce_tol)
+    q = minreal(q, tol=REDUCE_TOL)
 
     # Scatter the kept entries back into the full stacked vector, then peel
     # one column of the parameter off per input.
@@ -717,9 +712,9 @@ def vectorization_oracle(T, partition=_OWN_PARTITION, state_guard=200,
     B_u = np.kron(np.eye(k), q.B)
     C_u = np.hstack([C_full[j * m:(j + 1) * m, :] for j in range(k)])
     D_u = np.hstack([D_full[j * m:(j + 1) * m, :] for j in range(k)])
-    Q = minreal(StateSpace(A_u, B_u, C_u, D_u), tol=reduce_tol)
+    Q = minreal(StateSpace(A_u, B_u, C_u, D_u), tol=REDUCE_TOL)
 
-    closed = minreal(T11 + T12 * Q * T21, tol=reduce_tol)
+    closed = minreal(T11 + T12 * Q * T21, tol=REDUCE_TOL)
     return Q, h2_norm(closed)
 
 
@@ -727,14 +722,14 @@ def vectorization_oracle(T, partition=_OWN_PARTITION, state_guard=200,
 # Fixed points of the partial optimizations
 
 
-def fixed_point_maps(plant, synth, tol=1e-7):
+def fixed_point_maps(plant, synth):
     """The two partial-optimization maps, evaluated at the optimum.
 
     Each player's best response, with the other player's diagonal parameter
     block held fixed, turns out not to depend on the fixed block at all; the
     two displayed systems below are therefore constant maps whose values
     must coincide with the diagonal blocks of the optimal parameter. That
-    coincidence is verified here by Markov comparison.
+    coincidence is verified here by Markov comparison at CHECK_TOL.
 
     Returns
     -------
@@ -754,10 +749,10 @@ def fixed_point_maps(plant, synth, tol=1e-7):
     blk11 = Q_opt.subsystem(rows=slice(0, m1), cols=slice(0, k1))
     blk22 = Q_opt.subsystem(rows=slice(m1, None), cols=slice(k1, None))
     gap = _markov_mismatch(g2, blk11)
-    if not gap <= tol:
+    if not gap <= CHECK_TOL:
         raise SolverError(f"player-1 fixed point fails: Markov mismatch {gap:.3e}")
     gap = _markov_mismatch(g1, blk22)
-    if not gap <= tol:
+    if not gap <= CHECK_TOL:
         raise SolverError(f"player-2 fixed point fails: Markov mismatch {gap:.3e}")
     return g1, g2
 
@@ -770,14 +765,13 @@ def simulated_error_covariance(plant, synth, n_paths=10000,
                                horizon_constants=50.0, seed=101):
     """Terminal sample covariance of the player-1 estimation error.
 
-    Simulates the closed loop under unit-intensity white noise with the exact
+    Simulates `synth.closed_loop` under unit-intensity white noise with the exact
     discrete transition, one step per slowest closed-loop time constant, and
     returns the sample covariance of x - zeta at the final time, which should
     match Y_common. The horizon is the given multiple of that time constant,
     rounded up to whole steps; the seed is fixed for reproducibility.
     """
-    P = plant.generalized()
-    cl = lft_lower(P, synth.controller, plant.nz, plant.nw)
+    cl = synth.closed_loop
     decay = -np.max(np.linalg.eigvals(cl.A).real)
     if not decay > 0:
         raise SolverError("closed loop is not Hurwitz; simulation diverges")

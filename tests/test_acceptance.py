@@ -31,7 +31,8 @@ from nesth2.fixtures import (
 )
 from nesth2.linalg import SolverError, h2_norm, is_hurwitz, pbh_detectable, pbh_stabilizable
 from nesth2.plant import AssumptionError, plant_to_dict
-from nesth2.stabilization import exists_triangular_stabilizing, q_from_controller, youla_data
+from nesth2.stabilization import (controller_from_q, exists_triangular_stabilizing,
+                                  q_from_controller, youla_data)
 from nesth2.statespace import StateSpace, is_block_lower_tf, lft_lower, vcat
 from nesth2.synthesis import (
     centralized_h2,
@@ -127,12 +128,14 @@ def test_02_optimality_certificate_discriminates():
     try:
         for seed, split in _ensemble():
             plant, synth, data = _solved(seed, split)
-            Q = q_from_controller(data, synth.controller)
             worst = max(worst, _constrained_max(
-                va.structured_optimality_residual(data, Q)))
+                va.structured_optimality_residual(data, synth.closed_loop)))
+            Q = q_from_controller(data, synth.controller)
             pert = _lower_perturbation(rng, plant.partition.m,
                                        plant.partition.k)
-            res_p = va.structured_optimality_residual(data, Q + pert)
+            K_p = controller_from_q(data, Q + pert)
+            res_p = va.structured_optimality_residual(
+                data, _closed_loop(plant, K_p))
             total += 1
             if _constrained_max(res_p) > 1e-4:
                 exceed += 1
@@ -174,7 +177,7 @@ def test_04_closed_loop_gramian_block_diagonal():
             plant, synth, _ = _solved(seed, split)
             # Raises if any off-diagonal block exceeds 1e-7 of the Gramian
             # scale or a diagonal block misses its reference.
-            tri = va.closed_loop_gramian(plant, synth, tol=1e-7)
+            tri = va.closed_loop_gramian(plant, synth)
             worst = max(worst, tri.offdiag)
         ok = worst <= 1e-7
         detail = "worst scaled off-diagonal block %.3e" % worst
@@ -189,7 +192,8 @@ def test_05_decentralization_cost_three_ways():
     try:
         for seed, split in _ensemble():
             plant, synth, _ = _solved(seed, split)
-            d_norm, d_ty, d_tx = va.delta_cost(plant, synth)
+            d_norm, d_ty, d_tx = va.delta_cost(plant, synth,
+                                               va.hat_pair(plant, synth))
             scale = 1.0 + abs(d_norm)
             worst_mutual = max(worst_mutual,
                                abs(d_norm - d_ty) / scale,
@@ -305,7 +309,7 @@ def test_09_special_case_reductions():
 
         plant = make_pure_noise_channel()
         synth = optimal_controller(plant)
-        d_norm, _, _ = va.delta_cost(plant, synth)
+        d_norm, _, _ = va.delta_cost(plant, synth, va.hat_pair(plant, synth))
         sq_opt = h2_norm(_closed_loop(plant, synth.controller)) ** 2
         sq_cen = centralized_h2(plant)[1] ** 2
         degenerate_gap = max(abs(d_norm), abs(sq_opt - sq_cen))
@@ -350,7 +354,7 @@ def test_11_partial_optimization_fixed_point():
         for seed, split in _ensemble():
             plant, synth, _ = _solved(seed, split)
             # Raises above 1e-7; the returned systems give the number.
-            g1, g2 = va.fixed_point_maps(plant, synth, tol=1e-7)
+            g1, g2 = va.fixed_point_maps(plant, synth)
             Q_opt = va._q_opt_display(plant, synth)
             blk11 = Q_opt.subsystem(rows=slice(0, plant.m1),
                                     cols=slice(0, plant.k1))

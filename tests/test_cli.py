@@ -171,7 +171,7 @@ def test_verify_with_oracle_passes(tmp_path, capsys):
 def test_verify_oracle_guard_failure_is_numerical(tmp_path, capsys, monkeypatch):
     import nesth2.cli as cli
 
-    def tiny_guard(T, partition=None, state_guard=200, reduce_tol=1e-9,
+    def tiny_guard(T, partition=None, state_guard=200,
                    _orig=cli.va.vectorization_oracle):
         return _orig(T, state_guard=1)
 
@@ -230,12 +230,13 @@ def test_escaping_linalg_error_is_numerical(tmp_path, capsys, monkeypatch):
 
 
 def test_verify_solves_the_shared_data_once(tmp_path, capsys, monkeypatch):
-    # the Monte Carlo target is the identity chain's HatPair, and one
-    # youla_data serves the structured certificate and the oracle; the other
-    # hat_pair and youla_data calls are delta_cost's and youla_parameters'
+    # one HatPair serves delta_cost and the Monte Carlo target, and one
+    # youla_data serves the parameter round trip, the structured certificate
+    # and the oracle
     import nesth2.cli as cli
 
-    counts = {"hat_pair": 0, "youla_data": 0}
+    counts = _count_calls(monkeypatch, ("solve_lyapunov",))
+    counts.update(hat_pair=0, youla_data=0)
 
     def counted(home, name):
         original = getattr(home, name)
@@ -246,11 +247,10 @@ def test_verify_solves_the_shared_data_once(tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(home, name, wrapper)
 
     counted(cli.va, "hat_pair")
-    counted(cli.va, "youla_data")
     counted(cli, "youla_data")
     path = _write_plant(tmp_path, make_decoupled())
     assert main(["verify", path, "--oracle", "--seed", "7"]) == 0
-    assert counts == {"hat_pair": 2, "youla_data": 2}
+    assert counts == {"solve_lyapunov": 17, "hat_pair": 1, "youla_data": 1}
     capsys.readouterr()
 
 
@@ -266,6 +266,8 @@ def test_monte_carlo_is_skipped_without_the_identity_chain(tmp_path, capsys,
     assert main(["verify", path, "--seed", "7"]) == 2
     out = capsys.readouterr().out
     assert "FAIL  gap Lyapunov identity chain: identity check failed" in out
+    assert ("FAIL  decentralization cost certificates: "
+            "skipped: gap Lyapunov identity chain failed") in out
     assert ("FAIL  Monte Carlo covariance cross-check: "
             "skipped: gap Lyapunov identity chain failed") in out
 

@@ -189,6 +189,9 @@ def test_controller_block_lower_and_stabilizing():
                                  plant.partition.k, tol=1e-8)
         closed = _closed_loop(plant, res.controller)
         assert is_hurwitz(closed.A, margin=0.0)
+        for M in "ABCD":
+            assert np.array_equal(getattr(res.closed_loop, M),
+                                  getattr(closed, M))
 
 
 def test_optimal_between_centralized_and_nominal():

@@ -1,4 +1,6 @@
 import dataclasses
+import re
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -234,7 +236,8 @@ def test_orthogonality_flags_suboptimal_injection():
 def test_delta_cost_zero_for_decoupled():
     plant = make_decoupled()
     synth = optimal_controller(plant)
-    d_norm, d_ty, d_tx = va.delta_cost(plant, synth)
+    hats = va.hat_pair(plant, synth)
+    d_norm, d_ty, d_tx = va.delta_cost(plant, synth, hats)
     assert abs(d_norm) < 1e-8
     assert abs(d_ty) < 1e-8
     assert abs(d_tx) < 1e-8
@@ -243,7 +246,8 @@ def test_delta_cost_zero_for_decoupled():
 def test_delta_cost_zero_when_second_measurement_pure_noise():
     plant = make_pure_noise_channel()
     synth = optimal_controller(plant)
-    d_norm, _, _ = va.delta_cost(plant, synth)
+    hats = va.hat_pair(plant, synth)
+    d_norm, _, _ = va.delta_cost(plant, synth, hats)
     assert abs(d_norm) < 1e-8
     assert abs(_closed_norm(plant, synth) - centralized_h2(plant)[1]) < 1e-8
 
@@ -251,7 +255,8 @@ def test_delta_cost_zero_when_second_measurement_pure_noise():
 def test_delta_cost_random_fixture_frozen():
     plant = make_random_fixture()
     synth = optimal_controller(plant)
-    d_norm, d_ty, d_tx = va.delta_cost(plant, synth)
+    hats = va.hat_pair(plant, synth)
+    d_norm, d_ty, d_tx = va.delta_cost(plant, synth, hats)
     assert abs(d_norm - RANDOM_DELTA) < 1e-9
     assert abs(d_ty - d_norm) < 1e-9
     assert abs(d_tx - d_norm) < 1e-9
@@ -262,6 +267,18 @@ def test_delta_cost_random_fixture_frozen():
     assert abs(d_norm - (n_struct ** 2 - n_cen ** 2)) < 1e-6 * (1.0 + d_norm)
 
 
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("## Library", 1)[1] \
+        .split("```python\n", 1)[1].split("```", 1)[0]
+    code = re.sub(r"^plant = \.\.\..*$", "plant = make_random_fixture()",
+                  example, flags=re.M)
+    assert code != example
+    scope = {"make_random_fixture": make_random_fixture}
+    exec(code, scope)
+    assert abs(scope["delta"] - RANDOM_DELTA) < 1e-9
+
+
 # ---------------------------------------------------------------------------
 # Parameter extraction and the structured optimality certificate
 
@@ -269,7 +286,8 @@ def test_delta_cost_random_fixture_frozen():
 def test_youla_parameters_structure():
     plant = make_random_fixture()
     synth = optimal_controller(plant)
-    Q_opt, Q_you = va.youla_parameters(plant, synth)
+    data = youla_data(plant, synth.gains)
+    Q_opt, Q_you = va.youla_parameters(plant, synth, data)
     assert Q_opt.nx == 2 * plant.n
     assert is_hurwitz(Q_opt.A)
     assert np.array_equal(Q_you.A, synth.A_gap)
@@ -280,19 +298,47 @@ def test_structured_residual_zero_at_optimum():
     plant = make_random_fixture()
     synth = optimal_controller(plant)
     data = youla_data(plant, synth.gains)
-    Q_opt, _ = va.youla_parameters(plant, synth)
-    res = va.structured_optimality_residual(data, Q_opt)
+    res = va.structured_optimality_residual(data, synth.closed_loop)
     assert res[0, 1] == 0.0
     assert res.max() < 1e-7
 
 
 def test_structured_residual_flags_zero_parameter():
+    # the zero parameter closes the nominal controller, whose loop is T11
     plant = make_random_fixture()
     synth = optimal_controller(plant)
     data = youla_data(plant, synth.gains)
-    res = va.structured_optimality_residual(
-        data, StateSpace.gain(np.zeros((plant.m, plant.k))))
+    res = va.structured_optimality_residual(data, data.T11)
     assert max(res[0, 0], res[1, 0], res[1, 1]) > 1e-3
+
+
+def _constrained_residual(plant, synth, cl):
+    res = va.structured_optimality_residual(youla_data(plant, synth.gains), cl)
+    return max(res[0, 0], res[1, 0], res[1, 1])
+
+
+@pytest.mark.parametrize("seed", [None, 1000, 1097, 1194, 1291, 1388, 1485])
+def test_structured_residual_flags_a_detuned_player_2(seed):
+    # player 2 may use every state, so the detuned controller stays block
+    # lower; its loop must fail the verify gate of 1e-6
+    plant = make_random_fixture() if seed is None \
+        else random_plant(seed, n_split=(2, 2))
+    synth = optimal_controller(plant)
+    K = synth.controller
+    C = K.C.copy()
+    C[plant.m1:, :plant.n] *= 1.0 + 1e-4
+    detuned = StateSpace(K.A, K.B, C, K.D)
+    cl = lft_lower(plant.generalized(), detuned, plant.nz, plant.nw)
+    assert _constrained_residual(plant, synth, cl) > 1e-6
+
+
+@pytest.mark.parametrize("seed", [5559, 7014, 26220, 32137])
+def test_structured_residual_at_optimum_with_large_local_solutions(seed):
+    # the loop rebuilt as T11 + T12 Q T21 and reduced by minreal read 6e-6
+    # to 2e-5 on these plants; the plant's own loop carries no cancellations
+    plant = random_plant(seed, n_split=(2, 2))
+    synth = optimal_controller(plant)
+    assert _constrained_residual(plant, synth, synth.closed_loop) <= 1e-6
 
 
 def test_structured_residual_requires_partition():
@@ -300,8 +346,7 @@ def test_structured_residual_requires_partition():
     synth = optimal_controller(plant)
     data = dataclasses.replace(youla_data(plant, synth.gains), partition=None)
     with pytest.raises(ValueError, match="partition"):
-        va.structured_optimality_residual(
-            data, StateSpace.gain(np.zeros((plant.m, plant.k))))
+        va.structured_optimality_residual(data, synth.closed_loop)
 
 
 def test_centralized_match_recovers_embedded_parameter():
@@ -335,7 +380,7 @@ def test_oracle_agrees_with_synthesis():
     Q_oracle, n_oracle = va.vectorization_oracle(data)
     n_struct = _closed_norm(plant, synth)
     assert abs(n_oracle - n_struct) < 1e-6 * (1.0 + n_struct)
-    Q_opt, _ = va.youla_parameters(plant, synth)
+    Q_opt, _ = va.youla_parameters(plant, synth, data)
     assert va._markov_mismatch(Q_oracle, Q_opt) < 1e-6
 
 
@@ -370,7 +415,7 @@ def test_fixed_point_maps_agree_with_parameter_blocks():
     assert (g1.ny, g1.nu) == (plant.m2, plant.k2)
     assert (g2.ny, g2.nu) == (plant.m1, plant.k1)
     assert is_hurwitz(g1.A) and is_hurwitz(g2.A)
-    Q_opt, _ = va.youla_parameters(plant, synth)
+    Q_opt, _ = va.youla_parameters(plant, synth, youla_data(plant, synth.gains))
     blk11 = Q_opt.subsystem(rows=slice(0, plant.m1), cols=slice(0, plant.k1))
     assert va._markov_mismatch(g2, blk11) < 1e-7
 
@@ -438,8 +483,8 @@ def test_sandwich_matches_schur_decomposition(seed):
 def test_validation_chain_on_random_plants(seed):
     plant = random_plant(seed)
     synth = optimal_controller(plant)
-    va.hat_pair(plant, synth)
+    hats = va.hat_pair(plant, synth)
     r1, r2 = va.orthogonality_residuals(plant, synth)
     assert max(r1, r2) < 1e-6
-    d_norm, _, _ = va.delta_cost(plant, synth)
+    d_norm, _, _ = va.delta_cost(plant, synth, hats)
     assert d_norm >= -1e-9
