@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from .linalg import SolverError, h2_norm
+from .linalg import RESIDUAL_TOL, SolverError, h2_norm
 from .plant import AssumptionError, check_assumptions, load_plant
 from .stabilization import youla_data
 from .statespace import is_block_lower_tf
@@ -28,7 +28,6 @@ EXIT_ASSUMPTION = 1
 EXIT_NUMERICAL = 2
 EXIT_INPUT = 3
 
-RESIDUAL_TOL = 1e-8
 ORTHOGONALITY_TOL = 1e-7
 MONTE_CARLO_REL_TOL = 5e-2
 
@@ -261,7 +260,7 @@ def cmd_verify(plant, args):
     if deltas is not None:
         rep.number("delta", deltas[0])
 
-    data = youla_data(plant, synth.gains)
+    data = youla_data(plant, synth.bundle)
     attempt("parameter extraction round trip",
             lambda: va.youla_parameters(plant, synth, data))
 
@@ -277,7 +276,7 @@ def cmd_verify(plant, args):
         rep.number("structured residual", worst)
 
     attempt("partial-optimization fixed points",
-            lambda: va.fixed_point_maps(plant, synth))
+            lambda: va.fixed_point_maps(plant, synth, data))
 
     if args.oracle:
         def run_oracle():

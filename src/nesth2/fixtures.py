@@ -18,6 +18,8 @@ from .plant import Partition, TwoPlayerPlant, check_assumptions
 #: integers) so the admissible draw is also well conditioned: the central
 #: Riccati solutions and the nominal gains all have norms below ~10
 RANDOM_FIXTURE_SEED = 11
+MAX_DRAWS = 500
+AXIS_MARGIN = 0.05
 
 
 def _standard_embedding(A, B2, C2, partition):
@@ -141,12 +143,12 @@ def make_decoupled_crosscost():
 
 
 def random_plant(seed, n_split=(2, 1), m_split=(1, 1), k_split=(1, 1),
-                 max_draws=500, axis_margin=0.05, scale_cap=20.0):
+                 scale_cap=20.0):
     """Draw a random plant until every synthesis precondition holds.
 
     All structured matrices are dense below the diagonal blocks, the
     disturbance and performance channels have generic cross terms, and A is
-    redrawn whenever one of its eigenvalues comes within `axis_margin` of the
+    redrawn whenever one of its eigenvalues comes within AXIS_MARGIN of the
     imaginary axis (stable/antistable splits in the verification layer need
     the gap). The draw is deterministic in `seed`.
 
@@ -166,7 +168,7 @@ def random_plant(seed, n_split=(2, 1), m_split=(1, 1), k_split=(1, 1),
     nw = n + k
     nz = n + m
     rng = np.random.default_rng(seed)
-    for _ in range(max_draws):
+    for _ in range(MAX_DRAWS):
         A = rng.standard_normal((n, n)) / np.sqrt(n)
         A[:n1, n1:] = 0.0
         B2 = rng.standard_normal((n, m))
@@ -177,7 +179,7 @@ def random_plant(seed, n_split=(2, 1), m_split=(1, 1), k_split=(1, 1),
         C1 = rng.standard_normal((nz, n)) / np.sqrt(nz)
         D12 = rng.standard_normal((nz, m)) / np.sqrt(nz)
         D21 = rng.standard_normal((k, nw)) / np.sqrt(nw)
-        if np.min(np.abs(np.linalg.eigvals(A).real)) < axis_margin:
+        if np.min(np.abs(np.linalg.eigvals(A).real)) < AXIS_MARGIN:
             continue
         plant = TwoPlayerPlant(A, B1, B2, C1, C2, D12, D21, partition)
         if not check_assumptions(plant).passed:
@@ -193,7 +195,7 @@ def random_plant(seed, n_split=(2, 1), m_split=(1, 1), k_split=(1, 1),
             if worst > scale_cap:
                 continue
         return plant
-    raise RuntimeError(f"no admissible plant found in {max_draws} draws")
+    raise RuntimeError(f"no admissible plant found in {MAX_DRAWS} draws")
 
 
 def make_random_fixture():

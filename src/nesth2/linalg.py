@@ -287,12 +287,12 @@ def h2_norm(sys):
     return float(np.sqrt(max(sq_c, 0.0)))
 
 
-def stable_antistable_decompose(sys, margin=HURWITZ_MARGIN):
+def stable_antistable_decompose(sys):
     """Additive split G = Gs + Ga with Gs Hurwitz and Ga anti-Hurwitz.
 
     The feedthrough is carried by the stable part; the antistable part is
-    strictly proper. An eigenvalue of A within `margin` of the imaginary axis
-    is an error: the split would not be well defined.
+    strictly proper. An eigenvalue of A within HURWITZ_MARGIN of the imaginary
+    axis is an error: the split would not be well defined.
 
     The stable invariant subspace comes from an ordered real Schur form
     rather than an eigenvector basis: eigenvectors of clustered or defective
@@ -312,7 +312,7 @@ def stable_antistable_decompose(sys, margin=HURWITZ_MARGIN):
     if n == 0:
         return StateSpace.gain(D), empty
     w = np.linalg.eigvals(A)
-    if np.any(np.abs(w.real) <= margin):
+    if np.any(np.abs(w.real) <= HURWITZ_MARGIN):
         raise SolverError("eigenvalue inside the margin band around the axis; "
                           "stable/antistable split is ill defined")
     ns = int(np.sum(w.real < 0.0))

@@ -205,9 +205,6 @@ class TwoPlayerPlant:
         ])
         return StateSpace(self.A, B, C, D)
 
-    def cost_cov(self):
-        return cost_cov_matrices(self)
-
     def __repr__(self):
         return (f"TwoPlayerPlant(n={self.partition.n}, m={self.partition.m}, "
                 f"k={self.partition.k}, nw={self.nw}, nz={self.nz})")
@@ -333,7 +330,7 @@ class AssumptionReport:
 
 def check_assumptions(plant):
     """Evaluate the six synthesis preconditions; failures are reported, not raised."""
-    cc = plant.cost_cov()
+    cc = cost_cov_matrices(plant)
     diag = exists_triangular_stabilizing(plant)
     checks = []
 

@@ -65,11 +65,11 @@ def exists_triangular_stabilizing(plant):
 class NominalGains:
     """Block-diagonal state feedback K_d and injection L_d, with derived loops.
 
-    K_d = diag(K1, K2) and L_d = diag(L1, L2) are pinned to ARE-derived
-    gains: K2 and L1 are the gains K_loc2 and L_loc1 of the synthesis'
-    player-2 control and player-1 filter AREs, taken from its AreBundle, which
-    makes the downstream simplifications exact rather than merely admissible.
-    K1 and L2 solve the player-1 control and player-2 filter AREs.
+    K_d = diag(K1, K2) and L_d = diag(L1, L2) build the nominal controller
+    that `youla_data` parameterizes from; the design does not use them. K2
+    and L1 are K_loc2 and L_loc1 of the synthesis' AreBundle, which makes the
+    downstream simplifications exact rather than merely admissible. K1 and
+    L2 solve the player-1 control and player-2 filter AREs.
     """
 
     K_d: np.ndarray
@@ -80,6 +80,15 @@ class NominalGains:
     B_Ld: np.ndarray
 
 
+def _nominal_are(name, data):
+    """Screen and solve one nominal-gain equation; an error names it."""
+    try:
+        screen_are(*data)
+        return solve_are(*data)
+    except SolverError as exc:
+        raise SolverError(f"nominal gains, {name} equation: {exc}") from exc
+
+
 def nominal_gains(plant, bundle):
     """Block-diagonal nominal gains of an admissible plant.
 
@@ -87,16 +96,15 @@ def nominal_gains(plant, bundle):
     K_loc2 and L_loc1 become K2 and L1. The two equations solved here are
     screened first: `check_assumptions` covers their stabilizability (A2,
     A5) but not their axis-rank conditions, because the player-1 control
-    and player-2 filter pencils drop rows that A3 and A6 keep.
+    and player-2 filter pencils drop rows that A3 and A6 keep. A failure
+    raises a SolverError that names the equation.
     """
     n1, m1, k1 = plant.n1, plant.m1, plant.k1
     ctrl1 = (plant.A11, plant.B2_11, plant.C1[:, :n1], plant.D12[:, :m1])
     filt2 = (plant.A22.T, plant.C2_22.T, plant.B1[n1:, :].T,
              plant.D21[k1:, :].T)
-    screen_are(*ctrl1)
-    screen_are(*filt2)
-    K1 = solve_are(*ctrl1).K
-    L2 = solve_are(*filt2).K.T
+    K1 = _nominal_are("player-1 control", ctrl1).K
+    L2 = _nominal_are("player-2 filter", filt2).K.T
     K_d = scipy.linalg.block_diag(K1, bundle.K_loc2)
     L_d = scipy.linalg.block_diag(bundle.L_loc1, L2)
     A_Kd = plant.A + plant.B2 @ K_d
@@ -123,7 +131,8 @@ class ModelMatchData:
     lft_lower(J_d, Q) runs over all stabilizing block-lower controllers as Q
     runs over stable block-lower parameters, and the closed loop satisfies
     F(P, K) = T11 + T12 Q T21 with T11, T12, T21 all stable. J_d_inverse is
-    the exact state-space inverse of J_d (same state dimension).
+    the exact state-space inverse of J_d (same state dimension). `gains`
+    are the nominal gains the two-port is built on.
     """
 
     J_d: StateSpace
@@ -135,8 +144,13 @@ class ModelMatchData:
     partition: object = None
 
 
-def youla_data(plant, gains):
-    """Two-port and model-matching data built on the nominal gains."""
+def youla_data(plant, bundle):
+    """Two-port and model-matching data of an admissible plant.
+
+    `bundle` is the plant's AreBundle. The nominal gains are built on it by
+    `nominal_gains`, whose SolverError propagates, and kept in `gains`.
+    """
+    gains = nominal_gains(plant, bundle)
     n, m, k = plant.n, plant.m, plant.k
     A0 = plant.A + plant.B2 @ gains.K_d + gains.L_d @ plant.C2
     D_swap = np.block([
@@ -167,7 +181,7 @@ def youla_data(plant, gains):
 
 def controller_from_q(data, Q):
     """Close the parameter Q through J_d: the resulting controller maps y to u."""
-    J_d = data.J_d if isinstance(data, ModelMatchData) else data
+    J_d = data.J_d
     nz = J_d.ny - Q.nu
     nw = J_d.nu - Q.ny
     return lft_lower(J_d, Q, nz=nz, nw=nw)
@@ -175,7 +189,7 @@ def controller_from_q(data, Q):
 
 def q_from_controller(data, K):
     """Invert the parameterization: recover Q from a stabilizing controller."""
-    J_inv = data.J_d_inverse if isinstance(data, ModelMatchData) else data
+    J_inv = data.J_d_inverse
     nq = J_inv.ny - K.ny
     np_top = J_inv.nu - K.nu
     return lft_upper(J_inv, K, nq=nq, np_=np_top)

@@ -8,6 +8,9 @@ made to be clever about sparsity or scale; clarity and exactness win.
 import numpy as np
 import scipy.linalg as sla
 
+REDUCE_TOL = 1e-9
+BALANCE_SWEEPS = 10
+
 
 def _mat(M, name="matrix"):
     """Coerce scalars / nested lists to a 2-D float array."""
@@ -78,10 +81,6 @@ class StateSpace:
         D = _mat(D, "D")
         return cls(np.zeros((0, 0)), np.zeros((0, D.shape[1])),
                    np.zeros((D.shape[0], 0)), D)
-
-    @classmethod
-    def identity(cls, k):
-        return cls.gain(np.eye(k))
 
     def eval_at(self, s):
         """Transfer function value C (sI - A)^{-1} B + D at a complex point."""
@@ -237,8 +236,8 @@ def is_block_lower_tf(sys, out_split, in_split, tol=1e-8):
     return True
 
 
-def _orth_cols(M, tol):
-    """Orthonormal basis for the column space of M, rank decided at `tol`."""
+def _orth_cols(M):
+    """Orthonormal basis of the column space of M, rank cut at REDUCE_TOL."""
     if M.shape[1] == 0:
         return np.zeros((M.shape[0], 0))
     try:
@@ -249,11 +248,11 @@ def _orth_cols(M, tol):
         U, s, _ = sla.svd(M, full_matrices=False, lapack_driver="gesvd")
     if s.size == 0:
         return np.zeros((M.shape[0], 0))
-    rank = int(np.sum(s > tol * max(1.0, s[0])))
+    rank = int(np.sum(s > REDUCE_TOL * max(1.0, s[0])))
     return U[:, :rank]
 
 
-def reachable_basis(A, B, tol=1e-9):
+def reachable_basis(A, B):
     """Orthonormal basis of the reachable subspace of (A, B).
 
     Grown Krylov-style: span{B, AB, A^2 B, ...} until the dimension stops
@@ -261,41 +260,41 @@ def reachable_basis(A, B, tol=1e-9):
     """
     A = _mat(A, "A")
     B = _mat(B, "B")
-    V = _orth_cols(B, tol)
+    V = _orth_cols(B)
     for _ in range(A.shape[0]):
-        W = _orth_cols(np.hstack([V, A @ V]), tol)
+        W = _orth_cols(np.hstack([V, A @ V]))
         if W.shape[1] == V.shape[1]:
             return W
         V = W
     return V
 
 
-def reduce_unreachable(sys, tol=1e-9):
+def reduce_unreachable(sys):
     """Project away state directions unreachable from any input."""
-    V = reachable_basis(sys.A, sys.B, tol)
+    V = reachable_basis(sys.A, sys.B)
     if V.shape[1] == sys.nx:
         return sys
     return StateSpace(V.T @ sys.A @ V, V.T @ sys.B, sys.C @ V, sys.D)
 
 
-def reduce_unobservable(sys, tol=1e-9):
-    V = reachable_basis(sys.A.T, sys.C.T, tol)
+def reduce_unobservable(sys):
+    V = reachable_basis(sys.A.T, sys.C.T)
     if V.shape[1] == sys.nx:
         return sys
     return StateSpace(V.T @ sys.A @ V, V.T @ sys.B, sys.C @ V, sys.D)
 
 
-def minreal(sys, tol=1e-9):
+def minreal(sys):
     """Structural minimal realization: drop unreachable then unobservable states.
 
-    This is staircase truncation at a small tolerance, intended to strip the
+    This is staircase truncation at REDUCE_TOL, intended to strip the
     exactly-cancelling states produced by block compositions, not to do
     balanced model reduction.
     """
-    return reduce_unobservable(reduce_unreachable(sys, tol), tol)
+    return reduce_unobservable(reduce_unreachable(sys))
 
 
-def balance_realization(sys, sweeps=10):
+def balance_realization(sys):
     """Rescale the states of sys by powers of two to equalize row/column weight.
 
     Diagonal similarity in the style of the classic joint (A, B, C) balancing:
@@ -310,7 +309,7 @@ def balance_realization(sys, sweeps=10):
     B = sys.B.copy()
     C = sys.C.copy()
     n = A.shape[0]
-    for _ in range(sweeps):
+    for _ in range(BALANCE_SWEEPS):
         changed = False
         for i in range(n):
             r = np.abs(A[i, :]).sum() - abs(A[i, i]) + np.abs(B[i, :]).sum()

@@ -17,7 +17,6 @@ import numpy as np
 from .linalg import RESIDUAL_TOL, SolverError, is_hurwitz, screen_are, solve_are
 from .plant import (AssumptionError, Partition, TwoPlayerPlant,
                     check_assumptions, cost_cov_matrices)
-from .stabilization import NominalGains, nominal_gains
 from .statespace import StateSpace, lft_lower
 
 CENTRALIZED_TOL = 1e-6
@@ -81,10 +80,11 @@ class SynthesisResult:
     coordinates; `controller_alt` is the second displayed realization with
     the same transfer function. `closed_loop` is the Hurwitz w -> z loop of
     the generalized plant under `controller`, with 3n states in the order
-    (plant, zeta, xi). `gains` are the nominal gains built on this
-    bundle. `centralized_norm` is the closed-loop H2 norm of the
+    (plant, zeta, xi). `centralized_norm` is the closed-loop H2 norm of the
     information-unconstrained design, from the bundle's centralized
-    solutions; it equals `centralized_h2(plant)[1]`.
+    solutions; it equals `centralized_h2(plant)[1]`. The nominal gains of
+    the controller parameterization are not part of the design:
+    `stabilization.youla_data(plant, bundle)` builds them.
     """
 
     bundle: AreBundle
@@ -95,7 +95,6 @@ class SynthesisResult:
     A_gap: np.ndarray
     A_zeta: np.ndarray
     A_xi: np.ndarray
-    gains: NominalGains
     controller: StateSpace
     controller_alt: StateSpace
     closed_loop: StateSpace
@@ -250,10 +249,10 @@ def build_phi_psi_system(plant, bundle):
 def solve_phi_psi(plant, bundle):
     """Solve the coupled pair of linear matrix equations.
 
-    A direct dense solve of the stacked system, falling back to the
-    minimum-norm least-squares solution when the operator is singular.
-    Whatever route produced the candidate, both matrix equations are
-    re-evaluated and must pass a relative residual check.
+    One dense solve of the stacked system of `build_phi_psi_system`; a
+    singular system is refused, not solved in the least-squares sense. Both
+    matrix equations are then re-evaluated, and each must pass a residual
+    check at RESIDUAL_TOL relative to the size of its terms.
 
     Returns
     -------
@@ -262,31 +261,24 @@ def solve_phi_psi(plant, bundle):
     Raises
     ------
     SolverError
-        If no candidate meets the residual tolerance, which signals either
-        an assumption violation upstream or numerical breakdown.
+        If the stacked system is singular or a residual check fails; the
+        message names the coupling equations.
     """
     terms = _CouplingTerms(plant, bundle)
     M, b = terms.stacked_system()
-
-    def attempt(z):
-        Phi, Psi = terms.unpack(z)
-        r_phi, r_psi, s_phi, s_psi = terms.residuals(Phi, Psi)
-        ok = r_phi <= RESIDUAL_TOL * s_phi and r_psi <= RESIDUAL_TOL * s_psi
-        return Phi, Psi, (float(r_phi), float(r_psi)), ok
-
     try:
-        candidate = attempt(np.linalg.solve(M, b))
-    except np.linalg.LinAlgError:
-        candidate = None
-    if candidate is None or not candidate[3]:
-        fallback = attempt(np.linalg.lstsq(M, b, rcond=None)[0])
-        candidate = fallback if candidate is None or fallback[3] else candidate
-    Phi, Psi, residuals, ok = candidate
-    if not ok:
+        z = np.linalg.solve(M, b)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError("coupling equations for (X_cross, Y_cross) are "
+                          f"singular: {exc}") from exc
+    Phi, Psi = terms.unpack(z)
+    r_phi, r_psi, s_phi, s_psi = terms.residuals(Phi, Psi)
+    if not (r_phi <= RESIDUAL_TOL * s_phi and r_psi <= RESIDUAL_TOL * s_psi):
         raise SolverError(
             "coupling equations did not verify: residuals "
-            f"{residuals[0]:.2e}, {residuals[1]:.2e}")
-    return CouplingSolution(X_cross=Phi, Y_cross=Psi, residuals=residuals)
+            f"{r_phi:.2e}, {r_psi:.2e}")
+    return CouplingSolution(X_cross=Phi, Y_cross=Psi,
+                            residuals=(float(r_phi), float(r_psi)))
 
 
 def structured_gains(plant, bundle, coupling):
@@ -372,7 +364,6 @@ def optimal_controller(plant):
     A_gap = plant.A + plant.B2 @ K_private + L_common @ plant.C2
     if not is_hurwitz(A_gap, margin=0.0):
         raise SolverError("estimate-gap dynamics are not Hurwitz")
-    gains = nominal_gains(plant, bundle)
     controller, controller_alt = controller_realizations(
         plant, bundle, K_private, L_common)
     closed = lft_lower(plant.generalized(), controller, plant.nz, plant.nw)
@@ -384,7 +375,7 @@ def optimal_controller(plant):
         K_private=K_private, L_common=L_common, cross_gain=cross_gain,
         A_gap=A_gap,
         A_zeta=controller.A[:n, :n], A_xi=controller.A[n:, n:],
-        gains=gains, controller=controller, controller_alt=controller_alt,
+        controller=controller, controller_alt=controller_alt,
         closed_loop=closed, centralized_norm=_centralized_norm(
             plant.B1, plant.C1, plant.D12, plant.D21,
             bundle.X_cen, bundle.K_cen, bundle.Y_cen, bundle.L_cen),

@@ -18,7 +18,8 @@ import scipy.linalg as sla
 from ._kernels import terminal_state_covariance
 from .linalg import (SolverError, h2_norm, is_hurwitz, screen_are, solve_are,
                      solve_lyapunov, solve_sylvester, stable_antistable_decompose)
-from .plant import AssumptionError, TwoPlayerPlant, check_assumptions
+from .plant import (AssumptionError, TwoPlayerPlant, check_assumptions,
+                    cost_cov_matrices)
 from .stabilization import controller_from_q, q_from_controller
 from .statespace import (StateSpace, balance_realization, is_block_lower_tf,
                          minreal, scaled_markov_parameters)
@@ -26,7 +27,7 @@ from .statespace import (StateSpace, balance_realization, is_block_lower_tf,
 IDENTITY_TOL = 1e-8
 CHECK_TOL = 1e-7
 MATCH_TOL = 1e-6
-REDUCE_TOL = 1e-9
+ORACLE_STATE_GUARD = 200
 
 
 def _close(actual, expected, tol, label):
@@ -119,7 +120,7 @@ def hat_pair(plant, synth):
         structured gains are reproduced from them by the displayed formulas.
     """
     b = synth.bundle
-    cc = plant.cost_cov()
+    cc = cost_cov_matrices(plant)
     n1, k1, m1 = plant.n1, plant.k1, plant.m1
     dL = synth.L_common - b.L_cen
     dK = synth.K_private - b.K_cen
@@ -180,7 +181,7 @@ def closed_loop_gramian(plant, synth):
     solves its own small Lyapunov equation driven by the common injection.
     """
     b = synth.bundle
-    cc = plant.cost_cov()
+    cc = cost_cov_matrices(plant)
     n = plant.n
     Lh, L = synth.L_common, b.L_cen
     C2, D21, B1 = plant.C2, plant.D21, plant.B1
@@ -362,7 +363,7 @@ def delta_cost(plant, synth, hats):
     weighted gap parameter of `youla_parameters`.
     """
     b = synth.bundle
-    cc = plant.cost_cov()
+    cc = cost_cov_matrices(plant)
     dK = synth.K_private - b.K_cen
     dL = synth.L_common - b.L_cen
     Y_gap = hats.Y_common - b.Y_cen
@@ -397,8 +398,8 @@ def delta_cost(plant, synth, hats):
 # Parameter extraction through the two-port
 
 
-def _q_opt_display(plant, synth):
-    b, g = synth.bundle, synth.gains
+def _q_opt_display(plant, synth, data):
+    b, g = synth.bundle, data.gains
     A_q = sla.block_diag(b.A_ctrl, b.A_filt)
     B_q = np.vstack([synth.L_common, g.L_d - b.L_cen])
     C_q = np.hstack([g.K_d - b.K_cen, synth.K_private])
@@ -408,8 +409,8 @@ def _q_opt_display(plant, synth):
 def youla_parameters(plant, synth, data):
     """Optimal parameter and the parameter of the decentralization gap.
 
-    `data` is `youla_data(plant, synth.gains)`. Every Markov comparison
-    must pass at CHECK_TOL.
+    `data` is `youla_data(plant, synth.bundle)`; its nominal gains fix the
+    parameterization. Every Markov comparison must pass at CHECK_TOL.
 
     Returns
     -------
@@ -421,7 +422,7 @@ def youla_parameters(plant, synth, data):
         squares to the decentralization cost; `delta_cost` checks that norm.
     """
     b = synth.bundle
-    Q_opt = _q_opt_display(plant, synth)
+    Q_opt = _q_opt_display(plant, synth, data)
     if not is_hurwitz(Q_opt.A, margin=0.0):
         raise SolverError("optimal parameter is not stable")
     out_split = (plant.m1, plant.m2)
@@ -553,7 +554,7 @@ def _joint_realization(T11, T12, T21):
         [T21.D, np.zeros((T21.ny, T12.nu))],
     ])
     stacked = minreal(StateSpace(A, np.hstack([B1, B2]),
-                                 np.vstack([C1, C2]), D), tol=REDUCE_TOL)
+                                 np.vstack([C1, C2]), D))
     return (stacked.A, stacked.B[:, :nw], stacked.B[:, nw:],
             stacked.C[:nz, :], stacked.C[nz:, :], T12.D, T21.D)
 
@@ -646,10 +647,7 @@ def _kept_vec_entries(m, k, m1, k1):
             if not (i < m1 and j >= k1)]
 
 
-_OWN_PARTITION = object()
-
-
-def vectorization_oracle(T, partition=_OWN_PARTITION, state_guard=200):
+def vectorization_oracle(T):
     """Re-solve the structured problem by stacking the unknown into a vector.
 
     Rewrites the two-player model-matching problem as an unstructured one in
@@ -663,44 +661,42 @@ def vectorization_oracle(T, partition=_OWN_PARTITION, state_guard=200):
     Parameters
     ----------
     T : ModelMatchData
-        Model-matching data of the plant.
-    partition : Partition or None
-        Block partition used to drop the structurally zero entries of the
-        parameter. Defaults to the partition carried by the data; pass None
-        explicitly to keep every entry (the unconstrained problem, useful
-        as a sanity check against `centralized_model_match`).
-    state_guard : int
-        Upper bound on the joint state dimension the dense solvers accept,
-        measured after exact structural reduction at REDUCE_TOL.
+        Model-matching data of the plant. The structurally zero entries of
+        `T.partition` are dropped; a partition of None keeps every entry,
+        which poses the unconstrained problem of `centralized_model_match`.
 
     Returns
     -------
     (StateSpace, float)
         The recovered parameter (reduced to a minimal realization) and the
         achieved closed-loop norm.
+
+    Raises
+    ------
+    SolverError
+        If more than ORACLE_STATE_GUARD joint states remain after reduction.
     """
-    if partition is _OWN_PARTITION:
-        partition = getattr(T, "partition", None)
+    partition = T.partition
     T11, T12, T21 = T.T11, T.T12, T.T21
     m, k = T12.nu, T21.ny
-    target = minreal(_vec_system(T11), tol=REDUCE_TOL)
+    target = minreal(_vec_system(T11))
     lifted = _kron_identity_left(T21.transpose(), T12.ny) \
         * _kron_identity_right(T12, k)
     if partition is not None:
         keep = _kept_vec_entries(m, k, partition.m[0], partition.k[0])
     else:
         keep = list(range(m * k))
-    lifted = minreal(lifted.subsystem(cols=keep), tol=REDUCE_TOL)
+    lifted = minreal(lifted.subsystem(cols=keep))
 
     joint_states = target.nx + lifted.nx
-    if joint_states > state_guard:
+    if joint_states > ORACLE_STATE_GUARD:
         raise SolverError(
             f"vectorized problem has {joint_states} states after reduction, "
-            f"above the {state_guard}-state guard")
+            f"above the {ORACLE_STATE_GUARD}-state guard")
 
     q = centralized_model_match(target, lifted, StateSpace.gain(np.eye(1)),
                                 verify=False)
-    q = minreal(q, tol=REDUCE_TOL)
+    q = minreal(q)
 
     # Scatter the kept entries back into the full stacked vector, then peel
     # one column of the parameter off per input.
@@ -712,9 +708,9 @@ def vectorization_oracle(T, partition=_OWN_PARTITION, state_guard=200):
     B_u = np.kron(np.eye(k), q.B)
     C_u = np.hstack([C_full[j * m:(j + 1) * m, :] for j in range(k)])
     D_u = np.hstack([D_full[j * m:(j + 1) * m, :] for j in range(k)])
-    Q = minreal(StateSpace(A_u, B_u, C_u, D_u), tol=REDUCE_TOL)
+    Q = minreal(StateSpace(A_u, B_u, C_u, D_u))
 
-    closed = minreal(T11 + T12 * Q * T21, tol=REDUCE_TOL)
+    closed = minreal(T11 + T12 * Q * T21)
     return Q, h2_norm(closed)
 
 
@@ -722,7 +718,7 @@ def vectorization_oracle(T, partition=_OWN_PARTITION, state_guard=200):
 # Fixed points of the partial optimizations
 
 
-def fixed_point_maps(plant, synth):
+def fixed_point_maps(plant, synth, data):
     """The two partial-optimization maps, evaluated at the optimum.
 
     Each player's best response, with the other player's diagonal parameter
@@ -730,6 +726,7 @@ def fixed_point_maps(plant, synth):
     two displayed systems below are therefore constant maps whose values
     must coincide with the diagonal blocks of the optimal parameter. That
     coincidence is verified here by Markov comparison at CHECK_TOL.
+    `data` is `youla_data(plant, synth.bundle)`, as for `youla_parameters`.
 
     Returns
     -------
@@ -737,7 +734,7 @@ def fixed_point_maps(plant, synth):
         g1: the best-response value for player 2's diagonal block;
         g2: the best-response value for player 1's diagonal block.
     """
-    b, g = synth.bundle, synth.gains
+    b, g = synth.bundle, data.gains
     m1, k1 = plant.m1, plant.k1
     g1 = StateSpace(b.A_filt, (g.L_d - b.L_cen)[:, k1:],
                     synth.K_private[m1:, :],
@@ -745,7 +742,7 @@ def fixed_point_maps(plant, synth):
     g2 = StateSpace(b.A_ctrl, synth.L_common[:, :k1],
                     (g.K_d - b.K_cen)[:m1, :],
                     np.zeros((plant.m1, plant.k1)))
-    Q_opt = _q_opt_display(plant, synth)
+    Q_opt = _q_opt_display(plant, synth, data)
     blk11 = Q_opt.subsystem(rows=slice(0, m1), cols=slice(0, k1))
     blk22 = Q_opt.subsystem(rows=slice(m1, None), cols=slice(k1, None))
     gap = _markov_mismatch(g2, blk11)

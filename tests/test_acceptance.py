@@ -62,7 +62,7 @@ def _solved(seed, split):
     if key not in _CACHE:
         plant = random_plant(seed, n_split=split)
         synth = optimal_controller(plant)
-        data = youla_data(plant, synth.gains)
+        data = youla_data(plant, synth.bundle)
         _CACHE[key] = (plant, synth, data)
     return _CACHE[key]
 
@@ -352,10 +352,10 @@ def test_11_partial_optimization_fixed_point():
     worst = 0.0
     try:
         for seed, split in _ensemble():
-            plant, synth, _ = _solved(seed, split)
+            plant, synth, data = _solved(seed, split)
             # Raises above 1e-7; the returned systems give the number.
-            g1, g2 = va.fixed_point_maps(plant, synth)
-            Q_opt = va._q_opt_display(plant, synth)
+            g1, g2 = va.fixed_point_maps(plant, synth, data)
+            Q_opt = va._q_opt_display(plant, synth, data)
             blk11 = Q_opt.subsystem(rows=slice(0, plant.m1),
                                     cols=slice(0, plant.k1))
             blk22 = Q_opt.subsystem(rows=slice(plant.m1, None),

@@ -11,7 +11,7 @@ from nesth2.fixtures import (
     make_unstabilizable_pair,
 )
 from nesth2.linalg import SolverError
-from nesth2.plant import plant_to_dict
+from nesth2.plant import Partition, TwoPlayerPlant, plant_to_dict
 from nesth2.synthesis import optimal_controller
 
 
@@ -46,21 +46,47 @@ def _count_calls(monkeypatch, names):
 
 
 def test_each_riccati_equation_is_solved_once(tmp_path, capsys, monkeypatch):
-    # four synthesis AREs plus the two nominal ones; the structural screens
-    # run in check_assumptions and on the two nominal equations only
+    # the four synthesis AREs and nothing more; the structural screens run
+    # in check_assumptions only
     plant = make_random_fixture()
     path = _write_plant(tmp_path, plant)
     counts = _count_calls(monkeypatch, ("solve_are", "axis_rank_ok",
                                         "pbh_stabilizable"))
     optimal_controller(plant)
-    assert counts == {"solve_are": 6, "axis_rank_ok": 5, "pbh_stabilizable": 6}
-    counts.update(dict.fromkeys(counts, 0))
-    assert main(["synthesize", path]) == 0
-    assert counts["solve_are"] == 6
+    assert counts == {"solve_are": 4, "axis_rank_ok": 3, "pbh_stabilizable": 4}
+    for command in ("synthesize", "analyze"):
+        counts.update(dict.fromkeys(counts, 0))
+        assert main([command, path]) == 0
+        assert counts["solve_are"] == 4
     counts.update(dict.fromkeys(counts, 0))
     assert main(["check", path]) == 0
     assert counts["pbh_stabilizable"] == 4
     capsys.readouterr()
+
+
+def _player1_axis_zero_plant():
+    # admissible, but the player-1 control pencil [A11 - s, B2_11; C1_1,
+    # D12_1] = [-s, 1; 0, 0; 0, 1; 0, 0] has a zero at s = 0 on the axis
+    eye, zero = np.eye(2), np.zeros((2, 2))
+    return TwoPlayerPlant(
+        A=[[0.0, 0.0], [1.0, -1.0]], B1=np.hstack([eye, zero]), B2=eye,
+        C1=[[0.0, 1.0], [0.0, 0.0], [0.0, 0.0]], C2=eye,
+        D12=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], D21=np.hstack([zero, eye]),
+        partition=Partition((1, 1), (1, 1), (1, 1)))
+
+
+def test_synthesis_does_not_screen_the_nominal_equations(tmp_path, capsys):
+    # the nominal gains serve only the parameterization checks of verify
+    path = _write_plant(tmp_path, _player1_axis_zero_plant())
+    for command in ("check", "synthesize", "analyze"):
+        assert main([command, path]) == 0
+        out = capsys.readouterr().out
+        assert "FAIL" not in out and "verdict: pass" in out
+    assert main(["verify", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: nominal gains, player-1 control "
+                                   "equation: axis-rank condition fails")
 
 
 def test_check_passes_on_clean_plant(tmp_path, capsys):
@@ -171,11 +197,7 @@ def test_verify_with_oracle_passes(tmp_path, capsys):
 def test_verify_oracle_guard_failure_is_numerical(tmp_path, capsys, monkeypatch):
     import nesth2.cli as cli
 
-    def tiny_guard(T, partition=None, state_guard=200,
-                   _orig=cli.va.vectorization_oracle):
-        return _orig(T, state_guard=1)
-
-    monkeypatch.setattr(cli.va, "vectorization_oracle", tiny_guard)
+    monkeypatch.setattr(cli.va, "ORACLE_STATE_GUARD", 1)
     path = _write_plant(tmp_path, make_random_fixture())
     assert main(["verify", path, "--oracle"]) == 2
     out = capsys.readouterr().out
@@ -235,7 +257,7 @@ def test_verify_solves_the_shared_data_once(tmp_path, capsys, monkeypatch):
     # and the oracle
     import nesth2.cli as cli
 
-    counts = _count_calls(monkeypatch, ("solve_lyapunov",))
+    counts = _count_calls(monkeypatch, ("solve_lyapunov", "solve_are"))
     counts.update(hat_pair=0, youla_data=0)
 
     def counted(home, name):
@@ -250,7 +272,8 @@ def test_verify_solves_the_shared_data_once(tmp_path, capsys, monkeypatch):
     counted(cli, "youla_data")
     path = _write_plant(tmp_path, make_decoupled())
     assert main(["verify", path, "--oracle", "--seed", "7"]) == 0
-    assert counts == {"solve_lyapunov": 17, "hat_pair": 1, "youla_data": 1}
+    assert counts == {"solve_lyapunov": 17, "solve_are": 8, "hat_pair": 1,
+                      "youla_data": 1}
     capsys.readouterr()
 
 

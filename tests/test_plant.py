@@ -101,7 +101,7 @@ def test_cost_cov_filter_numbers():
 
 def test_cost_cov_gram_invariants():
     plant = make_random_fixture()
-    cc = plant.cost_cov()
+    cc = cost_cov_matrices(plant)
     top = np.block([[cc.Q, cc.S], [cc.S.T, cc.R]])
     bot = np.block([[cc.W, cc.U.T], [cc.U, cc.V]])
     assert np.min(np.linalg.eigvalsh(top)) > -1e-10
@@ -114,7 +114,7 @@ def test_cost_cov_gram_invariants():
 
 def test_cost_cov_block_slices():
     plant = make_decoupled_crosscost()
-    cc = plant.cost_cov()
+    cc = cost_cov_matrices(plant)
     assert cc.Q21.shape == (1, 1)
     assert abs(cc.Q21[0, 0] - 0.5) < 1e-12
     assert np.allclose(cc.S12, 0.0)

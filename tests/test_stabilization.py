@@ -111,7 +111,7 @@ def test_nominal_controller_stabilizes():
 
 def test_parameterization_at_zero_recovers_nominal():
     plant = make_random_fixture()
-    data = youla_data(plant, _gains(plant))
+    data = youla_data(plant, solve_four_ares(plant))
     K0 = nominal_controller(plant, data.gains)
     Q0 = StateSpace.gain(np.zeros((plant.m, plant.k)))
     assert _markov_close(controller_from_q(data, Q0), K0)
@@ -119,7 +119,7 @@ def test_parameterization_at_zero_recovers_nominal():
 
 def test_two_port_inverse_realization():
     plant = make_random_fixture()
-    data = youla_data(plant, _gains(plant))
+    data = youla_data(plant, solve_four_ares(plant))
     J, Jinv = data.J_d, data.J_d_inverse
     # displayed inverse has the same state count and D-inverse feedthrough
     assert Jinv.nx == J.nx
@@ -131,7 +131,7 @@ def test_two_port_inverse_realization():
 
 def test_model_match_blocks_stable_and_strictly_proper():
     plant = make_random_fixture()
-    data = youla_data(plant, _gains(plant))
+    data = youla_data(plant, solve_four_ares(plant))
     for blk in (data.T11, data.T12, data.T21):
         assert is_hurwitz(blk.A, margin=0.0)
     assert np.all(data.T11.D == 0.0)
@@ -140,7 +140,7 @@ def test_model_match_blocks_stable_and_strictly_proper():
 
 def test_closed_loop_equals_affine_model_match():
     plant = make_random_fixture()
-    data = youla_data(plant, _gains(plant))
+    data = youla_data(plant, solve_four_ares(plant))
     rng = np.random.default_rng(3)
     Q = _random_stable_lower_q(rng, plant.partition.m, plant.partition.k)
     K = controller_from_q(data, Q)
@@ -155,7 +155,7 @@ def test_closed_loop_equals_affine_model_match():
 
 def test_round_trip_q_controller_q():
     plant = make_random_fixture()
-    data = youla_data(plant, _gains(plant))
+    data = youla_data(plant, solve_four_ares(plant))
     rng = np.random.default_rng(4)
     Q = _random_stable_lower_q(rng, plant.partition.m, plant.partition.k)
     K = controller_from_q(data, Q)
@@ -172,7 +172,7 @@ def test_round_trip_q_controller_q():
 
 def test_non_lower_q_breaks_structure():
     plant = make_random_fixture()
-    data = youla_data(plant, _gains(plant))
+    data = youla_data(plant, solve_four_ares(plant))
     rng = np.random.default_rng(5)
     Qfull = StateSpace.gain(rng.standard_normal((plant.m, plant.k)))
     K = controller_from_q(data, Qfull)
@@ -182,7 +182,7 @@ def test_non_lower_q_breaks_structure():
 def test_sixty_four_random_parameters_stay_lower_and_stabilizing():
     """Forward direction of the parameterization, checked over 64 seeds."""
     plant = make_random_fixture()
-    data = youla_data(plant, _gains(plant))
+    data = youla_data(plant, solve_four_ares(plant))
     P = plant.generalized()
     for seed in range(64):
         rng = np.random.default_rng(1000 + seed)
@@ -195,7 +195,7 @@ def test_sixty_four_random_parameters_stay_lower_and_stabilizing():
 
 def test_q_maps_work_for_asymmetric_splits():
     plant = random_plant(7, n_split=(1, 2), m_split=(2, 1), k_split=(1, 2))
-    data = youla_data(plant, _gains(plant))
+    data = youla_data(plant, solve_four_ares(plant))
     rng = np.random.default_rng(6)
     Q = _random_stable_lower_q(rng, plant.partition.m, plant.partition.k)
     K = controller_from_q(data, Q)

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from nesth2.statespace import StateSpace, is_block_lower_tf, lft_lower
 from nesth2.linalg import SolverError, h2_norm, is_hurwitz
 from nesth2.plant import AssumptionError, cost_cov_matrices
-from nesth2.stabilization import nominal_controller
+from nesth2.stabilization import nominal_controller, youla_data
 from nesth2.synthesis import (
     build_phi_psi_system,
     centralized_h2,
@@ -135,6 +135,21 @@ def test_phi_psi_residuals_random():
     assert np.linalg.norm(M @ z - rhs) < 1e-8 * (1.0 + np.linalg.norm(rhs))
 
 
+def test_singular_coupling_system_is_refused(monkeypatch):
+    # a singular stacked system is refused with a message naming the
+    # coupling equations, not answered in the least-squares sense
+    import nesth2.synthesis as synthesis
+
+    def singular(terms):
+        side = 2 * terms.n1 * terms.n2
+        return np.zeros((side, side)), np.zeros(side)
+
+    monkeypatch.setattr(synthesis._CouplingTerms, "stacked_system", singular)
+    plant = make_decoupled()
+    with pytest.raises(SolverError, match="coupling equations .* singular"):
+        solve_phi_psi(plant, solve_four_ares(plant))
+
+
 def test_structured_gains_frozen_decoupled():
     plant = make_decoupled()
     bundle = solve_four_ares(plant)
@@ -198,7 +213,8 @@ def test_optimal_between_centralized_and_nominal():
     plant = make_random_fixture()
     res = optimal_controller(plant)
     n_opt = h2_norm(_closed_loop(plant, res.controller))
-    n_nom = h2_norm(_closed_loop(plant, nominal_controller(plant, res.gains)))
+    gains = youla_data(plant, res.bundle).gains
+    n_nom = h2_norm(_closed_loop(plant, nominal_controller(plant, gains)))
     _, n_cen = centralized_h2(plant)
     assert n_cen <= n_opt + 1e-9
     assert n_opt <= n_nom + 1e-9
@@ -225,8 +241,9 @@ def test_nominal_gains_reuse_the_local_riccati_gains():
     plant = make_random_fixture()
     res = optimal_controller(plant)
     n1, m1, k1 = plant.n1, plant.m1, plant.k1
-    assert np.array_equal(res.gains.K_d[m1:, n1:], res.bundle.K_loc2)
-    assert np.array_equal(res.gains.L_d[:n1, :k1], res.bundle.L_loc1)
+    gains = youla_data(plant, res.bundle).gains
+    assert np.array_equal(gains.K_d[m1:, n1:], res.bundle.K_loc2)
+    assert np.array_equal(gains.L_d[:n1, :k1], res.bundle.L_loc1)
 
 
 def test_centralized_h2_trace_formulas_agree():

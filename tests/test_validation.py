@@ -286,7 +286,7 @@ def test_readme_library_example_runs():
 def test_youla_parameters_structure():
     plant = make_random_fixture()
     synth = optimal_controller(plant)
-    data = youla_data(plant, synth.gains)
+    data = youla_data(plant, synth.bundle)
     Q_opt, Q_you = va.youla_parameters(plant, synth, data)
     assert Q_opt.nx == 2 * plant.n
     assert is_hurwitz(Q_opt.A)
@@ -297,7 +297,7 @@ def test_youla_parameters_structure():
 def test_structured_residual_zero_at_optimum():
     plant = make_random_fixture()
     synth = optimal_controller(plant)
-    data = youla_data(plant, synth.gains)
+    data = youla_data(plant, synth.bundle)
     res = va.structured_optimality_residual(data, synth.closed_loop)
     assert res[0, 1] == 0.0
     assert res.max() < 1e-7
@@ -307,13 +307,13 @@ def test_structured_residual_flags_zero_parameter():
     # the zero parameter closes the nominal controller, whose loop is T11
     plant = make_random_fixture()
     synth = optimal_controller(plant)
-    data = youla_data(plant, synth.gains)
+    data = youla_data(plant, synth.bundle)
     res = va.structured_optimality_residual(data, data.T11)
     assert max(res[0, 0], res[1, 0], res[1, 1]) > 1e-3
 
 
 def _constrained_residual(plant, synth, cl):
-    res = va.structured_optimality_residual(youla_data(plant, synth.gains), cl)
+    res = va.structured_optimality_residual(youla_data(plant, synth.bundle), cl)
     return max(res[0, 0], res[1, 0], res[1, 1])
 
 
@@ -344,7 +344,7 @@ def test_structured_residual_at_optimum_with_large_local_solutions(seed):
 def test_structured_residual_requires_partition():
     plant = make_random_fixture()
     synth = optimal_controller(plant)
-    data = dataclasses.replace(youla_data(plant, synth.gains), partition=None)
+    data = dataclasses.replace(youla_data(plant, synth.bundle), partition=None)
     with pytest.raises(ValueError, match="partition"):
         va.structured_optimality_residual(data, synth.closed_loop)
 
@@ -376,7 +376,7 @@ def test_centralized_match_rejects_feedthrough_target():
 def test_oracle_agrees_with_synthesis():
     plant = make_random_fixture()
     synth = optimal_controller(plant)
-    data = youla_data(plant, synth.gains)
+    data = youla_data(plant, synth.bundle)
     Q_oracle, n_oracle = va.vectorization_oracle(data)
     n_struct = _closed_norm(plant, synth)
     assert abs(n_oracle - n_struct) < 1e-6 * (1.0 + n_struct)
@@ -387,8 +387,9 @@ def test_oracle_agrees_with_synthesis():
 def test_oracle_unconstrained_matches_centralized_match():
     plant = make_decoupled_crosscost()
     synth = optimal_controller(plant)
-    data = youla_data(plant, synth.gains)
-    _, n_uncon = va.vectorization_oracle(data, partition=None)
+    data = youla_data(plant, synth.bundle)
+    _, n_uncon = va.vectorization_oracle(
+        dataclasses.replace(data, partition=None))
     Q_cen = va.centralized_model_match(data.T11, data.T12, data.T21)
     n_cen = h2_norm(minreal(data.T11 + data.T12 * Q_cen * data.T21))
     assert abs(n_uncon - n_cen) < 1e-8
@@ -396,12 +397,13 @@ def test_oracle_unconstrained_matches_centralized_match():
     assert n_con >= n_uncon - 1e-10
 
 
-def test_oracle_state_guard_trips():
+def test_oracle_state_guard_trips(monkeypatch):
     plant = make_random_fixture()
     synth = optimal_controller(plant)
-    data = youla_data(plant, synth.gains)
+    data = youla_data(plant, synth.bundle)
+    monkeypatch.setattr(va, "ORACLE_STATE_GUARD", 3)
     with pytest.raises(SolverError, match="guard"):
-        va.vectorization_oracle(data, state_guard=3)
+        va.vectorization_oracle(data)
 
 
 # ---------------------------------------------------------------------------
@@ -411,11 +413,12 @@ def test_oracle_state_guard_trips():
 def test_fixed_point_maps_agree_with_parameter_blocks():
     plant = make_random_fixture()
     synth = optimal_controller(plant)
-    g1, g2 = va.fixed_point_maps(plant, synth)
+    data = youla_data(plant, synth.bundle)
+    g1, g2 = va.fixed_point_maps(plant, synth, data)
     assert (g1.ny, g1.nu) == (plant.m2, plant.k2)
     assert (g2.ny, g2.nu) == (plant.m1, plant.k1)
     assert is_hurwitz(g1.A) and is_hurwitz(g2.A)
-    Q_opt, _ = va.youla_parameters(plant, synth, youla_data(plant, synth.gains))
+    Q_opt, _ = va.youla_parameters(plant, synth, data)
     blk11 = Q_opt.subsystem(rows=slice(0, plant.m1), cols=slice(0, plant.k1))
     assert va._markov_mismatch(g2, blk11) < 1e-7
 
