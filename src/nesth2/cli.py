@@ -203,6 +203,14 @@ def _attempt(rep, label, fn):
     return value
 
 
+def _needed(value, stage):
+    """The value an earlier check produced, or a SolverError that marks the
+    dependent check as skipped because that stage failed."""
+    if value is None:
+        raise SolverError(f"skipped: {stage} failed")
+    return value
+
+
 def _orthogonality(plant, synth):
     r1, r2 = va.orthogonality_residuals(plant, synth)
     if not (r1 <= ORTHOGONALITY_TOL and r2 <= ORTHOGONALITY_TOL):
@@ -251,21 +259,25 @@ def cmd_verify(plant, args):
         rep.number("orthogonality residual player 2", pair[1])
 
     def checked_hats():
-        if hats is None:
-            raise SolverError("skipped: gap Lyapunov identity chain failed")
-        return hats
+        return _needed(hats, "gap Lyapunov identity chain")
 
     deltas = attempt("decentralization cost certificates",
                      lambda: va.delta_cost(plant, synth, checked_hats()))
     if deltas is not None:
         rep.number("delta", deltas[0])
 
-    data = youla_data(plant, synth.bundle)
+    data = attempt("nominal gains for the parameterization",
+                   lambda: youla_data(plant, synth.bundle))
+
+    def checked_data():
+        return _needed(data, "nominal gains")
+
     attempt("parameter extraction round trip",
-            lambda: va.youla_parameters(plant, synth, data))
+            lambda: va.youla_parameters(plant, synth, checked_data()))
 
     def run_structured():
-        res = va.structured_optimality_residual(data, synth.closed_loop)
+        res = va.structured_optimality_residual(checked_data(),
+                                                synth.closed_loop)
         worst = float(np.max([res[0, 0], res[1, 0], res[1, 1]]))
         if not worst <= args.tol:
             raise SolverError(
@@ -276,12 +288,12 @@ def cmd_verify(plant, args):
         rep.number("structured residual", worst)
 
     attempt("partial-optimization fixed points",
-            lambda: va.fixed_point_maps(plant, synth, data))
+            lambda: va.fixed_point_maps(plant, synth, checked_data()))
 
     if args.oracle:
         def run_oracle():
             n_struct = h2_norm(synth.closed_loop)
-            _, n_oracle = va.vectorization_oracle(data)
+            _, n_oracle = va.vectorization_oracle(checked_data())
             rel = abs(n_oracle - n_struct) / (1.0 + n_struct)
             if not rel <= args.tol:
                 raise SolverError(f"oracle norm {n_oracle:.9e} disagrees "

@@ -40,20 +40,26 @@ def is_hurwitz(A, margin=HURWITZ_MARGIN):
     return bool(np.max(np.linalg.eigvals(A).real) < -margin)
 
 
-def _schur_sylvester(R, U, S, V, F, tranb, singular):
-    """Solve (U R U^T) X + X op(V S V^T) = F from real Schur factors.
+def triangular_sylvester(R, S, F, trana, tranb, singular):
+    """Solve op(R) Y + Y op(S) = F for quasi-triangular R and S.
 
-    op is the identity for tranb='N' and the transpose for tranb='T'. The
-    scaled LAPACK solution is divided by its overflow guard `scale`.
-    trsyl flags a singular operator (R and -op(S) share an eigenvalue) with
-    info == 1 and then solves a perturbed equation; that answer is refused
-    with SolverError(singular).
+    R and S are real Schur forms; op is the identity for 'N' and the
+    transpose for 'T'. The scaled LAPACK `trsyl` solution is divided by its
+    overflow guard `scale`. trsyl flags a singular operator (op(R) and
+    -op(S) share an eigenvalue) with info == 1 and then solves a perturbed
+    equation; that answer is refused with SolverError(singular).
     """
     trsyl, = scipy.linalg.get_lapack_funcs(("trsyl",), (R, S))
-    Y, scale, info = trsyl(R, S, U.T @ F @ V, tranb=tranb)
+    Y, scale, info = trsyl(R, S, F, trana=trana, tranb=tranb)
     if info == 1:
         raise SolverError(singular)
-    return U @ (Y / scale) @ V.T
+    return Y / scale
+
+
+def _schur_sylvester(R, U, S, V, F, tranb, singular):
+    """Solve (U R U^T) X + X op(V S V^T) = F from real Schur factors."""
+    return U @ triangular_sylvester(R, S, U.T @ F @ V, "N", tranb,
+                                    singular) @ V.T
 
 
 def solve_lyapunov(A, Q):

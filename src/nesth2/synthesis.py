@@ -3,7 +3,12 @@
 The optimum is assembled in three stages: four standard Riccati solutions
 (two centralized, two local), a pair of simultaneously solved linear matrix
 equations whose unknowns couple the local solutions to the centralized ones,
-and two structured gain matrices built from all of the above. The controller
+and two structured gain matrices built from all of the above. Each of the
+pair is a Sylvester equation in its own unknown plus a coupling term of rank
+at most r = min(n2 k1, m2 n1, n1 n2); `solve_phi_psi` eliminates one
+unknown and solves for the other by GMRES, which ends within r + 1 steps,
+with Bartels-Stewart solves from Schur forms taken once (Simoncini 2016,
+SIAM Review 58(3), sections 4-5). The controller
 itself carries 2n states: player 1's estimate of the plant state given only
 its own measurement history, and the full-measurement estimate that player 2
 can maintain, with the input blending the two.
@@ -13,13 +18,20 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
-from .linalg import RESIDUAL_TOL, SolverError, is_hurwitz, screen_are, solve_are
+from .linalg import (RESIDUAL_TOL, SolverError, is_hurwitz, screen_are,
+                     solve_are, triangular_sylvester)
 from .plant import (AssumptionError, Partition, TwoPlayerPlant,
                     check_assumptions, cost_cov_matrices)
 from .statespace import StateSpace, lft_lower
 
 CENTRALIZED_TOL = 1e-6
+EPS = np.finfo(float).eps
+#: a pivot of the coupling solve's Hessenberg factor at or below this
+#: multiple of 1 + ||I - K|| marks I - K as numerically singular
+SINGULAR_TOL = 64 * EPS
+_SINGULAR_SYLVESTER = "A_ctrl2 and -A_filt1 share an eigenvalue"
 
 
 @dataclass
@@ -57,12 +69,16 @@ class CouplingSolution:
     Both unknowns are n2 x n1. X_cross feeds the control-side structured
     gain (it measures how player 2's local control solution must react to
     subsystem 1's state); Y_cross plays the dual role on the filter side.
-    `residuals` holds the verified residuals of the two matrix equations.
+    `residuals` holds the verified residuals of the two matrix equations,
+    `steps` the GMRES steps the solve took and `rank_bound` the bound r on
+    the rank of the coupling; `steps` never exceeds r + 1.
     """
 
     X_cross: np.ndarray
     Y_cross: np.ndarray
     residuals: tuple
+    steps: int
+    rank_bound: int
 
 
 @dataclass
@@ -171,7 +187,11 @@ class _CouplingTerms:
 
     where G1 and G2 collect the data-only terms. The constant parts of the
     mixed terms are folded into G_phi and G_psi below, so each equation
-    becomes "linear map of (P, T) plus constant".
+    becomes "Sylvester operator of its own unknown, minus a coupling term,
+    plus constant". The P-equation sees T only through the n2 x k1 block
+    T C11', the T-equation sees P only through the m2 x n1 block
+    R22^-1 B22' P, so the coupling has rank at most
+    `rank_bound` = min(n2 k1, m2 n1, n1 n2).
     """
 
     def __init__(self, plant, bundle):
@@ -179,6 +199,7 @@ class _CouplingTerms:
         n1 = plant.n1
         self.n1 = n1
         self.n2 = plant.n2
+        self.rank_bound = min(self.n2 * plant.k1, plant.m2 * n1, n1 * self.n2)
         self.AJ = bundle.A_ctrl2
         self.AM = bundle.A_filt1
         self.dX = bundle.X_loc2 - bundle.X_cen[n1:, n1:]
@@ -217,12 +238,6 @@ class _CouplingTerms:
                              self.G_psi.flatten(order="F")])
         return M, b
 
-    def unpack(self, z):
-        N = self.n1 * self.n2
-        shape = (self.n2, self.n1)
-        return (z[:N].reshape(shape, order="F"),
-                z[N:].reshape(shape, order="F"))
-
     def residuals(self, Phi, Psi):
         """Residual norms of both matrix equations with relative scales."""
         mix_phi = self.dX @ (Psi @ self.C11.T) @ self.ViC
@@ -235,24 +250,90 @@ class _CouplingTerms:
         s_psi = 1.0 + sum(np.linalg.norm(t) for t in t_psi)
         return r_phi, r_psi, s_phi, s_psi
 
+    def refusal(self, why, Phi, Psi, steps):
+        """SolverError naming the coupling equations, with the residuals of
+        (Phi, Psi) against their scales, the Krylov steps and the bound r."""
+        r_phi, r_psi, s_phi, s_psi = self.residuals(Phi, Psi)
+        return SolverError(
+            f"coupling equations for (X_cross, Y_cross) {why}: "
+            f"residual/scale {r_phi:.2e}/{s_phi:.2e} (X_cross), "
+            f"{r_psi:.2e}/{s_psi:.2e} (Y_cross) after {steps} Krylov steps, "
+            f"rank bound r = {self.rank_bound}")
+
 
 def build_phi_psi_system(plant, bundle):
-    """Stack both coupling equations into one dense linear system.
+    """Dense oracle for tests: both coupling equations as one linear system.
 
     Unknowns are vec(X_cross) then vec(Y_cross), column-major. Returns
     (M, b) with M square of side 2 * n1 * n2 and M z = b equivalent to the
-    two matrix equations.
+    two matrix equations. `solve_phi_psi` never forms it.
     """
     return _CouplingTerms(plant, bundle).stacked_system()
+
+
+def _gmres(apply, c, max_steps):
+    """Unrestarted GMRES from zero for apply(x) = c, at most max_steps steps.
+
+    Arnoldi by classical Gram-Schmidt run twice; Givens rotations update the
+    residual estimate. Stops when the estimate reaches rounding level
+    (EPS ||c||), when Arnoldi breaks down, or after max_steps. Returns
+    (x, steps, singular); `singular` is set when a pivot of the rotated
+    Hessenberg factor is at rounding level against 1 + ||apply|| as seen on
+    the basis, and x is then the iterate of the steps before that pivot.
+    """
+    beta = np.linalg.norm(c)
+    if beta == 0.0:
+        return np.zeros_like(c), 0, False
+    basis = [c / beta]
+    rotations, columns, g = [], [], [beta]
+    size = 1.0
+    for step in range(max_steps):
+        w = apply(basis[step])
+        size = max(size, 1.0 + np.linalg.norm(w))
+        V = np.array(basis)
+        h = V @ w
+        w = w - h @ V
+        h2 = V @ w
+        w = w - h2 @ V
+        h = h + h2
+        h_next = np.linalg.norm(w)
+        for i, (cs, sn) in enumerate(rotations):
+            h[i], h[i + 1] = cs * h[i] + sn * h[i + 1], cs * h[i + 1] - sn * h[i]
+        rho = math.hypot(h[step], h_next)
+        cs, sn = (h[step] / rho, h_next / rho) if rho > 0.0 else (1.0, 0.0)
+        rotations.append((cs, sn))
+        h[step] = rho
+        columns.append(h)
+        g.append(-sn * g[step])
+        g[step] *= cs
+        if not (abs(g[-1]) > EPS * beta and h_next > EPS * size):
+            break
+        basis.append(w / h_next)
+    steps = len(columns)
+    pivots = np.abs([col[i] for i, col in enumerate(columns)])
+    small = np.flatnonzero(pivots <= SINGULAR_TOL * size)
+    kept = int(small[0]) if small.size else steps
+    R = np.zeros((kept, kept))
+    for i in range(kept):
+        R[:i + 1, i] = columns[i]
+    y = scipy.linalg.solve_triangular(R, g[:kept], check_finite=False)
+    x = y @ np.array(basis[:kept]).reshape(kept, c.size)
+    return x, steps, kept < steps
 
 
 def solve_phi_psi(plant, bundle):
     """Solve the coupled pair of linear matrix equations.
 
-    One dense solve of the stacked system of `build_phi_psi_system`; a
-    singular system is refused, not solved in the least-squares sense. Both
-    matrix equations are then re-evaluated, and each must pass a residual
-    check at RESIDUAL_TOL relative to the size of its terms.
+    With the Sylvester operators Lphi(P) = A_ctrl2' P + P A_filt1 and
+    Lpsi(T) = A_ctrl2 T + T A_filt1', eliminating
+    T = Lpsi^-1(B22 R22^-1 (B22' P) dY) + T0 leaves (I - K) P = c with
+    rank K <= r = min(n2 k1, m2 n1, n1 n2) (see `_CouplingTerms`). Real
+    Schur forms of A_ctrl2 and A_filt1 are computed once; LAPACK `trsyl`
+    applies Lphi^-1 and Lpsi^-1 in their coordinates, and unrestarted GMRES
+    solves for P. GMRES on I - K terminates in at most r + 1 steps, which is
+    its step cap. T is then recovered, and both matrix equations must pass a
+    residual check at RESIDUAL_TOL relative to the size of their terms. The
+    dense system of `build_phi_psi_system` is never formed.
 
     Returns
     -------
@@ -261,24 +342,53 @@ def solve_phi_psi(plant, bundle):
     Raises
     ------
     SolverError
-        If the stacked system is singular or a residual check fails; the
-        message names the coupling equations.
+        If a Sylvester operator or I - K is singular, or a residual check
+        fails. The message names the coupling equations and gives the
+        residual and scale of both equations, the Krylov steps and r.
     """
     terms = _CouplingTerms(plant, bundle)
-    M, b = terms.stacked_system()
+    R, U = scipy.linalg.schur(terms.AJ, output="real")
+    S, V = scipy.linalg.schur(terms.AM, output="real")
+    shape = (terms.n2, terms.n1)
+    # the coupling factors in the Schur coordinates P = U P~ V'
+    Bt, Rt, Dy = U.T @ terms.B22, terms.RiB @ U, V.T @ terms.dY @ V
+    Dx, Ct, Vt = U.T @ terms.dX @ U, V.T @ terms.C11.T, terms.ViC @ V
+
+    def inv_phi(F):
+        return triangular_sylvester(R, S, F, "T", "N", _SINGULAR_SYLVESTER)
+
+    def inv_psi(F):
+        return triangular_sylvester(R, S, F, "N", "T", _SINGULAR_SYLVESTER)
+
+    def psi_of(P):
+        return inv_psi(Bt @ ((Rt @ P) @ Dy))
+
+    def phi_of(T):
+        return inv_phi((Dx @ (T @ Ct)) @ Vt)
+
+    def apply(p):
+        P = p.reshape(shape)
+        return p - phi_of(psi_of(P)).ravel()
+
     try:
-        z = np.linalg.solve(M, b)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError("coupling equations for (X_cross, Y_cross) are "
-                          f"singular: {exc}") from exc
-    Phi, Psi = terms.unpack(z)
+        T0 = inv_psi(-(U.T @ terms.G_psi @ V))
+        c = phi_of(T0) - inv_phi(U.T @ terms.G_phi @ V)
+    except SolverError as exc:
+        zero = np.zeros(shape)
+        raise terms.refusal(f"are singular: {exc}", zero, zero, 0) from exc
+    p, steps, singular = _gmres(apply, c.ravel(), terms.rank_bound + 1)
+    Pt = p.reshape(shape)
+    Phi = U @ Pt @ V.T
+    Psi = U @ (psi_of(Pt) + T0) @ V.T
+    if singular:
+        raise terms.refusal("are singular: I - K has a pivot at rounding "
+                            "level", Phi, Psi, steps)
     r_phi, r_psi, s_phi, s_psi = terms.residuals(Phi, Psi)
     if not (r_phi <= RESIDUAL_TOL * s_phi and r_psi <= RESIDUAL_TOL * s_psi):
-        raise SolverError(
-            "coupling equations did not verify: residuals "
-            f"{r_phi:.2e}, {r_psi:.2e}")
+        raise terms.refusal("did not verify", Phi, Psi, steps)
     return CouplingSolution(X_cross=Phi, Y_cross=Psi,
-                            residuals=(float(r_phi), float(r_psi)))
+                            residuals=(float(r_phi), float(r_psi)),
+                            steps=steps, rank_bound=terms.rank_bound)
 
 
 def structured_gains(plant, bundle, coupling):

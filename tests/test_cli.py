@@ -82,11 +82,18 @@ def test_synthesis_does_not_screen_the_nominal_equations(tmp_path, capsys):
         assert main([command, path]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out and "verdict: pass" in out
-    assert main(["verify", path]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: nominal gains, player-1 control "
-                                   "equation: axis-rank condition fails")
+    # verify names the failing stage and skips the checks that need it
+    assert main(["verify", path, "--oracle"]) == 2
+    out = capsys.readouterr().out
+    assert ("FAIL  nominal gains for the parameterization: nominal gains, "
+            "player-1 control equation: axis-rank condition fails") in out
+    for label in ("parameter extraction round trip",
+                  "structured optimality certificate",
+                  "partial-optimization fixed points",
+                  "vectorization oracle agreement"):
+        assert f"FAIL  {label}: skipped: nominal gains failed" in out
+    assert "pass  decentralization cost certificates" in out
+    assert "verdict: FAIL" in out
 
 
 def test_check_passes_on_clean_plant(tmp_path, capsys):

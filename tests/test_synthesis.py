@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -135,19 +137,61 @@ def test_phi_psi_residuals_random():
     assert np.linalg.norm(M @ z - rhs) < 1e-8 * (1.0 + np.linalg.norm(rhs))
 
 
-def test_singular_coupling_system_is_refused(monkeypatch):
-    # a singular stacked system is refused with a message naming the
-    # coupling equations, not answered in the least-squares sense
-    import nesth2.synthesis as synthesis
+def test_singular_coupling_system_is_refused():
+    # On the scalar plant of the Cramer oracle, dX chosen so that
+    # cvc dX brb dY = (aJ + aM)^2 makes the stacked determinant, and with it
+    # I - K, vanish; the solve refuses instead of returning a huge answer.
+    plant = random_plant(seed=5, n_split=(1, 1))
+    bundle = solve_four_ares(plant)
+    cc = cost_cov_matrices(plant)
+    diag = bundle.A_ctrl2.item() + bundle.A_filt1.item()
+    dY = bundle.Y_loc1.item() - bundle.Y_cen[0, 0]
+    cvc = plant.C2_11.item() ** 2 / cc.V11.item()
+    brb = plant.B2_22.item() ** 2 / cc.R22.item()
+    dX = diag * diag / (cvc * brb * dY)
+    patched = dataclasses.replace(bundle, X_loc2=bundle.X_cen[1:, 1:] + dX)
+    with pytest.raises(SolverError, match=r"coupling equations .* singular.*"
+                       r"residual/scale .* after 1 Krylov steps, rank bound "
+                       r"r = 1"):
+        solve_phi_psi(plant, patched)
 
-    def singular(terms):
-        side = 2 * terms.n1 * terms.n2
-        return np.zeros((side, side)), np.zeros(side)
 
-    monkeypatch.setattr(synthesis._CouplingTerms, "stacked_system", singular)
-    plant = make_decoupled()
-    with pytest.raises(SolverError, match="coupling equations .* singular"):
-        solve_phi_psi(plant, solve_four_ares(plant))
+def test_singular_sylvester_operator_is_refused():
+    # A_ctrl2 and -A_filt1 share an eigenvalue: trsyl flags both Sylvester
+    # operators as singular before any Krylov step.
+    plant = random_plant(seed=5, n_split=(1, 1))
+    bundle = solve_four_ares(plant)
+    patched = dataclasses.replace(bundle, A_filt1=-bundle.A_ctrl2)
+    with pytest.raises(SolverError, match=r"coupling equations .* singular: "
+                       r"A_ctrl2 and -A_filt1 share an eigenvalue: "
+                       r"residual/scale .* after 0 Krylov steps"):
+        solve_phi_psi(plant, patched)
+
+
+ORACLE_PLANTS = {
+    "split-1-1": dict(seed=11, n_split=(1, 1)),
+    "split-2-1": dict(seed=11, n_split=(2, 1)),
+    "split-1-2": dict(seed=11, n_split=(1, 2)),
+    "split-2-2": dict(seed=11, n_split=(2, 2)),
+    "square-4-4": dict(seed=3, n_split=(4, 4), m_split=(4, 4), k_split=(4, 4)),
+    "non-square": dict(seed=4, n_split=(3, 5), m_split=(1, 2), k_split=(2, 1)),
+    "stress-16-0": dict(seed=0, n_split=(8, 8), scale_cap=None),
+    "stress-24-1": dict(seed=1, n_split=(12, 12), scale_cap=None),
+}
+
+
+@pytest.mark.parametrize("draw", ORACLE_PLANTS.values(), ids=ORACLE_PLANTS)
+def test_structured_coupling_solve_matches_dense_oracle(draw):
+    plant = random_plant(**draw)
+    bundle = solve_four_ares(plant)
+    sol = solve_phi_psi(plant, bundle)
+    M, rhs = build_phi_psi_system(plant, bundle)
+    z = np.concatenate([sol.X_cross.flatten(order="F"),
+                        sol.Y_cross.flatten(order="F")])
+    assert np.linalg.norm(M @ z - rhs) <= 1e-8 * (1.0 + np.linalg.norm(rhs))
+    n1, n2 = plant.n1, plant.n2
+    assert sol.rank_bound == min(n2 * plant.k1, plant.m2 * n1, n1 * n2)
+    assert 1 <= sol.steps <= sol.rank_bound + 1
 
 
 def test_structured_gains_frozen_decoupled():
