@@ -1,17 +1,16 @@
 """Path-simulation kernel for the Monte Carlo covariance check.
 
-Samples the linear SDE dx = A x dt + B dW, x(0) = 0, across many independent
-paths with the exact discrete transition: over a step of length dt,
+Samples the terminal state of the linear SDE dx = A x dt + B dW, x(0) = 0,
+at time t across many independent paths. That state is exactly Gaussian,
 
-    x <- Phi x + S eta,   Phi = e^{A dt},
-    S S^T = Q_d = int_0^dt e^{As} B B^T e^{A^T s} ds,
+    x(t) = S eta,   S S^T = Q(t) = int_0^t e^{As} B B^T e^{A^T s} ds,
 
-with eta standard normal. The samples have exactly the distribution of the
-continuous-time state at the step times, so the step length sets resolution
-only and the one error left is sampling error. Phi and Q_d come from the
-block exponential of Van Loan (1978, IEEE TAC 23(3)) on a short sub-step,
-doubled up to dt. One numpy generator drives every path, so a seed fixes
-the result.
+with eta standard normal. Exact transitions compose, so one draw per path
+has the law that any number of exact steps to t would reach. The one error
+left is sampling error, and the sample covariance has the exact Wishart
+law. Q(t) comes from the block exponential of Van Loan (1978, IEEE TAC
+23(3)) on a short sub-step, doubled up to t. One numpy generator draws
+every path, so a seed fixes the result.
 """
 
 import numpy as np
@@ -73,24 +72,15 @@ def noise_factor(Q):
 def terminal_state_covariance(A, B, dt, n_steps, n_paths, seed):
     """Sample covariance of x(n_steps dt) for dx = A x dt + B dW, x(0) = 0.
 
-    Takes `n_steps` exact steps of length `dt` on `n_paths` independent paths
-    and returns the sample covariance of the terminal states, with the
+    Draws the terminal states of `n_paths` independent paths in one exact
+    step of length n_steps dt and returns their sample covariance, with the
     n_paths - 1 normalization.
     """
-    Phi, Q = transition(A, B, dt)
+    _, Q = transition(A, B, dt * n_steps)
     S = noise_factor(Q)
     rng = np.random.default_rng(int(seed))
     n_paths = int(n_paths)
-    X = np.zeros((Phi.shape[0], n_paths))
-    PX = np.empty_like(X)
-    eta = np.empty_like(X)
-    # X = Phi X + S eta in preallocated buffers: a fresh (n, n_paths) array
-    # per step is large enough that malloc may map and unmap it every time.
-    for _ in range(int(n_steps)):
-        np.matmul(Phi, X, out=PX)
-        rng.standard_normal(out=eta)
-        np.matmul(S, eta, out=X)
-        X += PX
+    X = S @ rng.standard_normal((S.shape[0], n_paths))
     X -= X.mean(axis=1, keepdims=True)
     cov = X @ X.T / (n_paths - 1.0)
     return 0.5 * (cov + cov.T)

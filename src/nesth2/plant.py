@@ -14,6 +14,7 @@ and are not stored.
 """
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,12 +26,14 @@ from .stabilization import (StabilizabilityDiagnostics,
 
 
 def _pair(v, name):
-    t = tuple(int(x) for x in v)
-    if len(t) != 2:
-        raise ValueError(f"{name} split must have exactly two entries")
-    if min(t) < 1:
-        raise ValueError(f"{name} split must be positive, got {t}")
-    return t
+    # two positive integers; a float equal to one counts, a bool does not
+    t = tuple(v) if isinstance(v, (list, tuple, np.ndarray)) else ()
+    if len(t) != 2 or not all(
+            isinstance(x, numbers.Real) and not isinstance(x, bool)
+            and float(x).is_integer() and x >= 1 for x in t):
+        raise ValueError(f"{name} split must be two positive integers, "
+                         f"got {v!r}")
+    return tuple(int(x) for x in t)
 
 
 @dataclass(frozen=True)
@@ -373,6 +376,8 @@ def plant_from_dict(data):
     if "partitions" not in data:
         raise ValueError("missing 'partitions' entry")
     parts = data["partitions"]
+    if not isinstance(parts, dict):
+        raise ValueError("'partitions' must be an object")
     for key in ("n", "m", "k"):
         if key not in parts:
             raise ValueError(f"partitions must contain '{key}'")

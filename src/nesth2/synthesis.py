@@ -87,13 +87,11 @@ class SynthesisResult:
 
     K_private is the feedback applied to the private part of the state
     estimate (its first block row is zero), L_common the injection applied
-    to the shared measurement y1 (its second block column is zero), and
-    cross_gain is the (2,1) block of K_private. A_gap drives the gap between
-    the two internal estimates and is Hurwitz with diagonal blocks A_filt1
-    and A_ctrl2. A_zeta and A_xi are the diagonal blocks of the controller
-    state matrix in the order (zeta, xi) = (player-1 estimate,
-    full-measurement estimate). `controller` is the realization in those
-    coordinates; `controller_alt` is the second displayed realization with
+    to the shared measurement y1 (its second block column is zero). A_gap
+    drives the gap between the two internal estimates and is Hurwitz with
+    diagonal blocks A_filt1 and A_ctrl2. `controller` is the realization in
+    the coordinates (zeta, xi) = (player-1 estimate, full-measurement
+    estimate); `controller_alt` is the second displayed realization with
     the same transfer function. `closed_loop` is the Hurwitz w -> z loop of
     the generalized plant under `controller`, with 3n states in the order
     (plant, zeta, xi). `centralized_norm` is the closed-loop H2 norm of the
@@ -107,10 +105,7 @@ class SynthesisResult:
     coupling: CouplingSolution
     K_private: np.ndarray
     L_common: np.ndarray
-    cross_gain: np.ndarray
     A_gap: np.ndarray
-    A_zeta: np.ndarray
-    A_xi: np.ndarray
     controller: StateSpace
     controller_alt: StateSpace
     closed_loop: StateSpace
@@ -394,10 +389,10 @@ def solve_phi_psi(plant, bundle):
 def structured_gains(plant, bundle, coupling):
     """Assemble the structured feedback and injection gains.
 
-    Returns (K_private, L_common, cross_gain). K_private is m x n with zero
-    first block row, its (2,2) block is K_loc2 and its (2,1) block is the
-    returned cross_gain. L_common is n x k with zero second block column and
-    L_loc1 in its (1,1) block.
+    Returns (K_private, L_common). K_private is m x n with zero first block
+    row and K_loc2 in its (2,2) block; its (2,1) block is the cross gain
+    from the coupling solution. L_common is n x k with zero second block
+    column and L_loc1 in its (1,1) block.
     """
     cc = cost_cov_matrices(plant)
     n1, m1, k1 = plant.n1, plant.m1, plant.k1
@@ -409,7 +404,7 @@ def structured_gains(plant, bundle, coupling):
     L_common[:n1, :k1] = bundle.L_loc1
     num = coupling.Y_cross @ plant.C2_11.T + cc.U12.T
     L_common[n1:, :k1] = -np.linalg.solve(cc.V11.T, num.T).T
-    return K_private, L_common, H
+    return K_private, L_common
 
 
 def controller_realizations(plant, bundle, K_private, L_common):
@@ -470,7 +465,7 @@ def optimal_controller(plant):
             "plant fails admissibility checks: " + ", ".join(report.failures))
     bundle = solve_four_ares(plant)
     coupling = solve_phi_psi(plant, bundle)
-    K_private, L_common, cross_gain = structured_gains(plant, bundle, coupling)
+    K_private, L_common = structured_gains(plant, bundle, coupling)
     A_gap = plant.A + plant.B2 @ K_private + L_common @ plant.C2
     if not is_hurwitz(A_gap, margin=0.0):
         raise SolverError("estimate-gap dynamics are not Hurwitz")
@@ -479,12 +474,9 @@ def optimal_controller(plant):
     closed = lft_lower(plant.generalized(), controller, plant.nz, plant.nw)
     if not is_hurwitz(closed.A, margin=0.0):
         raise SolverError("synthesized closed loop is not Hurwitz")
-    n = plant.n
     return SynthesisResult(
         bundle=bundle, coupling=coupling,
-        K_private=K_private, L_common=L_common, cross_gain=cross_gain,
-        A_gap=A_gap,
-        A_zeta=controller.A[:n, :n], A_xi=controller.A[n:, n:],
+        K_private=K_private, L_common=L_common, A_gap=A_gap,
         controller=controller, controller_alt=controller_alt,
         closed_loop=closed, centralized_norm=_centralized_norm(
             plant.B1, plant.C1, plant.D12, plant.D21,

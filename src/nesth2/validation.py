@@ -762,11 +762,13 @@ def simulated_error_covariance(plant, synth, n_paths=10000,
                                horizon_constants=50.0, seed=101):
     """Terminal sample covariance of the player-1 estimation error.
 
-    Simulates `synth.closed_loop` under unit-intensity white noise with the exact
-    discrete transition, one step per slowest closed-loop time constant, and
-    returns the sample covariance of x - zeta at the final time, which should
-    match Y_common. The horizon is the given multiple of that time constant,
-    rounded up to whole steps; the seed is fixed for reproducibility.
+    Samples `synth.closed_loop` under unit-intensity white noise from rest
+    and returns the sample covariance of x - zeta at the final time, which
+    should match Y_common. The horizon is the given multiple of the slowest
+    closed-loop time constant, rounded up to a whole number of them. Each
+    path's terminal state is drawn in one step from its exact Gaussian law
+    N(0, Q(horizon)), because exact transitions compose; the one error left
+    is sampling error. The seed is fixed for reproducibility.
     """
     cl = synth.closed_loop
     decay = -np.max(np.linalg.eigvals(cl.A).real)

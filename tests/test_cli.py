@@ -9,6 +9,7 @@ from nesth2.fixtures import (
     make_decoupled,
     make_random_fixture,
     make_unstabilizable_pair,
+    random_plant,
 )
 from nesth2.linalg import SolverError
 from nesth2.plant import Partition, TwoPlayerPlant, plant_to_dict
@@ -143,6 +144,22 @@ def test_malformed_input_is_input_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("parts", [
+    {"n": 5}, {"n": [1, None]}, "nmk", {"n": [1.7, 1.4]}, {"n": [True, 1]},
+])
+def test_malformed_partitions_are_input_errors(tmp_path, capsys, parts):
+    def mangle(data):
+        if isinstance(parts, dict):
+            data["partitions"].update(parts)
+        else:
+            data["partitions"] = parts
+    path = _write_plant(tmp_path, make_decoupled(), mangle=mangle)
+    assert main(["check", path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "split must be" in err or "'partitions' must be" in err
+
+
 def test_synthesize_rejection_exit_code(tmp_path, capsys):
     path = _write_plant(tmp_path, make_unstabilizable_pair())
     assert main(["synthesize", path]) == 1
@@ -199,6 +216,21 @@ def test_verify_with_oracle_passes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "vectorization oracle agreement" in out
     assert "verdict: pass" in out
+
+
+@pytest.mark.parametrize("n", [None, 8, 16, 20])
+def test_benchmark_requests_pass(tmp_path, capsys, n):
+    # the fixed requests the benchmark times, which it counts only when they
+    # pass: the README's Monte Carlo example and the plant-size sweep
+    if n is None:
+        path = _write_plant(tmp_path, make_random_fixture())
+        argv = ["verify", path, "--oracle", "--seed", "7"]
+    else:
+        h = n // 2
+        path = _write_plant(tmp_path, random_plant(0, (h, h), (h, h), (h, h)))
+        argv = ["verify", path]
+    assert main(argv) == 0
+    assert "verdict: pass" in capsys.readouterr().out
 
 
 def test_verify_oracle_guard_failure_is_numerical(tmp_path, capsys, monkeypatch):

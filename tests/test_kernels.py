@@ -79,9 +79,31 @@ def test_terminal_covariance_matches_stationary_covariance():
     assert _rel(cov, P) < 0.05
 
 
+def test_terminal_covariance_depends_on_the_horizon_only():
+    # one exact draw at n_steps dt: how the horizon is split does not matter
+    A, B = _stiff_loop(n=4, spread=10.0)
+    coarse = terminal_state_covariance(A, B, 1.0, 10, 500, seed=9)
+    fine = terminal_state_covariance(A, B, 0.5, 20, 500, seed=9)
+    assert np.array_equal(coarse, fine)
+
+
+def test_terminal_covariance_has_the_wishart_spread():
+    # the sample covariance of N paths of N(0, P) has
+    # E ||S - P||_F^2 = (tr(P^2) + tr(P)^2) / (N - 1)
+    A, B = _stiff_loop(n=4, spread=10.0)
+    n_paths = 2000
+    P = transition(A, B, 10.0)[1]
+    expected = (np.trace(P @ P) + np.trace(P) ** 2) / (n_paths - 1)
+    mean_sq = np.mean([
+        np.linalg.norm(terminal_state_covariance(A, B, 1.0, 10, n_paths,
+                                                 seed=s) - P) ** 2
+        for s in range(200)])
+    assert abs(mean_sq / expected - 1.0) < 0.2
+
+
 def test_kernel_memory_stays_small():
-    # 9 states, 50 steps, 10,000 paths: three (9, 10000) buffers are 2.2 MB;
-    # the noise of all steps at once would be 36 MB
+    # 9 states, 10,000 paths: the normals and the states are one (9, 10000)
+    # array each, 0.72 MB; noise for 50 steps at once would be 36 MB
     rng = np.random.default_rng(1)
     A = rng.standard_normal((9, 9))
     A -= (np.max(np.linalg.eigvals(A).real) + 1.0) * np.eye(9)

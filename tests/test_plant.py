@@ -266,6 +266,29 @@ def test_json_missing_key_rejected():
         plant_from_dict({"partitions": {"n": [1, 1]}})
 
 
+def _mangle_partitions(data, parts):
+    if isinstance(parts, dict):
+        data["partitions"].update(parts)
+    else:
+        data["partitions"] = parts
+
+
+@pytest.mark.parametrize("parts", [
+    {"n": 5}, {"n": [1, None]}, "nmk", {"n": [1.7, 1.4]}, {"n": [True, 1]},
+])
+def test_json_malformed_partitions_rejected(parts):
+    d = plant_to_dict(make_decoupled())
+    _mangle_partitions(d, parts)
+    with pytest.raises(ValueError, match="partitions|split"):
+        plant_from_dict(d)
+
+
+def test_partition_accepts_integral_numbers():
+    p = Partition((2.0, np.int64(1)), np.array([1, 1]), [1, 1])
+    assert p.n == (2, 1) and p.m == (1, 1)
+    assert all(type(x) is int for x in p.n + p.m)
+
+
 def test_json_structural_violation_rejected(tmp_path):
     d = plant_to_dict(make_decoupled())
     d["A"][0][1] = 0.25  # breaks the required sparsity

@@ -198,12 +198,12 @@ def test_structured_gains_frozen_decoupled():
     plant = make_decoupled()
     bundle = solve_four_ares(plant)
     sol = solve_phi_psi(plant, bundle)
-    K_private, L_common, H = structured_gains(plant, bundle, sol)
+    K_private, L_common = structured_gains(plant, bundle, sol)
     assert np.allclose(K_private, np.diag([0.0, 2.0 - SQRT5]), atol=1e-10)
     expected_L = np.zeros((2, 2))
     expected_L[0, 0] = 1.0 - SQRT2
     assert np.allclose(L_common, expected_L, atol=1e-10)
-    assert np.abs(H).max() < 1e-10
+    assert np.abs(K_private[plant.m1:, :plant.n1]).max() < 1e-10
 
 
 def test_structured_gains_sparsity_exact():
@@ -214,7 +214,6 @@ def test_structured_gains_sparsity_exact():
     assert np.all(res.L_common[:, k1:] == 0.0)
     assert np.allclose(res.K_private[m1:, plant.n1:], res.bundle.K_loc2)
     assert np.allclose(res.L_common[:plant.n1, :k1], res.bundle.L_loc1)
-    assert np.allclose(res.cross_gain, res.K_private[m1:, :plant.n1])
 
 
 def test_gap_dynamics_block_lower_with_local_loops():
@@ -268,11 +267,9 @@ def test_zeta_xi_blocks_match_realization():
     plant = make_random_fixture()
     res = optimal_controller(plant)
     n = plant.n
-    assert np.allclose(res.A_zeta, res.controller.A[:n, :n])
-    assert np.allclose(res.A_xi, res.controller.A[n:, n:])
     expected_zeta = (plant.A + plant.B2 @ res.bundle.K_cen
                      + res.L_common @ plant.C2)
-    assert np.allclose(res.A_zeta, expected_zeta, atol=1e-12)
+    assert np.allclose(res.controller.A[:n, :n], expected_zeta, atol=1e-12)
 
 
 def test_synthesis_carries_the_centralized_norm():
@@ -374,7 +371,7 @@ def test_decoupled_dynamics_make_local_filter_exact():
     res = optimal_controller(plant)
     n1 = plant.n1
     assert np.abs(res.bundle.Y_loc1 - res.bundle.Y_cen[:n1, :n1]).max() < 1e-8
-    assert np.abs(res.cross_gain).max() > 1e-3
+    assert np.abs(res.K_private[plant.m1:, :n1]).max() > 1e-3
 
     K_zero_H = res.K_private.copy()
     K_zero_H[plant.m1:, :n1] = 0.0
