@@ -358,10 +358,21 @@ def _parse_args(argv):
     return parser.parse_args(argv)
 
 
+def _check_args(args):
+    """Refuse option values the checks cannot use, as malformed input."""
+    if args.seed is not None and args.seed < 0:
+        raise ValueError(f"--seed must be a nonnegative integer, "
+                         f"got {args.seed}")
+    if not (np.isfinite(args.tol) and args.tol >= 0.0):
+        raise ValueError(f"--tol must be a finite nonnegative number, "
+                         f"got {args.tol}")
+
+
 def main(argv=None):
     args = _parse_args(argv)
     start = time.perf_counter()
     try:
+        _check_args(args)
         plant = load_plant(args.plant)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

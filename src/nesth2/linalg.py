@@ -8,6 +8,14 @@ time and O(n^2) memory, where vectorizing with Kronecker products would cost
 O(n^6) time and O(n^4) memory. Every solver verifies its result with a
 residual check scaled to the size of the equation's terms.
 
+A state matrix is factored once. Its real Schur form A = U T U^T carries the
+spectrum on the diagonal of T (LAPACK's standardized 2 x 2 blocks have equal
+diagonal entries, the real part of the pair), so the Hurwitz test reads it
+there, and the same (T, U) serves A P + P A^T and A^T P + P A through
+`trsyl`'s transpose flags. `h2_norm` takes both Gramians and its stability
+test from one factorization; `solve_lyapunov` and `solve_sylvester` are thin
+wrappers over the same from-Schur solvers.
+
 The structural preconditions of a Riccati equation are PBH rank tests, one
 SVD at each eigenvalue in the region of interest: stabilizability, and the
 absence of invariant zeros on the imaginary axis, which `axis_rank_ok`
@@ -56,10 +64,62 @@ def triangular_sylvester(R, S, F, trana, tranb, singular):
     return Y / scale
 
 
-def _schur_sylvester(R, U, S, V, F, tranb, singular):
-    """Solve (U R U^T) X + X op(V S V^T) = F from real Schur factors."""
-    return U @ triangular_sylvester(R, S, U.T @ F @ V, "N", tranb,
+def _real_schur(A):
+    """Real Schur form (T, U) of a square A = U T U^T.
+
+    A 0 x 0 matrix gives empty factors. Like `np.linalg.eigvals`, a matrix
+    with a NaN or infinite entry raises LinAlgError.
+    """
+    if A.shape[0] == 0:
+        return np.zeros((0, 0)), np.zeros((0, 0))
+    if not np.isfinite(A).all():
+        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+    return scipy.linalg.schur(A, output="real", check_finite=False)
+
+
+def _hurwitz_schur(A, message):
+    """Real Schur form (T, U) of A, or SolverError(message) unless every
+    eigenvalue has Re < -HURWITZ_MARGIN.
+
+    The real parts are the diagonal of T: real eigenvalues sit there, and
+    each standardized 2 x 2 block carries the real part of its pair on both
+    diagonal entries.
+    """
+    T, U = _real_schur(A)
+    if T.shape[0] and not np.max(np.diag(T)) < -HURWITZ_MARGIN:
+        raise SolverError(message)
+    return T, U
+
+
+def _schur_sylvester(R, U, S, V, F, trana, tranb, singular):
+    """Solve op(U R U^T) X + X op(V S V^T) = F from real Schur factors."""
+    return U @ triangular_sylvester(R, S, U.T @ F @ V, trana, tranb,
                                     singular) @ V.T
+
+
+def _lyapunov_from_schur(A, schur, Q, trans):
+    """Solve op(A) P + P op(A)^T + Q = 0 given schur = (T, U) of A.
+
+    op is the identity for trans 'N' and the transpose for 'T', so one
+    factorization of A serves both Gramians. Raises SolverError when the
+    equation is singular or the residual check fails. If Q is symmetric the
+    result is symmetrized.
+    """
+    n = A.shape[0]
+    if n == 0:
+        return np.zeros((0, 0))
+    T, U = schur
+    P = _schur_sylvester(
+        T, U, T, U, -Q, trans, "T" if trans == "N" else "N",
+        "singular Lyapunov operator: A and -A^T share an eigenvalue")
+    if np.linalg.norm(Q - Q.T) <= 1e-12 * max(1.0, np.linalg.norm(Q)):
+        P = 0.5 * (P + P.T)
+    opA = A if trans == "N" else A.T
+    res = np.linalg.norm(opA @ P + P @ opA.T + Q)
+    scale = 1.0 + np.linalg.norm(Q) + 2.0 * np.linalg.norm(A) * np.linalg.norm(P)
+    if not res <= RESIDUAL_TOL * scale:
+        raise SolverError(f"Lyapunov residual {res:.2e} exceeds tolerance")
+    return P
 
 
 def solve_lyapunov(A, Q):
@@ -75,19 +135,29 @@ def solve_lyapunov(A, Q):
     n = A.shape[0]
     if Q.shape != (n, n):
         raise ValueError(f"Q must be {n}x{n}, got {Q.shape}")
-    if n == 0:
-        return np.zeros((0, 0))
-    T, U = scipy.linalg.schur(A, output="real")
-    P = _schur_sylvester(
-        T, U, T, U, -Q, "T",
-        "singular Lyapunov operator: A and -A^T share an eigenvalue")
-    if np.linalg.norm(Q - Q.T) <= 1e-12 * max(1.0, np.linalg.norm(Q)):
-        P = 0.5 * (P + P.T)
-    res = np.linalg.norm(A @ P + P @ A.T + Q)
-    scale = 1.0 + np.linalg.norm(Q) + 2.0 * np.linalg.norm(A) * np.linalg.norm(P)
+    return _lyapunov_from_schur(A, _real_schur(A), Q, "N")
+
+
+def _sylvester_from_schur(A1, schur1, A0, A2, schur2):
+    """Solve A1 * Om + Om * A2 + A0 = 0 given the real Schur forms
+    schur1 = (R, U) of A1 and schur2 = (S, V) of A2.
+
+    Raises SolverError when the equation is singular (A1 and -A2 share an
+    eigenvalue) or the residual check fails.
+    """
+    n, m = A0.shape
+    if n == 0 or m == 0:
+        return np.zeros((n, m))
+    (R, U), (S, V) = schur1, schur2
+    Om = _schur_sylvester(
+        R, U, S, V, -A0, "N", "N",
+        "singular Sylvester operator: A1 and -A2 share an eigenvalue")
+    res = np.linalg.norm(A1 @ Om + Om @ A2 + A0)
+    scale = (1.0 + np.linalg.norm(A0)
+             + (np.linalg.norm(A1) + np.linalg.norm(A2)) * np.linalg.norm(Om))
     if not res <= RESIDUAL_TOL * scale:
-        raise SolverError(f"Lyapunov residual {res:.2e} exceeds tolerance")
-    return P
+        raise SolverError(f"Sylvester residual {res:.2e} exceeds tolerance")
+    return Om
 
 
 def solve_sylvester(A1, A0, A2):
@@ -104,17 +174,7 @@ def solve_sylvester(A1, A0, A2):
         raise ValueError("incompatible Sylvester dimensions")
     if n == 0 or m == 0:
         return np.zeros((n, m))
-    R, U = scipy.linalg.schur(A1, output="real")
-    S, V = scipy.linalg.schur(A2, output="real")
-    Om = _schur_sylvester(
-        R, U, S, V, -A0, "N",
-        "singular Sylvester operator: A1 and -A2 share an eigenvalue")
-    res = np.linalg.norm(A1 @ Om + Om @ A2 + A0)
-    scale = (1.0 + np.linalg.norm(A0)
-             + (np.linalg.norm(A1) + np.linalg.norm(A2)) * np.linalg.norm(Om))
-    if not res <= RESIDUAL_TOL * scale:
-        raise SolverError(f"Sylvester residual {res:.2e} exceeds tolerance")
-    return Om
+    return _sylvester_from_schur(A1, _real_schur(A1), A0, A2, _real_schur(A2))
 
 
 def _pbh_rank_ok(A, B, region):
@@ -262,19 +322,27 @@ def solve_are(A, B, C, D):
     return AreSolution(X=X, K=K, residual=float(res))
 
 
+_NOT_HURWITZ = "Gramian of a non-Hurwitz system is undefined"
+
+
 def gramian(sys, kind="controllability"):
     """Controllability or observability Gramian of a Hurwitz system."""
-    if not is_hurwitz(sys.A):
-        raise SolverError("Gramian of a non-Hurwitz system is undefined")
+    schur = _hurwitz_schur(sys.A, _NOT_HURWITZ)
     if kind == "controllability":
-        return solve_lyapunov(sys.A, sys.B @ sys.B.T)
+        return _lyapunov_from_schur(sys.A, schur, sys.B @ sys.B.T, "N")
     if kind == "observability":
-        return solve_lyapunov(sys.A.T, sys.C.T @ sys.C)
+        return _lyapunov_from_schur(sys.A, schur, sys.C.T @ sys.C, "T")
     raise ValueError("kind must be 'controllability' or 'observability'")
 
 
 def h2_norm(sys):
     """H2 norm sqrt(trace(C Wc C^T)), cross-checked via the observability form.
+
+    One real Schur form of A serves the Hurwitz test and both Gramians:
+    Wc from A Wc + Wc A^T + B B^T = 0 and Wo from A^T Wo + Wo A + C^T C = 0,
+    the second through `trsyl`'s transpose flag. Wc takes the exact path of
+    `solve_lyapunov`, so the norm equals sqrt(trace(C solve_lyapunov(A, B
+    B^T) C^T)) to the last bit.
 
     Raises SolverError for a non-Hurwitz A, and ValueError for a nonzero
     feedthrough (the norm is infinite).
@@ -283,8 +351,9 @@ def h2_norm(sys):
         raise ValueError("nonzero feedthrough: the H2 norm is unbounded")
     if sys.nx == 0:
         return 0.0
-    Wc = gramian(sys, "controllability")
-    Wo = gramian(sys, "observability")
+    schur = _hurwitz_schur(sys.A, _NOT_HURWITZ)
+    Wc = _lyapunov_from_schur(sys.A, schur, sys.B @ sys.B.T, "N")
+    Wo = _lyapunov_from_schur(sys.A, schur, sys.C.T @ sys.C, "T")
     sq_c = float(np.trace(sys.C @ Wc @ sys.C.T))
     sq_o = float(np.trace(sys.B.T @ Wo @ sys.B))
     if not abs(sq_c - sq_o) <= H2_CONSISTENCY_TOL * (1.0 + abs(sq_c)):

@@ -364,6 +364,16 @@ def check_assumptions(plant):
 _MATRIX_KEYS = ("A", "B1", "B2", "C1", "C2", "D12", "D21")
 
 
+def _json_matrix(data, key):
+    """data[key] as a float array; ValueError naming the key when the entry
+    is not a (nested list of) numbers, for instance a JSON object."""
+    try:
+        return np.array(data[key], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"matrix '{key}' is not a nested list of numbers: "
+                         f"{exc}") from exc
+
+
 def plant_from_dict(data):
     """Build a TwoPlayerPlant from the documented JSON structure.
 
@@ -386,9 +396,9 @@ def plant_from_dict(data):
     for key in _MATRIX_KEYS:
         if key not in data:
             raise ValueError(f"missing matrix '{key}'")
-        mats[key] = np.array(data[key], dtype=float)
+        mats[key] = _json_matrix(data, key)
     for key in ("D11", "D22"):
-        if key in data and np.any(np.asarray(data[key], dtype=float) != 0.0):
+        if key in data and np.any(_json_matrix(data, key) != 0.0):
             raise ValueError(f"{key} must be zero: the model is strictly "
                              "proper in that channel")
     return TwoPlayerPlant(partition=partition, **mats)

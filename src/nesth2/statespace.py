@@ -5,6 +5,8 @@ Everything here is desk-scale dense linear algebra: systems are stored as plain
 made to be clever about sparsity or scale; clarity and exactness win.
 """
 
+import math
+
 import numpy as np
 import scipy.linalg as sla
 
@@ -90,13 +92,13 @@ class StateSpace:
         return self.C @ np.linalg.solve(M, self.B.astype(complex)) + self.D
 
     def markov_parameters(self, count):
-        """First `count` Markov parameters [D, CB, CAB, CA^2 B, ...]."""
-        out = [self.D.copy()]
-        if count <= 1:
-            return out[:count]
-        An_B = self.B.copy()
-        for _ in range(count - 1):
-            out.append(self.C @ An_B)
+        """First `count` Markov parameters [D, CB, CAB, CA^2 B, ...], stacked
+        as one (count, ny, nu) array."""
+        out = np.empty((count, self.ny, self.nu))
+        out[:1] = self.D
+        An_B = self.B
+        for k in range(1, count):
+            out[k] = self.C @ An_B
             An_B = self.A @ An_B
         return out
 
@@ -213,8 +215,9 @@ def lft_upper(M, K, nq, np_):
 def scaled_markov_parameters(systems, count):
     """First `count` Markov parameters of each G(alpha s), realized as
     (A/alpha, B/alpha, C, D), with one alpha = max(1, ||A||_2) over all of
-    `systems`. Powers of A/alpha stay bounded where C A^k B overflows on
-    large realizations, and zero blocks stay zero."""
+    `systems`, as one (count, ny, nu) stack per system. Powers of A/alpha
+    stay bounded where C A^k B overflows on large realizations, and zero
+    blocks stay zero."""
     alpha = max([1.0] + [np.linalg.norm(g.A, 2) for g in systems])
     return [StateSpace(g.A / alpha, g.B / alpha, g.C, g.D)
             .markov_parameters(count) for g in systems]
@@ -225,15 +228,14 @@ def is_block_lower_tf(sys, out_split, in_split, tol=1e-8):
 
     Checked structurally on the frequency-scaled G(alpha s) of
     `scaled_markov_parameters`: the (1,2) blocks of D and of the first 2 nx
-    Markov parameters must all have Frobenius norm <= tol.
+    Markov parameters must all have Frobenius norm <= tol. Only that block's
+    parameters are formed, from the realization (A, B[:, cols:], C[:rows]).
     """
     rows, _ = out_split
     cols, _ = in_split
-    params, = scaled_markov_parameters([sys], 2 * sys.nx + 1)
-    for M in params:
-        if not np.linalg.norm(M[:rows, cols:]) <= tol:
-            return False
-    return True
+    block = sys.subsystem(rows=slice(0, rows), cols=slice(cols, None))
+    params, = scaled_markov_parameters([block], 2 * sys.nx + 1)
+    return bool(np.all(np.linalg.norm(params, axis=(1, 2)) <= tol))
 
 
 def _orth_cols(M):
@@ -304,25 +306,39 @@ def balance_realization(sys):
     of realizations can leave B and C orders of magnitude apart, which ruins the
     accuracy of Gramian-based norms; this repairs the scaling without touching
     the dynamics.
+
+    The Gauss-Seidel sweeps run on an integer exponent vector e, the
+    similarity being diag(2^e): state i's row weight is
+    2^-e_i (|A_offdiag[i, :]| . 2^e + |B[i, :]|_1) and its column weight
+    2^e_i (|A_offdiag[:, i]| . 2^-e + |C[:, i]|_1), one dot product each, and
+    it moves by round(log2(r/c)/2). The realization is scaled once, with
+    `np.ldexp`, after the last sweep.
     """
-    A = sys.A.copy()
-    B = sys.B.copy()
-    C = sys.C.copy()
-    n = A.shape[0]
+    n = sys.nx
+    absA = np.abs(sys.A)
+    np.fill_diagonal(absA, 0.0)
+    absAT = absA.T.copy()
+    row_B = np.abs(sys.B).sum(axis=1)
+    col_C = np.abs(sys.C).sum(axis=0)
+    e = [0] * n
+    up = np.ones(n)
+    down = np.ones(n)
     for _ in range(BALANCE_SWEEPS):
         changed = False
         for i in range(n):
-            r = np.abs(A[i, :]).sum() - abs(A[i, i]) + np.abs(B[i, :]).sum()
-            c = np.abs(A[:, i]).sum() - abs(A[i, i]) + np.abs(C[:, i]).sum()
+            r = (absA[i] @ up + row_B[i]) * down[i]
+            c = (absAT[i] @ down + col_C[i]) * up[i]
             if r == 0.0 or c == 0.0:
                 continue
-            f = 2.0 ** round(np.log2(r / c) / 2.0)
-            if f != 1.0:
+            k = round(math.log2(r / c) / 2.0)
+            if k != 0:
                 changed = True
-                A[i, :] /= f
-                B[i, :] /= f
-                A[:, i] *= f
-                C[:, i] *= f
+                e[i] += k
+                up[i] = math.ldexp(1.0, e[i])
+                down[i] = math.ldexp(1.0, -e[i])
         if not changed:
             break
-    return StateSpace(A, B, C, sys.D)
+    e = np.array(e, dtype=int)
+    return StateSpace(np.ldexp(sys.A, e[None, :] - e[:, None]),
+                      np.ldexp(sys.B, -e[:, None]),
+                      np.ldexp(sys.C, e[None, :]), sys.D)

@@ -16,8 +16,9 @@ import numpy as np
 import scipy.linalg as sla
 
 from ._kernels import terminal_state_covariance
-from .linalg import (SolverError, h2_norm, is_hurwitz, screen_are, solve_are,
-                     solve_lyapunov, solve_sylvester, stable_antistable_decompose)
+from .linalg import (SolverError, _hurwitz_schur, _sylvester_from_schur,
+                     h2_norm, is_hurwitz, screen_are, solve_are, solve_lyapunov,
+                     stable_antistable_decompose)
 from .plant import (AssumptionError, TwoPlayerPlant, check_assumptions,
                     cost_cov_matrices)
 from .stabilization import controller_from_q, q_from_controller
@@ -52,14 +53,16 @@ def _markov_mismatch(g1, g2):
     g1(alpha s) and g2(alpha s), with one alpha for both."""
     count = 2 * max(g1.nx, g2.nx, 1) + 2
     p1, p2 = scaled_markov_parameters([g1, g2], count)
-    scale = 1.0 + _peak(p1 + p2)
-    return _peak([a - b for a, b in zip(p1, p2)]) / scale
+    scale = 1.0 + float(np.maximum(_peak(p1), _peak(p2)))
+    return _peak(p1 - p2) / scale
 
 
-def _peak(mats):
-    """Largest absolute entry over all of `mats`; NaN if any entry is NaN."""
-    return float(np.max([np.abs(M).max(initial=0.0) for M in mats],
-                        initial=0.0))
+def _peak(stack):
+    """Largest absolute entry of an array; NaN if any entry is NaN. Two
+    reductions and no |stack| temporary; abs() turns a -0.0 into 0.0."""
+    if stack.size == 0:
+        return 0.0
+    return abs(float(np.maximum(stack.max(), -stack.min())))
 
 
 def _causal_size(sys):
@@ -466,16 +469,24 @@ def _stable_sandwich(left, mid, right):
     antistable part is strictly proper, so multiplying it by the antistable
     right~ adds no further stable content. A second equation of the same
     shape then projects the product with right~.
+
+    Each of mid.A, left.A^T and right.A^T is factored once, in that order.
+    Each real Schur form serves the matrix's Hurwitz test (a SolverError
+    naming the factor) and every Sylvester solve it enters; mid.A enters
+    both. Factors with no states are allowed.
     """
-    if not is_hurwitz(left.A):
-        raise SolverError("adjoint projection requires a stable left factor")
-    Z1 = solve_sylvester(left.A.T, left.C.T @ mid.C, mid.A)
+    mid_schur = _hurwitz_schur(mid.A, "closed loop is not Hurwitz")
+    left_schur = _hurwitz_schur(
+        left.A.T, "adjoint projection requires a stable left factor")
+    right_schur = _hurwitz_schur(
+        right.A.T, "adjoint projection requires a stable right factor")
+    Z1 = _sylvester_from_schur(left.A.T, left_schur, left.C.T @ mid.C,
+                               mid.A, mid_schur)
     mid = StateSpace(mid.A, mid.B,
                      left.D.T @ mid.C + left.B.T @ Z1,
                      left.D.T @ mid.D)
-    if not is_hurwitz(right.A):
-        raise SolverError("adjoint projection requires a stable right factor")
-    Z2 = solve_sylvester(mid.A, mid.B @ right.B.T, right.A.T)
+    Z2 = _sylvester_from_schur(mid.A, mid_schur, mid.B @ right.B.T,
+                               right.A.T, right_schur)
     return StateSpace(mid.A,
                       mid.B @ right.D.T + Z2 @ right.C.T,
                       mid.C, mid.D @ right.D.T)
@@ -511,11 +522,9 @@ def structured_optimality_residual(T, cl):
         raise ValueError("model-matching data lacks the block partition")
     m1 = T.partition.m[0]
     k1 = T.partition.k[0]
-    if not is_hurwitz(cl.A):
-        raise SolverError("closed loop is not Hurwitz")
     # Every realization entering a Sylvester or Lyapunov solve is rebalanced,
     # since the residual lives many orders of magnitude below the raw
-    # product scales.
+    # product scales. The sandwich refuses a loop that is not Hurwitz.
     stable = _stable_sandwich(balance_realization(T.T12),
                               balance_realization(cl),
                               balance_realization(T.T21))

@@ -160,6 +160,38 @@ def test_malformed_partitions_are_input_errors(tmp_path, capsys, parts):
     assert "split must be" in err or "'partitions' must be" in err
 
 
+@pytest.mark.parametrize("key, entry", [
+    ("A", {"a": 1}), ("D11", {"a": 1}), ("B1", [[1.0, {"a": 1}]]),
+])
+def test_non_numeric_matrix_is_input_error(tmp_path, capsys, key, entry):
+    def mangle(data):
+        data[key] = entry
+    path = _write_plant(tmp_path, make_decoupled(), mangle=mangle)
+    assert main(["check", path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"matrix '{key}'" in err
+
+
+@pytest.mark.parametrize("option", [
+    "--seed=-1", "--tol=nan", "--tol=inf", "--tol=-inf", "--tol=-1e-6",
+])
+def test_unusable_option_values_are_input_errors(tmp_path, capsys, option):
+    path = _write_plant(tmp_path, make_decoupled())
+    assert main(["verify", path, option]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    flag = option.split("=")[0]
+    assert captured.err.startswith(f"error: {flag} must be")
+    assert captured.err.count("\n") == 1
+
+
+def test_zero_seed_and_tolerance_are_accepted(tmp_path, capsys):
+    path = _write_plant(tmp_path, make_decoupled())
+    assert main(["verify", path, "--seed", "0", "--tol", "0.05"]) == 0
+    capsys.readouterr()
+
+
 def test_synthesize_rejection_exit_code(tmp_path, capsys):
     path = _write_plant(tmp_path, make_unstabilizable_pair())
     assert main(["synthesize", path]) == 1
@@ -311,8 +343,28 @@ def test_verify_solves_the_shared_data_once(tmp_path, capsys, monkeypatch):
     counted(cli, "youla_data")
     path = _write_plant(tmp_path, make_decoupled())
     assert main(["verify", path, "--oracle", "--seed", "7"]) == 0
-    assert counts == {"solve_lyapunov": 17, "solve_are": 8, "hat_pair": 1,
+    assert counts == {"solve_lyapunov": 5, "solve_are": 8, "hat_pair": 1,
                       "youla_data": 1}
+    capsys.readouterr()
+
+
+def test_verify_factors_each_state_matrix_once(tmp_path, capsys, monkeypatch):
+    # h2_norm and the structured certificate take their Hurwitz tests and
+    # their Lyapunov and Sylvester solves from one real Schur form per state
+    # matrix; a redundant spectrum or factorization shows up here
+    import scipy.linalg
+
+    path = _write_plant(tmp_path, make_random_fixture())
+    counts = dict.fromkeys(("eigvals", "schur"), 0)
+    for home, name in ((np.linalg, "eigvals"), (scipy.linalg, "schur")):
+        original = getattr(home, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(home, name, counted)
+    assert main(["verify", path]) == 0
+    assert counts == {"eigvals": 24, "schur": 20}
     capsys.readouterr()
 
 

@@ -365,6 +365,51 @@ def test_h2_rejects_feedthrough():
         h2_norm(g)
 
 
+@pytest.mark.parametrize("A", [
+    np.diag([-1.0, -1e-10]),
+    np.array([[-1e-10, 1.0], [-1.0, -1e-10]]),  # a complex pair
+])
+def test_h2_refuses_an_eigenvalue_inside_the_margin(A):
+    g = StateSpace(A, np.ones((2, 1)), np.ones((1, 2)), 0.0)
+    with pytest.raises(SolverError,
+                       match="Gramian of a non-Hurwitz system is undefined"):
+        h2_norm(g)
+    with pytest.raises(SolverError, match="non-Hurwitz"):
+        gramian(g, "observability")
+
+
+def test_h2_refuses_a_non_finite_state_matrix():
+    # as np.linalg.eigvals does, so a caller's LinAlgError handling holds
+    g = StateSpace([[-1.0, np.nan], [0.0, -1.0]], np.ones((2, 1)),
+                   np.ones((1, 2)), 0.0)
+    with pytest.raises(np.linalg.LinAlgError):
+        h2_norm(g)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_h2_is_the_controllability_trace_to_the_bit(seed):
+    rng = np.random.default_rng(seed)
+    A = _stable_matrix(rng, 7, shift=0.3)
+    B = rng.standard_normal((7, 3))
+    C = rng.standard_normal((2, 7))
+    Wc = solve_lyapunov(A, B @ B.T)
+    assert h2_norm(StateSpace(A, B, C, 0.0)) == \
+        np.sqrt(np.trace(C @ Wc @ C.T))
+
+
+def test_observability_gramian_solves_the_transposed_equation():
+    rng = np.random.default_rng(8)
+    A = _stable_matrix(rng, 6)
+    C = rng.standard_normal((2, 6))
+    g = StateSpace(A, np.zeros((6, 1)), C, 0.0)
+    Wo = gramian(g, "observability")
+    assert np.array_equal(Wo, Wo.T)
+    assert np.linalg.norm(A.T @ Wo + Wo @ A + C.T @ C) < 1e-12 * (
+        1.0 + np.linalg.norm(Wo))
+    ref = solve_lyapunov(A.T, C.T @ C)
+    assert np.linalg.norm(Wo - ref) < 1e-10 * np.linalg.norm(ref)
+
+
 def test_h2_matches_frequency_integral():
     rng = np.random.default_rng(103)
     A = _stable_matrix(rng, 3)

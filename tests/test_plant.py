@@ -266,6 +266,17 @@ def test_json_missing_key_rejected():
         plant_from_dict({"partitions": {"n": [1, 1]}})
 
 
+@pytest.mark.parametrize("key, entry", [
+    ("A", {"a": 1}), ("D11", {"a": 1}), ("C2", [[1.0, {"a": 1}, 0.0]]),
+    ("D12", [[1.0], [1.0, 2.0]]),
+])
+def test_json_non_numeric_matrix_rejected(key, entry):
+    d = plant_to_dict(make_decoupled())
+    d[key] = entry
+    with pytest.raises(ValueError, match=f"matrix '{key}'"):
+        plant_from_dict(d)
+
+
 def _mangle_partitions(data, parts):
     if isinstance(parts, dict):
         data["partitions"].update(parts)

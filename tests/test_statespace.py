@@ -2,15 +2,20 @@ import numpy as np
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from nesth2.fixtures import random_plant
+from nesth2.stabilization import youla_data
 from nesth2.statespace import (
+    BALANCE_SWEEPS,
     StateSpace,
     _orth_cols,
+    balance_realization,
     is_block_lower_tf,
     lft_lower,
     lft_upper,
     minreal,
     vcat,
 )
+from nesth2.synthesis import optimal_controller
 
 EVAL_POINTS = [0.3 + 0.7j, -1.2 + 2.0j, 2.5 - 0.4j, 0.0 + 1.0j]
 
@@ -121,6 +126,17 @@ def test_markov_parameters():
 def _partition_eval(P, nz, nw, s):
     M = P.eval_at(s)
     return M[:nz, :nw], M[:nz, nw:], M[nz:, :nw], M[nz:, nw:]
+
+
+def test_markov_parameters_stack():
+    g = _random_system(np.random.default_rng(4), 3, 2, 1)
+    assert g.markov_parameters(5).shape == (5, 1, 2)
+    assert g.markov_parameters(1).shape == (1, 1, 2)
+    assert g.markov_parameters(0).shape == (0, 1, 2)
+    gain = StateSpace.gain(np.ones((2, 3)))
+    assert np.array_equal(gain.markov_parameters(3),
+                          np.stack([np.ones((2, 3)), np.zeros((2, 3)),
+                                    np.zeros((2, 3))]))
 
 
 def test_lft_lower_matches_formula():
@@ -267,3 +283,98 @@ def test_adjoint_is_involutive(seed):
     gg = g.conjugate_transpose().conjugate_transpose()
     s = -0.8 + 0.45j
     assert np.linalg.norm(gg.eval_at(s) - g.eval_at(s)) < 1e-9
+
+
+def _balance_by_state(sys):
+    """Reference balancing: one state at a time on the scaled matrices."""
+    A = sys.A.copy()
+    B = sys.B.copy()
+    C = sys.C.copy()
+    n = A.shape[0]
+    for _ in range(BALANCE_SWEEPS):
+        changed = False
+        for i in range(n):
+            r = np.abs(A[i, :]).sum() - abs(A[i, i]) + np.abs(B[i, :]).sum()
+            c = np.abs(A[:, i]).sum() - abs(A[i, i]) + np.abs(C[:, i]).sum()
+            if r == 0.0 or c == 0.0:
+                continue
+            f = 2.0 ** round(np.log2(r / c) / 2.0)
+            if f != 1.0:
+                changed = True
+                A[i, :] /= f
+                B[i, :] /= f
+                A[:, i] *= f
+                C[:, i] *= f
+        if not changed:
+            break
+    return StateSpace(A, B, C, sys.D)
+
+
+def _assert_same_balancing(sys):
+    got = balance_realization(sys)
+    ref = _balance_by_state(sys)
+    for name in "ABCD":
+        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+
+
+def _badly_scaled_system(rng, nx, nu, ny):
+    scale = 10.0 ** rng.uniform(-6.0, 6.0, size=(nx, 1))
+    g = _random_system(rng, nx, nu, ny)
+    return StateSpace(g.A * scale / scale.T,
+                      g.B * 10.0 ** rng.uniform(-4.0, 4.0),
+                      g.C * 10.0 ** rng.uniform(-4.0, 4.0), g.D)
+
+
+def test_balance_matches_the_per_state_sweeps():
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        nx, nu, ny = (int(v) for v in rng.integers(1, (12, 4, 4)))
+        _assert_same_balancing(_badly_scaled_system(rng, nx, nu, ny))
+
+
+def test_balance_matches_on_ties():
+    # integer entries make r / c an exact power of two, where round() sends
+    # log2(r / c) / 2 = k + 1/2 to the even neighbour
+    _assert_same_balancing(StateSpace(0.0, 2.0, 1.0))
+    _assert_same_balancing(StateSpace(0.0, 8.0, 1.0))
+    rng = np.random.default_rng(23)
+    for _ in range(100):
+        nx, nu, ny = (int(v) for v in rng.integers(1, (8, 3, 3)))
+        g = _random_system(rng, nx, nu, ny)
+        _assert_same_balancing(StateSpace(np.round(4.0 * g.A),
+                                          np.round(4.0 * g.B),
+                                          np.round(4.0 * g.C), g.D))
+
+
+def test_balance_skips_states_without_weight():
+    # an all-zero row through [A B] or column through [A; C] leaves its
+    # state unscaled
+    rng = np.random.default_rng(22)
+    for i in range(6):
+        g = _badly_scaled_system(rng, 6, 2, 2)
+        A, B, C = g.A.copy(), g.B.copy(), g.C.copy()
+        A[i, :] = 0.0
+        B[i, :] = 0.0
+        A[:, (i + 1) % 6] = 0.0
+        C[:, (i + 1) % 6] = 0.0
+        _assert_same_balancing(StateSpace(A, B, C, g.D))
+    _assert_same_balancing(StateSpace(np.zeros((3, 3)), np.zeros((3, 1)),
+                                      np.zeros((1, 3))))
+
+
+def test_balance_of_a_gain_is_the_gain():
+    for g in (StateSpace.gain(np.ones((2, 3))),
+              StateSpace(np.zeros((0, 0)), np.zeros((0, 0)),
+                         np.zeros((0, 0)))):
+        _assert_same_balancing(g)
+        assert balance_realization(g).A.shape == (0, 0)
+
+
+def test_balance_matches_on_the_certificate_realizations():
+    for seed, n in ((0, 4), (1, 6), (2, 8)):
+        h = n // 2
+        plant = random_plant(seed, (h, h), (h, h), (h, h))
+        synth = optimal_controller(plant)
+        T = youla_data(plant, synth.bundle)
+        for g in (T.T12, synth.closed_loop, T.T21):
+            _assert_same_balancing(g)

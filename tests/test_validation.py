@@ -349,6 +349,54 @@ def test_structured_residual_requires_partition():
         va.structured_optimality_residual(data, synth.closed_loop)
 
 
+def test_structured_residual_refuses_an_unstable_loop():
+    plant = make_random_fixture()
+    synth = optimal_controller(plant)
+    data = youla_data(plant, synth.bundle)
+    cl = synth.closed_loop
+    with pytest.raises(SolverError, match="^closed loop is not Hurwitz$"):
+        va.structured_optimality_residual(
+            data, StateSpace(-cl.A, cl.B, cl.C, cl.D))
+
+
+def _anti_stable(g):
+    return StateSpace(-g.A, g.B, g.C, g.D)
+
+
+def test_sandwich_refuses_unstable_factors():
+    rng = np.random.default_rng(31)
+    left = _random_stable(rng, 2, 1, 2)
+    mid = _random_stable(rng, 3, 2, 2)
+    right = _random_stable(rng, 2, 2, 1)
+    with pytest.raises(SolverError, match="^adjoint projection requires a "
+                                          "stable left factor$"):
+        va._stable_sandwich(_anti_stable(left), mid, right)
+    with pytest.raises(SolverError, match="^adjoint projection requires a "
+                                          "stable right factor$"):
+        va._stable_sandwich(left, mid, _anti_stable(right))
+    with pytest.raises(SolverError, match="^closed loop is not Hurwitz$"):
+        va._stable_sandwich(left, _anti_stable(mid), right)
+
+
+@pytest.mark.parametrize("empty", ["left", "mid", "right", "all"])
+def test_sandwich_with_static_factors(empty):
+    rng = np.random.default_rng(32)
+    factors = {"left": _random_stable(rng, 2, 1, 2),
+               "mid": _random_stable(rng, 3, 2, 2),
+               "right": _random_stable(rng, 2, 2, 1)}
+    for name in factors if empty == "all" else (empty,):
+        factors[name] = StateSpace.gain(factors[name].D)
+    left, mid, right = factors["left"], factors["mid"], factors["right"]
+    full = left.conjugate_transpose() * mid * right.conjugate_transpose()
+    split, _ = stable_antistable_decompose(full)
+    sandwich = va._stable_sandwich(left, mid, right)
+    assert sandwich.nx == mid.nx
+    for s in EVAL_POINTS:
+        b = split.eval_at(s)
+        assert np.linalg.norm(sandwich.eval_at(s) - b) \
+            < 1e-9 * (1.0 + np.linalg.norm(b))
+
+
 def test_centralized_match_recovers_embedded_parameter():
     # With identity outer factors the matching problem min ||T11 + Q|| over
     # stable Q has the closed-form answer Q = -T11, so the Riccati route must
