@@ -52,7 +52,6 @@ from .synthesis import (
     CouplingSolution,
     SynthesisResult,
     solve_four_ares,
-    build_phi_psi_system,
     solve_phi_psi,
     structured_gains,
     controller_realizations,

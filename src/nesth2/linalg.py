@@ -16,10 +16,12 @@ there, and the same (T, U) serves A P + P A^T and A^T P + P A through
 test from one factorization; `solve_lyapunov` and `solve_sylvester` are thin
 wrappers over the same from-Schur solvers.
 
-The structural preconditions of a Riccati equation are PBH rank tests, one
-SVD at each eigenvalue in the region of interest: stabilizability, and the
-absence of invariant zeros on the imaginary axis, which `axis_rank_ok`
-reduces to a PBH test by compressing out the feedthrough.
+The structural preconditions of a Riccati equation are PBH rank tests:
+stabilizability, and the absence of invariant zeros on the imaginary axis,
+which `axis_rank_ok` reduces to a PBH test by compressing out the
+feedthrough. Each takes one SVD per real eigenvalue in the region of
+interest, in real arithmetic, and one per conjugate pair: [A - conj(l) I, B]
+is the conjugate of [A - l I, B] and has the same singular values.
 """
 
 from dataclasses import dataclass
@@ -179,13 +181,18 @@ def solve_sylvester(A1, A0, A2):
 
 def _pbh_rank_ok(A, B, region):
     """[A - lambda I, B] has full row rank at each eigenvalue lambda of A
-    for which region(lambda) holds, at RANK_TOL against the data's size."""
+    for which region(lambda) holds, at RANK_TOL against the data's size.
+
+    region must be symmetric under conjugation. Only eigenvalues with
+    Im >= 0 are visited, since A and B are real; a real eigenvalue is tested
+    in real arithmetic."""
     n = A.shape[0]
     scale = max(1.0, np.linalg.norm(A) + np.linalg.norm(B))
     for lam in np.linalg.eigvals(A):
-        if not region(lam):
+        if lam.imag < 0.0 or not region(lam):
             continue
-        M = np.hstack([A - lam * np.eye(n), B.astype(complex)])
+        shift = lam.real if lam.imag == 0.0 else lam
+        M = np.hstack([A - shift * np.eye(n), B])
         if np.linalg.svd(M, compute_uv=False)[-1] <= RANK_TOL * scale:
             return False
     return True
@@ -367,10 +374,12 @@ def stable_antistable_decompose(sys):
 
     The feedthrough is carried by the stable part; the antistable part is
     strictly proper. An eigenvalue of A within HURWITZ_MARGIN of the imaginary
-    axis is an error: the split would not be well defined.
+    axis is an error: the split would not be well defined. Like
+    `np.linalg.eigvals`, a NaN or infinite entry of A raises LinAlgError.
 
-    The stable invariant subspace comes from an ordered real Schur form
-    rather than an eigenvector basis: eigenvectors of clustered or defective
+    The stable invariant subspace comes from one ordered real Schur form,
+    whose diagonal also carries the margin-band test, rather than an
+    eigenvector basis: eigenvectors of clustered or defective
     eigenvalues can be nearly dependent, while the Schur basis stays
     orthonormal no matter how the spectrum clusters. The state is balanced
     first (an exact powers-of-two similarity); long product chains otherwise
@@ -378,6 +387,8 @@ def stable_antistable_decompose(sys):
     """
     A, B, C, D = sys.A, sys.B, sys.C, sys.D
     n = sys.nx
+    if not np.isfinite(A).all():
+        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
     if n:
         A, Tb = scipy.linalg.matrix_balance(A)
         B = np.linalg.solve(Tb, sys.B)
@@ -386,22 +397,23 @@ def stable_antistable_decompose(sys):
                        np.zeros((sys.ny, 0)), np.zeros_like(D))
     if n == 0:
         return StateSpace.gain(D), empty
-    w = np.linalg.eigvals(A)
-    if np.any(np.abs(w.real) <= HURWITZ_MARGIN):
+    At, T, ns = scipy.linalg.schur(A, output="real", sort="lhp",
+                                   check_finite=False)
+    # the diagonal of the real Schur form carries the real parts
+    if np.any(np.abs(np.diag(At)) <= HURWITZ_MARGIN):
         raise SolverError("eigenvalue inside the margin band around the axis; "
                           "stable/antistable split is ill defined")
-    ns = int(np.sum(w.real < 0.0))
     if ns == 0:
         return StateSpace(np.zeros((0, 0)), np.zeros((0, sys.nu)),
                           np.zeros((sys.ny, 0)), D), StateSpace(A, B, C, np.zeros_like(D))
     if ns == n:
         return sys, empty
-    At, T, sdim = scipy.linalg.schur(A, output="real", sort="lhp")
-    if sdim != ns:
-        raise SolverError("Schur reordering split the spectrum inconsistently")
     As, A12, Au = At[:ns, :ns], At[:ns, ns:], At[ns:, ns:]
-    # Decouple the triangular form with a Sylvester-driven shear.
-    Z = solve_sylvester(As, A12, -Au)
+    # Decouple the triangular form with a Sylvester-driven shear; As and -Au
+    # are already quasi-triangular, so each is its own Schur form.
+    minus_Au = -Au
+    Z = _sylvester_from_schur(As, (As, np.eye(ns)), A12,
+                              minus_Au, (minus_Au, np.eye(n - ns)))
     Sinv_rows = np.block([[np.eye(ns), -Z], [np.zeros((n - ns, ns)), np.eye(n - ns)]]) @ T.T
     S_cols = T @ np.block([[np.eye(ns), Z], [np.zeros((n - ns, ns)), np.eye(n - ns)]])
     Bt = Sinv_rows @ B

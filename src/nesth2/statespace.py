@@ -215,12 +215,12 @@ def lft_upper(M, K, nq, np_):
 def scaled_markov_parameters(systems, count):
     """First `count` Markov parameters of each G(alpha s), realized as
     (A/alpha, B/alpha, C, D), with one alpha = max(1, ||A||_2) over all of
-    `systems`, as one (count, ny, nu) stack per system. Powers of A/alpha
-    stay bounded where C A^k B overflows on large realizations, and zero
-    blocks stay zero."""
+    `systems`, as one (count, ny, nu) stack per system; returns (alpha,
+    stacks). Powers of A/alpha stay bounded where C A^k B overflows on
+    large realizations, and zero blocks stay zero."""
     alpha = max([1.0] + [np.linalg.norm(g.A, 2) for g in systems])
-    return [StateSpace(g.A / alpha, g.B / alpha, g.C, g.D)
-            .markov_parameters(count) for g in systems]
+    return alpha, [StateSpace(g.A / alpha, g.B / alpha, g.C, g.D)
+                   .markov_parameters(count) for g in systems]
 
 
 def is_block_lower_tf(sys, out_split, in_split, tol=1e-8):
@@ -234,7 +234,7 @@ def is_block_lower_tf(sys, out_split, in_split, tol=1e-8):
     rows, _ = out_split
     cols, _ = in_split
     block = sys.subsystem(rows=slice(0, rows), cols=slice(cols, None))
-    params, = scaled_markov_parameters([block], 2 * sys.nx + 1)
+    _, (params,) = scaled_markov_parameters([block], 2 * sys.nx + 1)
     return bool(np.all(np.linalg.norm(params, axis=(1, 2)) <= tol))
 
 

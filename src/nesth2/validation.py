@@ -29,6 +29,9 @@ IDENTITY_TOL = 1e-8
 CHECK_TOL = 1e-7
 MATCH_TOL = 1e-6
 ORACLE_STATE_GUARD = 200
+#: below this fraction of the realizations' parameter bound, a Markov peak
+#: counts as a zero transfer function carrying rounding noise
+MARKOV_FLOOR = 1e-6
 
 
 def _close(actual, expected, tol, label):
@@ -49,11 +52,23 @@ def _psd_floor(M, tol, label):
 
 
 def _markov_mismatch(g1, g2):
-    """Largest scaled difference of the leading Markov parameters of
-    g1(alpha s) and g2(alpha s), with one alpha for both."""
+    """Largest difference of the leading Markov parameters of g1(alpha s)
+    and g2(alpha s), with one alpha for both, relative to the larger peak.
+
+    The scaled parameters shrink like 1/alpha, so the scale is their peak,
+    not 1 + peak. It is floored at MARKOV_FLOOR times the larger bound
+    ||C|| ||B|| / alpha + ||D|| on any scaled parameter of either
+    realization, so that two realizations of a zero transfer function, one
+    exactly zero and one at rounding level, read as equal. Exactly zero
+    parameters on both sides read 0.0; a NaN anywhere reads NaN.
+    """
     count = 2 * max(g1.nx, g2.nx, 1) + 2
-    p1, p2 = scaled_markov_parameters([g1, g2], count)
-    scale = 1.0 + float(np.maximum(_peak(p1), _peak(p2)))
+    alpha, (p1, p2) = scaled_markov_parameters([g1, g2], count)
+    floors = [MARKOV_FLOOR * (np.linalg.norm(g.C) * np.linalg.norm(g.B) / alpha
+                              + np.linalg.norm(g.D)) for g in (g1, g2)]
+    scale = float(np.max([_peak(p1), _peak(p2)] + floors))
+    if scale == 0.0:
+        return 0.0
     return _peak(p1 - p2) / scale
 
 

@@ -349,9 +349,10 @@ def test_verify_solves_the_shared_data_once(tmp_path, capsys, monkeypatch):
 
 
 def test_verify_factors_each_state_matrix_once(tmp_path, capsys, monkeypatch):
-    # h2_norm and the structured certificate take their Hurwitz tests and
-    # their Lyapunov and Sylvester solves from one real Schur form per state
-    # matrix; a redundant spectrum or factorization shows up here
+    # h2_norm, the structured certificate and the stable/antistable split
+    # take their Hurwitz or margin tests and their Lyapunov and Sylvester
+    # solves from one real Schur form per state matrix; a redundant spectrum
+    # or factorization shows up here
     import scipy.linalg
 
     path = _write_plant(tmp_path, make_random_fixture())
@@ -364,7 +365,7 @@ def test_verify_factors_each_state_matrix_once(tmp_path, capsys, monkeypatch):
             return _original(*args, **kwargs)
         monkeypatch.setattr(home, name, counted)
     assert main(["verify", path]) == 0
-    assert counts == {"eigvals": 24, "schur": 20}
+    assert counts == {"eigvals": 20, "schur": 16}
     capsys.readouterr()
 
 

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 
 from nesth2.statespace import StateSpace
 from nesth2.linalg import (
+    HURWITZ_MARGIN,
+    RANK_TOL,
     SolverError,
     axis_rank_ok,
     gramian,
@@ -147,6 +149,90 @@ def test_pbh_detectable():
     C = np.array([[0.0, 1.0]])
     assert not pbh_detectable(C, A)
     assert pbh_detectable(np.array([[1.0, 0.0]]), A)
+
+
+def _brute_pbh_stabilizable(A, B):
+    """Every eigenvalue with Re >= -HURWITZ_MARGIN, each in complex
+    arithmetic, conjugate partners included."""
+    n = A.shape[0]
+    scale = max(1.0, np.linalg.norm(A) + np.linalg.norm(B))
+    for lam in np.linalg.eigvals(A):
+        if lam.real < -HURWITZ_MARGIN:
+            continue
+        M = np.hstack([A - lam * np.eye(n), B.astype(complex)])
+        if np.linalg.svd(M, compute_uv=False)[-1] <= RANK_TOL * scale:
+            return False
+    return True
+
+
+def _pair_with_hidden_modes(rng):
+    """A random (A, B), half of the time with an uncontrollable block of one
+    real eigenvalue or one complex pair, stable or not, hidden by a random
+    similarity."""
+    nc = int(rng.integers(1, 5))
+    A = rng.standard_normal((nc, nc))
+    B = rng.standard_normal((nc, int(rng.integers(1, 3))))
+    kind = rng.integers(0, 4)
+    if kind >= 2:
+        sign = rng.choice([-1.0, 1.0])
+        if kind == 2:
+            Au = np.array([[sign * rng.uniform(0.1, 2.0)]])
+        else:
+            Au = np.array([[sign * 0.5, 2.0], [-2.0, sign * 0.5]])
+        nu = Au.shape[0]
+        A = np.block([[A, rng.standard_normal((nc, nu))],
+                      [np.zeros((nu, nc)), Au]])
+        B = np.vstack([B, np.zeros((nu, B.shape[1]))])
+    T = rng.standard_normal(A.shape) + 3.0 * np.eye(A.shape[0])
+    return np.linalg.solve(T, A @ T), np.linalg.solve(T, B)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_pbh_agrees_with_every_eigenvalue_complex_test(seed):
+    rng = np.random.default_rng(seed)
+    A, B = _pair_with_hidden_modes(rng)
+    assert pbh_stabilizable(A, B) == _brute_pbh_stabilizable(A, B)
+    assert pbh_detectable(B.T, A.T) == _brute_pbh_stabilizable(A, B)
+
+
+@pytest.mark.parametrize("Au, expected", [
+    (np.array([[0.5, 2.0], [-2.0, 0.5]]), False),   # unstable complex pair
+    (np.array([[-0.5, 2.0], [-2.0, -0.5]]), True),  # stable complex pair
+    (np.array([[0.7]]), False),                     # unstable real mode
+    (np.array([[-0.7]]), True),                     # stable real mode
+])
+def test_pbh_finds_a_hidden_uncontrollable_mode(Au, expected):
+    rng = np.random.default_rng(5)
+    Ac = rng.standard_normal((3, 3))
+    nu = Au.shape[0]
+    A = np.block([[Ac, rng.standard_normal((3, nu))],
+                  [np.zeros((nu, 3)), Au]])
+    B = np.vstack([rng.standard_normal((3, 2)), np.zeros((nu, 2))])
+    T = rng.standard_normal(A.shape) + 3.0 * np.eye(3 + nu)
+    A, B = np.linalg.solve(T, A @ T), np.linalg.solve(T, B)
+    assert _brute_pbh_stabilizable(A, B) is expected
+    assert pbh_stabilizable(A, B) is expected
+    assert pbh_detectable(B.T, A.T) is expected
+
+
+def test_pbh_takes_one_svd_per_conjugate_pair(monkeypatch):
+    # spectrum 1, 2, -3, 0.5 +- 2i, -1 +- i: the region Re >= 0 holds 1, 2
+    # and one pair, so three SVDs, the two real ones in real arithmetic
+    rng = np.random.default_rng(9)
+    D = scipy.linalg.block_diag(1.0, 2.0, -3.0, [[0.5, 2.0], [-2.0, 0.5]],
+                                [[-1.0, 1.0], [-1.0, -1.0]])
+    T = rng.standard_normal((7, 7)) + 3.0 * np.eye(7)
+    A = np.linalg.solve(T, D @ T)
+    B = rng.standard_normal((7, 2))
+    dtypes = []
+    original = np.linalg.svd
+
+    def counted(M, *args, **kwargs):
+        dtypes.append(M.dtype)
+        return original(M, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    assert pbh_stabilizable(A, B)
+    assert sorted(map(str, dtypes)) == ["complex128", "float64", "float64"]
 
 
 # ---------------------------------------------------------------- axis rank
@@ -455,6 +541,19 @@ def test_stable_antistable_all_one_side():
 def test_stable_antistable_margin_band_raises():
     g = StateSpace(np.array([[1e-12]]), 1.0, 1.0, 0.0)
     with pytest.raises(SolverError):
+        stable_antistable_decompose(g)
+    # a complex pair in the band, read off a standardized 2 x 2 block
+    with pytest.raises(SolverError, match="margin band"):
+        stable_antistable_decompose(StateSpace(
+            scipy.linalg.block_diag(-1.0, [[1e-10, 1.0], [-1.0, 1e-10]]),
+            np.ones((3, 1)), np.ones((1, 3)), 0.0))
+
+
+def test_stable_antistable_refuses_a_non_finite_state_matrix():
+    # as h2_norm does, so a caller's LinAlgError handling holds
+    g = StateSpace([[-1.0, np.nan], [0.0, 1.0]], np.ones((2, 1)),
+                   np.ones((1, 2)), 0.0)
+    with pytest.raises(np.linalg.LinAlgError):
         stable_antistable_decompose(g)
 
 

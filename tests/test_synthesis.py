@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from nesth2.linalg import SolverError, h2_norm, is_hurwitz
 from nesth2.plant import AssumptionError, cost_cov_matrices
 from nesth2.stabilization import nominal_controller, youla_data
 from nesth2.synthesis import (
-    build_phi_psi_system,
+    _CouplingTerms,
     centralized_h2,
     controller_realizations,
     dual_plant,
@@ -54,6 +55,32 @@ def _coupling_residuals(plant, bundle, Phi, Psi):
              + plant.A21 @ bundle.Y_loc1 + cc.U12.T @ bundle.L_loc1.T + cc.W21
              - plant.B2_22 @ bundle.K_loc2 @ bundle.Y_cen[n1:, :n1])
     return np.linalg.norm(r_phi), np.linalg.norm(r_psi)
+
+
+def build_phi_psi_system(plant, bundle):
+    """Dense oracle: both coupling equations as one linear system.
+
+    Unknowns are vec(X_cross) then vec(Y_cross), column-major. Returns
+    (M, b) with M square of side 2 * n1 * n2 and M z = b equivalent to the
+    two matrix equations of `_CouplingTerms`.
+    """
+    t = _CouplingTerms(plant, bundle)
+    I1 = np.eye(t.n1)
+    I2 = np.eye(t.n2)
+    CVC = t.C11.T @ t.ViC
+    BRB = t.B22 @ t.RiB
+    row_phi = np.hstack([
+        np.kron(I1, t.AJ.T) + np.kron(t.AM.T, I2),
+        -np.kron(CVC.T, t.dX),
+    ])
+    row_psi = np.hstack([
+        -np.kron(t.dY.T, BRB),
+        np.kron(I1, t.AJ) + np.kron(t.AM, I2),
+    ])
+    M = np.vstack([row_phi, row_psi])
+    b = -np.concatenate([t.G_phi.flatten(order="F"),
+                         t.G_psi.flatten(order="F")])
+    return M, b
 
 
 def test_four_ares_frozen_decoupled():
@@ -224,6 +251,79 @@ def test_gap_dynamics_block_lower_with_local_loops():
     assert np.allclose(res.A_gap[:n1, :n1], res.bundle.A_filt1, atol=1e-12)
     assert np.allclose(res.A_gap[n1:, n1:], res.bundle.A_ctrl2, atol=1e-12)
     assert is_hurwitz(res.A_gap, margin=0.0)
+
+
+def _detuned(realize, rel):
+    """controller_realizations with the largest entry of the primary
+    realization's A scaled by 1 + rel."""
+    def wrapper(*args):
+        primary, alternative = realize(*args)
+        A = primary.A.copy()
+        idx = np.unravel_index(np.argmax(np.abs(A)), A.shape)
+        A[idx] *= 1.0 + rel
+        return StateSpace(A, primary.B, primary.C, primary.D), alternative
+    return wrapper
+
+
+@pytest.mark.parametrize("plant", [make_random_fixture(),
+                                   random_plant(0, (8, 8), (8, 8), (8, 8))],
+                         ids=["fixture", "n16"])
+def test_detuned_controller_fails_the_separation_certificate(plant,
+                                                             monkeypatch):
+    import nesth2.synthesis as synthesis
+
+    monkeypatch.setattr(synthesis, "controller_realizations",
+                        _detuned(controller_realizations, 1e-8))
+    with pytest.raises(SolverError, match=r"synthesized closed loop does not "
+                       r"separate into A_ctrl, A_gap and A_filt .*: "
+                       r"residual/scale \S+/\S+"):
+        optimal_controller(plant)
+
+
+def _couple_players(K_private, L_common):
+    K_private[0, -1] = 1e-3  # player 1's input reads player 2's state
+
+
+def _detune_local_filter(K_private, L_common):
+    L_common[0, 0] *= 1.0 + 1e-8
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_couple_players, "estimate-gap dynamics are not block lower: "
+                      "the (1,2) block is nonzero"),
+    (_detune_local_filter, "estimate-gap dynamics do not have diagonal "
+                           "blocks A_filt1 and A_ctrl2: residual/scale"),
+], ids=["coupled", "detuned"])
+def test_gap_certificate_names_its_failure(monkeypatch, mutate, message):
+    import nesth2.synthesis as synthesis
+
+    def gains(plant, bundle, coupling):
+        K_private, L_common = structured_gains(plant, bundle, coupling)
+        mutate(K_private, L_common)
+        return K_private, L_common
+
+    monkeypatch.setattr(synthesis, "structured_gains", gains)
+    with pytest.raises(SolverError, match=re.escape(message)):
+        optimal_controller(make_random_fixture())
+
+
+def test_synthesis_factors_no_matrix_beyond_the_hamiltonian(monkeypatch):
+    # the 3n-state loop and A_gap are certified blockwise; the largest matrix
+    # factored is a 2n x 2n Hamiltonian
+    import scipy.linalg
+
+    plant = random_plant(0, (8, 8), (8, 8), (8, 8))
+    rows = []
+    for home, name in ((np.linalg, "eig"), (np.linalg, "eigvals"),
+                       (scipy.linalg, "schur")):
+        original = getattr(home, name)
+
+        def counted(a, *args, _original=original, **kwargs):
+            rows.append(np.shape(a)[0])
+            return _original(a, *args, **kwargs)
+        monkeypatch.setattr(home, name, counted)
+    optimal_controller(plant)
+    assert rows and max(rows) <= 2 * plant.n
 
 
 def test_controller_realizations_same_transfer_function():

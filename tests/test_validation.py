@@ -21,7 +21,8 @@ from nesth2.linalg import (SolverError, h2_norm, is_hurwitz,
                            stable_antistable_decompose)
 from nesth2.plant import AssumptionError
 from nesth2.stabilization import youla_data
-from nesth2.statespace import StateSpace, lft_lower, minreal, vcat
+from nesth2.statespace import (StateSpace, lft_lower, minreal,
+                               scaled_markov_parameters, vcat)
 from nesth2.synthesis import centralized_h2, optimal_controller
 from nesth2 import validation as va
 
@@ -494,6 +495,35 @@ def test_markov_mismatch_on_a_stiff_realization():
     assert va._markov_mismatch(g1, g2) < 1e-12
     g3 = StateSpace(g1.A, g1.B, 1.001 * g1.C, g1.D)
     assert va._markov_mismatch(g1, g3) > 1e-4
+
+
+def test_markov_mismatch_is_relative_to_a_small_scaled_peak():
+    # unit-size B and C under ||A|| ~ 1e7: the frequency-scaled parameters
+    # peak near 1e-6, so a floor of 1 + peak would hide a 0.1 % change of C
+    rng = np.random.default_rng(4)
+    g1 = StateSpace(1e6 * rng.standard_normal((60, 60)),
+                    rng.standard_normal((60, 2)),
+                    rng.standard_normal((2, 60)), np.zeros((2, 2)))
+    count = 2 * g1.nx + 2
+    _, (p1,) = scaled_markov_parameters([g1], count)
+    assert va._peak(p1) < 1e-5
+    g3 = StateSpace(g1.A, g1.B, 1.001 * g1.C, g1.D)
+    assert va._markov_mismatch(g1, g3) >= 1e-4
+
+
+def test_markov_mismatch_of_a_zero_transfer_function_at_rounding_level():
+    # an exactly zero realization against a cancelled zero that carries two
+    # ulps of noise: equal transfer functions, not a full mismatch
+    rng = np.random.default_rng(2)
+    A = -np.eye(4) + 0.3 * rng.standard_normal((4, 4))
+    B = rng.standard_normal((4, 2))
+    C = rng.standard_normal((2, 4))
+    Z = np.zeros((4, 4))
+    noisy = StateSpace(np.block([[A, Z], [Z, A]]), np.vstack([B, B]),
+                       np.hstack([C, -C * (1.0 + 4e-16)]), np.zeros((2, 2)))
+    zero = StateSpace(A, np.zeros((4, 2)), C, np.zeros((2, 2)))
+    assert va._markov_mismatch(zero, noisy) < 1e-7
+    assert va._markov_mismatch(zero, zero) == 0.0
 
 
 def test_simulated_covariance_matches_gap_lyapunov():
