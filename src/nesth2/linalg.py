@@ -19,9 +19,15 @@ wrappers over the same from-Schur solvers.
 The structural preconditions of a Riccati equation are PBH rank tests:
 stabilizability, and the absence of invariant zeros on the imaginary axis,
 which `axis_rank_ok` reduces to a PBH test by compressing out the
-feedthrough. Each takes one SVD per real eigenvalue in the region of
-interest, in real arithmetic, and one per conjugate pair: [A - conj(l) I, B]
-is the conjugate of [A - l I, B] and has the same singular values.
+feedthrough. Since [M, B][M, B]^H >= B B^H, the smallest singular value of
+[A - l I, B] is at least sigma_n(B) at every l. So when B has at least n
+columns and sigma_n(B) clears the rank tolerance, one SVD of B certifies
+full rank everywhere, with no eigenvalue computed. That is the case for a
+player whose input (output) block has full rank n, and for a compressed
+pair whose C - D F has full column rank. Otherwise the test takes one SVD
+per real eigenvalue in the region of interest, in real arithmetic, and one
+per conjugate pair: [A - conj(l) I, B] is the conjugate of [A - l I, B] and
+has the same singular values.
 """
 
 from dataclasses import dataclass
@@ -183,17 +189,26 @@ def _pbh_rank_ok(A, B, region):
     """[A - lambda I, B] has full row rank at each eigenvalue lambda of A
     for which region(lambda) holds, at RANK_TOL against the data's size.
 
-    region must be symmetric under conjugation. Only eigenvalues with
-    Im >= 0 are visited, since A and B are real; a real eigenvalue is tested
-    in real arithmetic."""
+    When B (n x m) has m >= n and sigma_n(B) > RANK_TOL * scale, the answer
+    is True after one SVD of B: [M, B][M, B]^H >= B B^H gives
+    sigma_n([A - lambda I, B]) >= sigma_n(B) at every lambda, so each test
+    below would pass. Otherwise each eigenvalue is tested. region must be
+    symmetric under conjugation. Only eigenvalues with Im >= 0 are visited,
+    since A and B are real; a real eigenvalue is tested in real arithmetic.
+    Like `np.linalg.eigvals`, a NaN or infinite entry raises LinAlgError,
+    whether or not the certificate would have read it."""
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
     n = A.shape[0]
-    scale = max(1.0, np.linalg.norm(A) + np.linalg.norm(B))
+    tol = RANK_TOL * max(1.0, np.linalg.norm(A) + np.linalg.norm(B))
+    if 0 < n <= B.shape[1] and np.linalg.svd(B, compute_uv=False)[n - 1] > tol:
+        return True
     for lam in np.linalg.eigvals(A):
         if lam.imag < 0.0 or not region(lam):
             continue
         shift = lam.real if lam.imag == 0.0 else lam
         M = np.hstack([A - shift * np.eye(n), B])
-        if np.linalg.svd(M, compute_uv=False)[-1] <= RANK_TOL * scale:
+        if np.linalg.svd(M, compute_uv=False)[-1] <= tol:
             return False
     return True
 
@@ -217,9 +232,13 @@ def axis_rank_ok(A, B, C, D, side="column"):
     F = D^+ C (Zhou, Doyle & Glover 1996, ch. 13): the columns of D are
     compressed out and what is left is a PBH test. It runs at each
     eigenvalue of At within AXIS_TOL * max(1, ||A||_F) of the imaginary
-    axis. A D without full column rank (row rank for side="row") gives
-    False, so the check presupposes the weight condition that makes D of
-    full rank.
+    axis, unless Ct has full column rank above RANK_TOL: then there is no
+    unobservable mode anywhere, and one SVD of Ct settles it (see
+    `_pbh_rank_ok`). That needs at least n more outputs than inputs. A D
+    without full column rank (row rank for side="row") gives False, so the
+    check presupposes the weight condition that makes D of full rank. One
+    SVD of D gives both that verdict, at `np.linalg.matrix_rank`'s
+    threshold, and F.
     """
     A = _mat(A, "A")
     B = _mat(B, "B")
@@ -229,9 +248,11 @@ def axis_rank_ok(A, B, C, D, side="column"):
         return axis_rank_ok(A.T, C.T, B.T, D.T, side="column")
     if side != "column":
         raise ValueError("side must be 'column' or 'row'")
-    if np.linalg.matrix_rank(D) < D.shape[1]:
+    U, s, Vt = np.linalg.svd(D, full_matrices=False)
+    rank_tol = s.max(initial=0.0) * max(D.shape) * np.finfo(float).eps
+    if np.count_nonzero(s > rank_tol) < D.shape[1]:
         return False
-    F = np.linalg.lstsq(D, C, rcond=None)[0]
+    F = Vt.T @ ((U.T @ C) / s[:, None])
     band = AXIS_TOL * max(1.0, np.linalg.norm(A))
     return _pbh_rank_ok((A - B @ F).T, (C - D @ F).T,
                         lambda lam: abs(lam.real) <= band)

@@ -165,13 +165,15 @@ def _brute_pbh_stabilizable(A, B):
     return True
 
 
-def _pair_with_hidden_modes(rng):
+def _pair_with_hidden_modes(rng, wide=False):
     """A random (A, B), half of the time with an uncontrollable block of one
     real eigenvalue or one complex pair, stable or not, hidden by a random
-    similarity."""
+    similarity. B has 1 or 2 columns, or with wide=True at least as many
+    columns as A has rows."""
     nc = int(rng.integers(1, 5))
     A = rng.standard_normal((nc, nc))
-    B = rng.standard_normal((nc, int(rng.integers(1, 3))))
+    m = nc + int(rng.integers(2, 4)) if wide else int(rng.integers(1, 3))
+    B = rng.standard_normal((nc, m))
     kind = rng.integers(0, 4)
     if kind >= 2:
         sign = rng.choice([-1.0, 1.0])
@@ -187,12 +189,74 @@ def _pair_with_hidden_modes(rng):
     return np.linalg.solve(T, A @ T), np.linalg.solve(T, B)
 
 
+def _with_sigma_n(A, B, ratio):
+    """B rescaled so that sigma_n(B) = ratio * RANK_TOL * scale, with scale
+    = max(1, ||A|| + ||B||) of the rescaled pair, as `_pbh_rank_ok` reads
+    it. The scale depends on B only weakly, so a few fixed-point steps
+    settle it."""
+    n = A.shape[0]
+    sigma = np.linalg.svd(B, compute_uv=False)[n - 1]
+    t = 1.0
+    for _ in range(4):
+        scale = max(1.0, np.linalg.norm(A) + t * np.linalg.norm(B))
+        t = ratio * RANK_TOL * scale / sigma
+    return t * B
+
+
 @pytest.mark.parametrize("seed", range(60))
 def test_pbh_agrees_with_every_eigenvalue_complex_test(seed):
     rng = np.random.default_rng(seed)
     A, B = _pair_with_hidden_modes(rng)
     assert pbh_stabilizable(A, B) == _brute_pbh_stabilizable(A, B)
     assert pbh_detectable(B.T, A.T) == _brute_pbh_stabilizable(A, B)
+    # at least as many inputs as states, where one SVD of B may settle the
+    # test; with a full-rank B, also at sigma_n(B) twice and half the
+    # tolerance, either side of the certificate's threshold
+    A, B = _pair_with_hidden_modes(rng, wide=True)
+    inputs = [B]
+    if np.linalg.svd(B, compute_uv=False)[A.shape[0] - 1] > 1e-6:
+        inputs += [_with_sigma_n(A, B, 2.0), _with_sigma_n(A, B, 0.5)]
+    for B in inputs:
+        assert pbh_stabilizable(A, B) == _brute_pbh_stabilizable(A, B)
+        assert pbh_detectable(B.T, A.T) == _brute_pbh_stabilizable(A, B)
+
+
+def _count_eigvals(monkeypatch):
+    calls = []
+    original = np.linalg.eigvals
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    return calls
+
+
+@pytest.mark.parametrize("ratio, eigvals_calls", [(2.0, 0), (0.5, 1)])
+def test_pbh_certificate_fires_only_above_the_rank_tolerance(
+        monkeypatch, ratio, eigvals_calls):
+    # sigma_n(B) > RANK_TOL * scale certifies every eigenvalue at once;
+    # at or below it, the eigenvalues are tested one by one
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((4, 4))
+    B = _with_sigma_n(A, rng.standard_normal((4, 5)), ratio)
+    expected = _brute_pbh_stabilizable(A, B)
+    calls = _count_eigvals(monkeypatch)
+    assert pbh_stabilizable(A, B) == expected
+    assert len(calls) == eigvals_calls
+
+
+@pytest.mark.parametrize("A, B", [
+    (np.diag([-1.0, -2.0]), [[np.nan], [1.0]]),  # no eigenvalue to test
+    (np.diag([1.0, -2.0]), [[np.nan], [1.0]]),   # one eigenvalue to test
+    (np.array([[np.nan, 0.0], [0.0, 1.0]]), np.eye(2)),  # certificate path
+    (np.diag([1.0, -2.0]), [[np.inf, 0.0], [0.0, 1.0]]),
+])
+def test_pbh_refuses_non_finite_data(A, B):
+    with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs"):
+        pbh_stabilizable(A, B)
+    with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs"):
+        pbh_detectable(np.asarray(B).T, np.asarray(A).T)
 
 
 @pytest.mark.parametrize("Au, expected", [
@@ -331,7 +395,7 @@ def _system_with_zero(rng, n, m, p, zero):
     return At + B @ F, B, Ct + D @ F, D
 
 
-def test_axis_rank_matches_the_pencil_method():
+def test_axis_rank_matches_the_pencil_method(monkeypatch):
     rng = np.random.default_rng(2024)
     verdicts = {True: 0, False: 0}
     for _ in range(300):
@@ -350,6 +414,14 @@ def test_axis_rank_matches_the_pencil_method():
         assert axis_rank_ok(A.T, C.T, B.T, D.T, side="row") == expected
         verdicts[expected] += 1
     assert min(verdicts.values()) > 50
+    # n more outputs than inputs: Ct = C - D F has full column rank, and one
+    # SVD of it settles the check with no eigenvalue computed
+    A, B, C, D = _system_with_zero(rng, 4, 2, 7, None)
+    assert _pencil_axis_rank_ok(A, B, C, D)
+    calls = _count_eigvals(monkeypatch)
+    assert axis_rank_ok(A, B, C, D, side="column")
+    assert axis_rank_ok(A.T, C.T, B.T, D.T, side="row")
+    assert calls == []
 
 
 def test_axis_rank_needs_full_rank_feedthrough():
@@ -363,6 +435,12 @@ def test_axis_rank_needs_full_rank_feedthrough():
                             np.ones((3, 2)))
     assert not axis_rank_ok(-1.0, np.array([[1.0, 0.0]]), 1.0,
                             np.zeros((1, 2)), side="row")
+    # the rank verdict on D is np.linalg.matrix_rank's: a singular value of
+    # 1e-14 counts (C - D F = 0, no axis zero), one of 1e-17 does not
+    for d, expected in ((1e-14, True), (1e-17, False)):
+        D = np.vstack([np.diag([1.0, d]), np.zeros((1, 2))])
+        assert (int(np.linalg.matrix_rank(D)) == 2) is expected
+        assert axis_rank_ok(-np.eye(2), np.eye(2), np.eye(3, 2), D) is expected
 
 
 # ---------------------------------------------------------------- riccati

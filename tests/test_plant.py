@@ -181,6 +181,24 @@ def test_minimality_is_warning_not_failure():
     assert report.passed  # A1-A6 do not require minimality
 
 
+def test_assumptions_of_a_fully_actuated_plant_take_one_svd_per_rank_test(
+        monkeypatch):
+    # each player has as many inputs and outputs as states, and each axis
+    # test has as many spare outputs as states: one SVD of B settles each
+    # PBH test, and one of D plus one of C - D F each axis test
+    plant = random_plant(0, (8, 8), (8, 8), (8, 8))
+    counts = dict.fromkeys(("eigvals", "svd", "lstsq"), 0)
+    for name in counts:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    assert check_assumptions(plant).passed
+    assert counts == {"eigvals": 0, "svd": 8, "lstsq": 0}
+
+
 def test_random_plant_deterministic_and_admissible():
     p1 = random_plant(4242)
     p2 = random_plant(4242)
