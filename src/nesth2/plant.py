@@ -177,20 +177,12 @@ class TwoPlayerPlant:
         return self.B2[:self.n1, :self.m1]
 
     @property
-    def B2_21(self):
-        return self.B2[self.n1:, :self.m1]
-
-    @property
     def B2_22(self):
         return self.B2[self.n1:, self.m1:]
 
     @property
     def C2_11(self):
         return self.C2[:self.k1, :self.n1]
-
-    @property
-    def C2_21(self):
-        return self.C2[self.k1:, :self.n1]
 
     @property
     def C2_22(self):

@@ -1,8 +1,11 @@
 """Continuous-time state-space systems and the compositions used in this package.
 
 Everything here is desk-scale dense linear algebra: systems are stored as plain
-(A, B, C, D) numpy arrays and composed by block-matrix formulas. No attempt is
-made to be clever about sparsity or scale; clarity and exactness win.
+(A, B, C, D) numpy arrays and composed by block-matrix formulas, with no
+attention to sparsity. Scale is handled in two places: `balance_realization`
+equalizes a realization's rows and columns by an exact powers-of-two
+similarity, and the Markov-parameter comparisons run on the frequency-scaled
+G(alpha s) of `scaled_markov_parameters`, relative to its peak.
 """
 
 import math
@@ -12,6 +15,9 @@ import scipy.linalg as sla
 
 REDUCE_TOL = 1e-9
 BALANCE_SWEEPS = 10
+#: below this fraction of the realizations' parameter bound, a Markov peak
+#: counts as a zero transfer function carrying rounding noise
+MARKOV_FLOOR = 1e-6
 
 
 def _mat(M, name="matrix"):
@@ -223,19 +229,42 @@ def scaled_markov_parameters(systems, count):
                    .markov_parameters(count) for g in systems]
 
 
+def _peak(stack):
+    """Largest absolute entry of an array; NaN if any entry is NaN. Two
+    reductions and no |stack| temporary; abs() turns a -0.0 into 0.0."""
+    if stack.size == 0:
+        return 0.0
+    return abs(float(np.maximum(stack.max(), -stack.min())))
+
+
+def _markov_scale(sys, alpha, params):
+    """Size of the scaled Markov parameters `params` of `sys` at `alpha`.
+
+    The scaled parameters shrink like 1/alpha, so the size is their peak,
+    not 1 + peak. It is floored at MARKOV_FLOOR times the bound
+    ||C|| ||B|| / alpha + ||D|| on any of them, so that a zero transfer
+    function and its rounding-level twin compare as equal. NaN if any
+    parameter is NaN.
+    """
+    floor = MARKOV_FLOOR * (np.linalg.norm(sys.C) * np.linalg.norm(sys.B)
+                            / alpha + np.linalg.norm(sys.D))
+    return float(np.max([_peak(params), floor]))
+
+
 def is_block_lower_tf(sys, out_split, in_split, tol=1e-8):
-    """True iff the (1,2) transfer block of `sys` vanishes.
+    """True iff the (1,2) transfer block of `sys` vanishes relative to `sys`.
 
     Checked structurally on the frequency-scaled G(alpha s) of
-    `scaled_markov_parameters`: the (1,2) blocks of D and of the first 2 nx
-    Markov parameters must all have Frobenius norm <= tol. Only that block's
-    parameters are formed, from the realization (A, B[:, cols:], C[:rows]).
+    `scaled_markov_parameters`: the largest entry of the (1,2) blocks of D
+    and of the first 2 nx Markov parameters must be at most tol times the
+    `_markov_scale` of all of them, the scale `validation._markov_mismatch`
+    uses. A NaN anywhere reads as not block lower.
     """
     rows, _ = out_split
     cols, _ = in_split
-    block = sys.subsystem(rows=slice(0, rows), cols=slice(cols, None))
-    _, (params,) = scaled_markov_parameters([block], 2 * sys.nx + 1)
-    return bool(np.all(np.linalg.norm(params, axis=(1, 2)) <= tol))
+    alpha, (params,) = scaled_markov_parameters([sys], 2 * sys.nx + 1)
+    return bool(_peak(params[:, :rows, cols:])
+                <= tol * _markov_scale(sys, alpha, params))
 
 
 def _orth_cols(M):

@@ -100,11 +100,13 @@ class SynthesisResult:
     second displayed realization with the same transfer function.
     `closed_loop` is the w -> z loop of the generalized plant under
     `controller`, with 3n states in the order (plant, zeta, xi). It is
-    Hurwitz because in the coordinates (x, x - zeta, x - xi) it is block
-    upper triangular with diagonal blocks A_ctrl, A_gap and A_filt, which
-    `optimal_controller` certifies blockwise. `centralized_norm` is the
-    closed-loop H2 norm of the information-unconstrained design, from the
-    bundle's centralized solutions; it equals `centralized_h2(plant)[1]`.
+    Hurwitz because in the coordinates (zeta, xi - zeta, x - xi) of
+    `error_coordinates` it is block upper triangular with diagonal blocks
+    A_ctrl, A_gap and A_filt, which `optimal_controller` certifies
+    blockwise; the Gramian and orthogonality checks of `validation` read
+    the same coordinates. `centralized_norm` is the closed-loop H2 norm of
+    the information-unconstrained design, from the bundle's centralized
+    solutions; it equals `centralized_h2(plant)[1]`.
     The nominal gains of the controller parameterization are not part of
     the design: `stabilization.youla_data(plant, bundle)` builds them.
     """
@@ -442,26 +444,47 @@ def _certify_gap(plant, bundle, A_gap):
         [(A_gap[:n1, :n1], bundle.A_filt1), (A_gap[n1:, n1:], bundle.A_ctrl2)])
 
 
-def _certify_closed_loop(closed, bundle, A_gap):
-    """The synthesized loop is Hurwitz because it separates.
+def error_coordinates(closed_loop, n):
+    """(A, B) of the synthesized loop in the estimation-error coordinates.
 
-    In the coordinates (x, x - zeta, x - xi), reached by the involution
-    S = [[I, 0, 0], [I, -I, 0], [I, 0, -I]], the loop matrix S A S is block
-    upper triangular with diagonal blocks A_ctrl, A_gap and A_filt: each
-    player estimates the state and applies static gains to the estimate.
-    With R_i the i-th block row sum of A, its strictly lower blocks are
-    R_0 - R_1, R_0 - R_2 and A_21 - A_01, and its diagonal blocks R_0,
-    A_11 - A_01 and A_22 - A_02, so the check costs O(n^2).
+    `closed_loop` has the states (x, zeta, xi) of
+    `SynthesisResult.closed_loop`; the result realizes it in the coordinates
+    (zeta, xi - zeta, x - xi). With blk the n x n blocks of closed_loop.A,
+    S_i their i-th block row sum and P_i = blk_i0 + blk_i2, the new A is
+
+        [[S_1,       P_1,       blk_10         ],
+         [S_2 - S_1, P_2 - P_1, blk_20 - blk_10],
+         [S_0 - S_2, P_0 - P_2, blk_00 - blk_20]]
+
+    and the new B is [B_1; B_2 - B_1; B_0 - B_2]. The coordinate change and
+    its inverse are made of identity blocks, so this costs O(n^2) block sums
+    and no matrix product. On the optimal loop A is block upper triangular
+    with diagonal blocks A_ctrl, A_gap and A_filt: each player estimates the
+    state and applies static gains to the estimate.
     """
+    blk = closed_loop.A.reshape(3, n, 3, n).transpose(0, 2, 1, 3)
+    S = blk.sum(axis=1)
+    P = blk[:, 0] + blk[:, 2]
+    B = closed_loop.B.reshape(3, n, -1)
+    A = np.block([[S[1], P[1], blk[1, 0]],
+                  [S[2] - S[1], P[2] - P[1], blk[2, 0] - blk[1, 0]],
+                  [S[0] - S[2], P[0] - P[2], blk[0, 0] - blk[2, 0]]])
+    return A, np.vstack([B[1], B[2] - B[1], B[0] - B[2]])
+
+
+def _certify_closed_loop(closed, bundle, A_gap):
+    """The synthesized loop is Hurwitz because it separates: in
+    `error_coordinates` its three strictly lower blocks vanish and its
+    diagonal blocks are A_ctrl, A_gap and A_filt."""
     n = A_gap.shape[0]
-    blk = closed.A.reshape(3, n, 3, n).transpose(0, 2, 1, 3)
-    R = blk.sum(axis=1)
+    A, _ = error_coordinates(closed, n)
+    blk = A.reshape(3, n, 3, n).transpose(0, 2, 1, 3)
     _check_separation(
         "synthesized closed loop does not separate into A_ctrl, A_gap and "
         "A_filt in the estimation-error coordinates", closed.A,
-        [R[0] - R[1], R[0] - R[2], blk[2, 1] - blk[0, 1]],
-        [(R[0], bundle.A_ctrl), (blk[1, 1] - blk[0, 1], A_gap),
-         (blk[2, 2] - blk[0, 2], bundle.A_filt)])
+        [blk[1, 0], blk[2, 0], blk[2, 1]],
+        [(blk[0, 0], bundle.A_ctrl), (blk[1, 1], A_gap),
+         (blk[2, 2], bundle.A_filt)])
 
 
 def optimal_controller(plant):
@@ -472,10 +495,10 @@ def optimal_controller(plant):
     realizations, and certifies that the estimate-gap dynamics and the
     closed loop are Hurwitz without an eigenvalue solve. A_gap must be
     block lower with diagonal blocks A_filt1 and A_ctrl2, and the 3n-state
-    loop, in the estimation-error coordinates (x, x - zeta, x - xi), block
-    upper triangular with diagonal blocks A_ctrl, A_gap and A_filt. The four
-    bundle matrices are Hurwitz by `solve_are`. Each block must match to
-    SEPARATION_TOL relative to the matrix it is read from.
+    loop, in the estimation-error coordinates (zeta, xi - zeta, x - xi),
+    block upper triangular with diagonal blocks A_ctrl, A_gap and A_filt.
+    The four bundle matrices are Hurwitz by `solve_are`. Each block must
+    match to SEPARATION_TOL relative to the matrix it is read from.
 
     Parameters
     ----------

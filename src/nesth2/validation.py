@@ -16,22 +16,21 @@ import numpy as np
 import scipy.linalg as sla
 
 from ._kernels import terminal_state_covariance
-from .linalg import (SolverError, _hurwitz_schur, _sylvester_from_schur,
-                     h2_norm, is_hurwitz, screen_are, solve_are, solve_lyapunov,
-                     stable_antistable_decompose)
+from .linalg import (SolverError, _hurwitz_schur, _lyapunov_from_schur,
+                     _real_schur, _sylvester_from_schur, h2_norm, is_hurwitz,
+                     screen_are, solve_are, solve_lyapunov)
 from .plant import (AssumptionError, TwoPlayerPlant, check_assumptions,
                     cost_cov_matrices)
 from .stabilization import controller_from_q, q_from_controller
-from .statespace import (StateSpace, balance_realization, is_block_lower_tf,
-                         minreal, scaled_markov_parameters)
+from .statespace import (StateSpace, _markov_scale, _peak,
+                         balance_realization, is_block_lower_tf, minreal,
+                         scaled_markov_parameters)
+from .synthesis import error_coordinates
 
 IDENTITY_TOL = 1e-8
 CHECK_TOL = 1e-7
 MATCH_TOL = 1e-6
 ORACLE_STATE_GUARD = 200
-#: below this fraction of the realizations' parameter bound, a Markov peak
-#: counts as a zero transfer function carrying rounding noise
-MARKOV_FLOOR = 1e-6
 
 
 def _close(actual, expected, tol, label):
@@ -53,31 +52,19 @@ def _psd_floor(M, tol, label):
 
 def _markov_mismatch(g1, g2):
     """Largest difference of the leading Markov parameters of g1(alpha s)
-    and g2(alpha s), with one alpha for both, relative to the larger peak.
-
-    The scaled parameters shrink like 1/alpha, so the scale is their peak,
-    not 1 + peak. It is floored at MARKOV_FLOOR times the larger bound
-    ||C|| ||B|| / alpha + ||D|| on any scaled parameter of either
-    realization, so that two realizations of a zero transfer function, one
-    exactly zero and one at rounding level, read as equal. Exactly zero
-    parameters on both sides read 0.0; a NaN anywhere reads NaN.
+    and g2(alpha s), with one alpha for both, relative to the larger
+    `statespace._markov_scale` of the two, so that two realizations of a zero
+    transfer function, one exactly zero and one at rounding level, read as
+    equal. Exactly zero parameters on both sides read 0.0; a NaN anywhere
+    reads NaN.
     """
     count = 2 * max(g1.nx, g2.nx, 1) + 2
     alpha, (p1, p2) = scaled_markov_parameters([g1, g2], count)
-    floors = [MARKOV_FLOOR * (np.linalg.norm(g.C) * np.linalg.norm(g.B) / alpha
-                              + np.linalg.norm(g.D)) for g in (g1, g2)]
-    scale = float(np.max([_peak(p1), _peak(p2)] + floors))
+    scale = float(np.max([_markov_scale(g1, alpha, p1),
+                          _markov_scale(g2, alpha, p2)]))
     if scale == 0.0:
         return 0.0
     return _peak(p1 - p2) / scale
-
-
-def _peak(stack):
-    """Largest absolute entry of an array; NaN if any entry is NaN. Two
-    reductions and no |stack| temporary; abs() turns a -0.0 into 0.0."""
-    if stack.size == 0:
-        return 0.0
-    return abs(float(np.maximum(stack.max(), -stack.min())))
 
 
 def _causal_size(sys):
@@ -85,18 +72,6 @@ def _causal_size(sys):
     Frobenius norm of its feedthrough."""
     strict = StateSpace(sys.A, sys.B, sys.C, np.zeros_like(sys.D))
     return h2_norm(strict) + float(np.linalg.norm(sys.D))
-
-
-def _anticausal_residual(sys):
-    """Norm of the causal-and-stable content of a system.
-
-    Membership of the orthogonal complement of H2 means the stable part and
-    the feedthrough both vanish; the returned number is the H2 norm of the
-    stable part plus the Frobenius norm of the feedthrough, so zero (up to
-    tolerance) certifies membership.
-    """
-    stable, _ = stable_antistable_decompose(sys)
-    return _causal_size(stable)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +107,8 @@ def hat_pair(plant, synth):
     -------
     HatPair
         The pair (Y_common, X_private) with every identity of the chain
-        checked at the scaled tolerance IDENTITY_TOL: both
+        checked at the scaled tolerance IDENTITY_TOL. One real Schur form of
+        A_gap serves both gap Lyapunov equations. Both
         dominate their centralized counterparts, their corner blocks equal
         the local ARE solutions and the coupling matrices, and both
         structured gains are reproduced from them by the displayed formulas.
@@ -143,8 +119,9 @@ def hat_pair(plant, synth):
     dL = synth.L_common - b.L_cen
     dK = synth.K_private - b.K_cen
 
-    Y_gap = solve_lyapunov(synth.A_gap, dL @ cc.V @ dL.T)
-    X_gap = solve_lyapunov(synth.A_gap.T, dK.T @ cc.R @ dK)
+    schur = _real_schur(synth.A_gap)
+    Y_gap = _lyapunov_from_schur(synth.A_gap, schur, dL @ cc.V @ dL.T, "N")
+    X_gap = _lyapunov_from_schur(synth.A_gap, schur, dK.T @ cc.R @ dK, "T")
     _psd_floor(Y_gap, IDENTITY_TOL, "Y_common - Y_cen")
     _psd_floor(X_gap, IDENTITY_TOL, "X_private - X_cen")
     Y_hat = b.Y_cen + Y_gap
@@ -192,25 +169,18 @@ class GramianTriple:
 def closed_loop_gramian(plant, synth):
     """Verify block-diagonality of the closed-loop Gramian.
 
-    Builds the closed loop in the coordinates (zeta, xi - zeta, x - xi),
-    solves the full 3n x 3n Lyapunov equation, and checks that the
-    off-diagonal blocks vanish to CHECK_TOL relative to the Gramian norm
-    while the diagonal blocks match (Z, Y_common - Y_cen, Y_cen) where Z
-    solves its own small Lyapunov equation driven by the common injection.
+    Reads `synth.closed_loop` in the coordinates (zeta, xi - zeta, x - xi)
+    of `synthesis.error_coordinates`, solves the full 3n x 3n Lyapunov
+    equation, and checks that the off-diagonal blocks vanish to CHECK_TOL
+    relative to the Gramian norm while the diagonal blocks match
+    (Z, Y_common - Y_cen, Y_cen) where Z solves its own small Lyapunov
+    equation driven by the common injection.
     """
     b = synth.bundle
     cc = cost_cov_matrices(plant)
     n = plant.n
     Lh, L = synth.L_common, b.L_cen
-    C2, D21, B1 = plant.C2, plant.D21, plant.B1
-    zero = np.zeros((n, n))
-
-    A_c = np.block([
-        [b.A_ctrl, -Lh @ C2, -Lh @ C2],
-        [zero, synth.A_gap, (Lh - L) @ C2],
-        [zero, zero, b.A_filt],
-    ])
-    B_c = np.vstack([-Lh @ D21, (Lh - L) @ D21, B1 + L @ D21])
+    A_c, B_c = error_coordinates(synth.closed_loop, n)
     Theta = solve_lyapunov(A_c, B_c @ B_c.T)
 
     Z = solve_lyapunov(b.A_ctrl, Lh @ cc.V @ Lh.T)
@@ -284,15 +254,12 @@ def zeta_estimator(plant, synth):
     The returned system maps (y1, u) to the stacked estimates of the state,
     of the full-measurement estimate, and of the control signal; the middle
     copy is exact in the sense that the gap dynamics it implies are the
-    Hurwitz matrix A_gap.
+    matrix A_gap, which `optimal_controller` certified Hurwitz.
     """
     n, m, k1 = plant.n, plant.m, plant.k1
     B = np.hstack([-synth.L_common[:, :k1], plant.B2])
     C = np.vstack([np.eye(n), np.eye(n), synth.bundle.K_cen])
-    sys = StateSpace(synth.A_gap, B, C, np.zeros((2 * n + m, k1 + m)))
-    if not is_hurwitz(sys.A, margin=0.0):
-        raise SolverError("player-1 estimator dynamics are not Hurwitz")
-    return sys
+    return StateSpace(synth.A_gap, B, C, np.zeros((2 * n + m, k1 + m)))
 
 
 @dataclass
@@ -301,8 +268,10 @@ class EstimatorSystems:
 
     E2sys/R2sys are the estimation error and the innovations of the
     full-measurement estimator; E1sys/R1sys are the corresponding maps for
-    the player-1 estimator. Optimality is certified by the error of each
-    player being anticausal with respect to that player's innovations.
+    the player-1 estimator. E1sys, E2sys and R2sys are driven by w and read
+    off the synthesized loop; R1sys filters R2sys through the local
+    estimator loop. Optimality is certified by the error of each player
+    being anticausal with respect to that player's innovations.
     """
 
     E1sys: StateSpace
@@ -314,22 +283,23 @@ class EstimatorSystems:
 
 
 def estimator_systems(plant, synth):
-    """Assemble the error/residual systems of both estimators from the design."""
+    """Assemble the error/residual systems of both estimators from the design.
+
+    In the coordinates (zeta, xi - zeta, x - xi) of
+    `synthesis.error_coordinates`, the last 2n states of `synth.closed_loop`
+    carry the player-1 error x - zeta as their sum, and the last n states the
+    full-measurement error x - xi; E1sys, E2sys and R2sys are those
+    sub-blocks.
+    """
     b = synth.bundle
     n, k1, nw = plant.n, plant.k1, plant.nw
-    L, Lh = b.L_cen, synth.L_common
-    B_err = plant.B1 + L @ plant.D21
+    L = b.L_cen
+    A, B = error_coordinates(synth.closed_loop, n)
 
-    E2sys = StateSpace(b.A_filt, B_err, np.eye(n), np.zeros((n, nw)))
-    R2sys = StateSpace(b.A_filt, B_err, plant.C2, plant.D21)
-
-    dLC = (Lh - L) @ plant.C2
-    A_e1 = np.block([
-        [synth.A_gap, dLC],
-        [np.zeros((n, n)), b.A_filt],
-    ])
-    B_e1 = np.vstack([(Lh - L) @ plant.D21, B_err])
-    E1sys = StateSpace(A_e1, B_e1, np.hstack([np.eye(n), np.eye(n)]),
+    E2sys = StateSpace(A[2 * n:, 2 * n:], B[2 * n:], np.eye(n),
+                       np.zeros((n, nw)))
+    R2sys = StateSpace(E2sys.A, E2sys.B, plant.C2, plant.D21)
+    E1sys = StateSpace(A[n:, n:], B[n:], np.hstack([np.eye(n), np.eye(n)]),
                        np.zeros((n, nw)))
 
     # Player 1's innovations are the shared innovations filtered through the
@@ -355,13 +325,16 @@ def orthogonality_residuals(plant, synth):
     -------
     (float, float)
         Residuals for player 1 and player 2. Each is the H2 norm of the
-        stable part plus the feedthrough norm of the product of the error
-        system with the adjoint of the residual system; at the optimum both
-        vanish to working precision.
+        stable part plus the feedthrough norm of the product E R~ of the
+        error system with the adjoint of the innovations system; at the
+        optimum both vanish to working precision. The stable part is the
+        causal-part projection `_stable_sandwich(I, E, R)`, whose state
+        matrix is that of E.
     """
     est = estimator_systems(plant, synth)
-    r1 = _anticausal_residual(est.E1sys * est.R1sys.conjugate_transpose())
-    r2 = _anticausal_residual(est.E2sys * est.R2sys.conjugate_transpose())
+    eye = StateSpace.gain(np.eye(plant.n))
+    r1 = _causal_size(_stable_sandwich(eye, est.E1sys, est.R1sys))
+    r2 = _causal_size(_stable_sandwich(eye, est.E2sys, est.R2sys))
     return r1, r2
 
 
@@ -428,7 +401,9 @@ def youla_parameters(plant, synth, data):
     """Optimal parameter and the parameter of the decentralization gap.
 
     `data` is `youla_data(plant, synth.bundle)`; its nominal gains fix the
-    parameterization. Every Markov comparison must pass at CHECK_TOL.
+    parameterization. Every Markov comparison must pass at CHECK_TOL. Q_opt
+    is stable without a test: its state matrix is block_diag(A_ctrl,
+    A_filt), which `solve_are` certified Hurwitz.
 
     Returns
     -------
@@ -441,8 +416,6 @@ def youla_parameters(plant, synth, data):
     """
     b = synth.bundle
     Q_opt = _q_opt_display(plant, synth, data)
-    if not is_hurwitz(Q_opt.A, margin=0.0):
-        raise SolverError("optimal parameter is not stable")
     out_split = (plant.m1, plant.m2)
     in_split = (plant.k1, plant.k2)
     if not is_block_lower_tf(Q_opt, out_split, in_split, tol=CHECK_TOL):

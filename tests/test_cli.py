@@ -343,17 +343,13 @@ def test_verify_solves_the_shared_data_once(tmp_path, capsys, monkeypatch):
     counted(cli, "youla_data")
     path = _write_plant(tmp_path, make_decoupled())
     assert main(["verify", path, "--oracle", "--seed", "7"]) == 0
-    assert counts == {"solve_lyapunov": 5, "solve_are": 8, "hat_pair": 1,
+    assert counts == {"solve_lyapunov": 3, "solve_are": 8, "hat_pair": 1,
                       "youla_data": 1}
     capsys.readouterr()
 
 
-def test_verify_factors_each_state_matrix_once(tmp_path, capsys, monkeypatch):
-    # h2_norm, the structured certificate and the stable/antistable split
-    # take their Hurwitz or margin tests and their Lyapunov and Sylvester
-    # solves from one real Schur form per state matrix; a redundant spectrum
-    # or factorization shows up here. A rank test that one SVD of B
-    # certifies computes no eigenvalues at all.
+def _count_factorizations(tmp_path, capsys, monkeypatch, command):
+    """eigvals and schur calls of one `command` run on the random fixture."""
     import scipy.linalg
 
     path = _write_plant(tmp_path, make_random_fixture())
@@ -365,9 +361,28 @@ def test_verify_factors_each_state_matrix_once(tmp_path, capsys, monkeypatch):
             counts[_name] += 1
             return _original(*args, **kwargs)
         monkeypatch.setattr(home, name, counted)
-    assert main(["verify", path]) == 0
-    assert counts == {"eigvals": 13, "schur": 16}
+    assert main([command, path]) == 0
     capsys.readouterr()
+    return counts
+
+
+def test_verify_factors_each_state_matrix_once(tmp_path, capsys, monkeypatch):
+    # h2_norm, the structured certificate and the orthogonality projections
+    # take their Hurwitz tests and their Lyapunov and Sylvester solves from
+    # one real Schur form per state matrix; a redundant spectrum
+    # or factorization shows up here. A rank test that one SVD of B
+    # certifies computes no eigenvalues at all, and no check re-tests a
+    # matrix that synthesis already certified Hurwitz.
+    assert _count_factorizations(tmp_path, capsys, monkeypatch, "verify") \
+        == {"eigvals": 11, "schur": 17}
+
+
+def test_analyze_factors_each_state_matrix_once(tmp_path, capsys,
+                                                monkeypatch):
+    # the gap Lyapunov pair shares one Schur form of A_gap; each
+    # orthogonality projection factors the error and innovations matrices
+    assert _count_factorizations(tmp_path, capsys, monkeypatch, "analyze") \
+        == {"eigvals": 6, "schur": 15}
 
 
 def test_monte_carlo_is_skipped_without_the_identity_chain(tmp_path, capsys,

@@ -13,6 +13,7 @@ from nesth2.statespace import (
     lft_lower,
     lft_upper,
     minreal,
+    scaled_markov_parameters,
     vcat,
 )
 from nesth2.synthesis import optimal_controller
@@ -196,6 +197,28 @@ def test_is_block_lower_tf_refuses_nan():
     B[0, 1] = np.nan
     g = StateSpace(A, B, np.eye(2), np.zeros((2, 2)))
     assert not is_block_lower_tf(g, (1, 1), (1, 1))
+
+
+def test_is_block_lower_tf_is_relative_to_the_system():
+    # ||A|| ~ 1e6 with unit B and C: the scaled parameters peak near 1e-6,
+    # so a (1,2) coupling of about 1e-6 of that peak sits far under an
+    # absolute 1e-8 while it is 100 times the relative 1e-8
+    rng = np.random.default_rng(11)
+    A = -1e6 * (np.eye(4) + 0.1 * rng.standard_normal((4, 4)))
+    A[:2, 2:] = 0.0
+    B = rng.standard_normal((4, 2))
+    B[:2, 1] = 0.0
+    C = rng.standard_normal((2, 4))
+    C[0, 2:] = 0.0
+    g = StateSpace(A, B, C, np.zeros((2, 2)))
+    assert is_block_lower_tf(g, (1, 1), (1, 1))
+    C[0, 2] = 1e-6
+    coupled = StateSpace(A, B, C, g.D)
+    _, (params,) = scaled_markov_parameters([coupled], 2 * g.nx + 1)
+    peak, link = np.abs(params).max(), np.abs(params[:, 0, 1]).max()
+    assert peak < 1e-5 and link < 1e-10
+    assert 1e-7 < link / peak < 1e-5
+    assert not is_block_lower_tf(coupled, (1, 1), (1, 1))
 
 
 def _stiff_block_lower(rng, h=30, size=1e6):

@@ -14,6 +14,7 @@ from nesth2.synthesis import (
     centralized_h2,
     controller_realizations,
     dual_plant,
+    error_coordinates,
     optimal_controller,
     solve_four_ares,
     solve_phi_psi,
@@ -251,6 +252,33 @@ def test_gap_dynamics_block_lower_with_local_loops():
     assert np.allclose(res.A_gap[:n1, :n1], res.bundle.A_filt1, atol=1e-12)
     assert np.allclose(res.A_gap[n1:, n1:], res.bundle.A_ctrl2, atol=1e-12)
     assert is_hurwitz(res.A_gap, margin=0.0)
+
+
+def _gain_built_error_coordinates(plant, synth):
+    """Reference (A, B) of the loop in (zeta, xi - zeta, x - xi), assembled
+    block by block from the gains instead of read off the loop."""
+    b = synth.bundle
+    Lh, L = synth.L_common, b.L_cen
+    C2, D21 = plant.C2, plant.D21
+    zero = np.zeros((plant.n, plant.n))
+    A = np.block([[b.A_ctrl, -Lh @ C2, -Lh @ C2],
+                  [zero, synth.A_gap, (Lh - L) @ C2],
+                  [zero, zero, b.A_filt]])
+    B = np.vstack([-Lh @ D21, (Lh - L) @ D21, plant.B1 + L @ D21])
+    return A, B
+
+
+def test_error_coordinates_match_the_gain_built_loop():
+    plants = {"fixture": make_random_fixture(), "decoupled": make_decoupled()}
+    for i in range(8):
+        seed = 1000 + 97 * i
+        plants[seed] = random_plant(seed, n_split=(2, 2))
+    for name, plant in plants.items():
+        synth = optimal_controller(plant)
+        got = error_coordinates(synth.closed_loop, plant.n)
+        for M, ref in zip(got, _gain_built_error_coordinates(plant, synth)):
+            assert M.shape == ref.shape, name
+            assert np.linalg.norm(M - ref) <= 1e-14 * np.linalg.norm(ref), name
 
 
 def _detuned(realize, rel):

@@ -23,7 +23,8 @@ from nesth2.plant import AssumptionError
 from nesth2.stabilization import youla_data
 from nesth2.statespace import (StateSpace, lft_lower, minreal,
                                scaled_markov_parameters, vcat)
-from nesth2.synthesis import centralized_h2, optimal_controller
+from nesth2.synthesis import (centralized_h2, controller_realizations,
+                              optimal_controller)
 from nesth2 import validation as va
 
 SQRT2 = np.sqrt(2.0)
@@ -223,8 +224,12 @@ def test_orthogonality_flags_suboptimal_injection():
     L_pert[0, 0] += 0.1
     A_gap = plant.A + plant.B2 @ synth.K_private + L_pert @ plant.C2
     assert is_hurwitz(A_gap)
+    controller, _ = controller_realizations(plant, synth.bundle,
+                                            synth.K_private, L_pert)
+    closed = lft_lower(plant.generalized(), controller, plant.nz, plant.nw)
     detuned = SimpleNamespace(bundle=synth.bundle, A_gap=A_gap,
-                              L_common=L_pert, K_private=synth.K_private)
+                              L_common=L_pert, K_private=synth.K_private,
+                              closed_loop=closed)
     r1, r2 = va.orthogonality_residuals(plant, detuned)
     assert r1 > 1e-3
     assert r2 < 1e-7
