@@ -363,14 +363,29 @@ def gramian(sys, kind="controllability"):
     raise ValueError("kind must be 'controllability' or 'observability'")
 
 
+def _h2_from_schur(A, schur, B, C):
+    """H2 norm of (A, B, C, 0) given schur = (T, U) of a Hurwitz A.
+
+    Wc from A Wc + Wc A^T + B B^T = 0 and Wo from A^T Wo + Wo A + C^T C = 0
+    both come from the one factorization, the second through `trsyl`'s
+    transpose flag; the two trace forms must agree to H2_CONSISTENCY_TOL.
+    """
+    Wc = _lyapunov_from_schur(A, schur, B @ B.T, "N")
+    Wo = _lyapunov_from_schur(A, schur, C.T @ C, "T")
+    sq_c = float(np.trace(C @ Wc @ C.T))
+    sq_o = float(np.trace(B.T @ Wo @ B))
+    if not abs(sq_c - sq_o) <= H2_CONSISTENCY_TOL * (1.0 + abs(sq_c)):
+        raise SolverError(
+            f"Gramian forms disagree: {sq_c:.12e} vs {sq_o:.12e}")
+    return float(np.sqrt(max(sq_c, 0.0)))
+
+
 def h2_norm(sys):
     """H2 norm sqrt(trace(C Wc C^T)), cross-checked via the observability form.
 
-    One real Schur form of A serves the Hurwitz test and both Gramians:
-    Wc from A Wc + Wc A^T + B B^T = 0 and Wo from A^T Wo + Wo A + C^T C = 0,
-    the second through `trsyl`'s transpose flag. Wc takes the exact path of
-    `solve_lyapunov`, so the norm equals sqrt(trace(C solve_lyapunov(A, B
-    B^T) C^T)) to the last bit.
+    One real Schur form of A serves the Hurwitz test and both Gramians of
+    `_h2_from_schur`. Wc takes the exact path of `solve_lyapunov`, so the
+    norm equals sqrt(trace(C solve_lyapunov(A, B B^T) C^T)) to the last bit.
 
     Raises SolverError for a non-Hurwitz A, and ValueError for a nonzero
     feedthrough (the norm is infinite).
@@ -379,15 +394,8 @@ def h2_norm(sys):
         raise ValueError("nonzero feedthrough: the H2 norm is unbounded")
     if sys.nx == 0:
         return 0.0
-    schur = _hurwitz_schur(sys.A, _NOT_HURWITZ)
-    Wc = _lyapunov_from_schur(sys.A, schur, sys.B @ sys.B.T, "N")
-    Wo = _lyapunov_from_schur(sys.A, schur, sys.C.T @ sys.C, "T")
-    sq_c = float(np.trace(sys.C @ Wc @ sys.C.T))
-    sq_o = float(np.trace(sys.B.T @ Wo @ sys.B))
-    if not abs(sq_c - sq_o) <= H2_CONSISTENCY_TOL * (1.0 + abs(sq_c)):
-        raise SolverError(
-            f"Gramian forms disagree: {sq_c:.12e} vs {sq_o:.12e}")
-    return float(np.sqrt(max(sq_c, 0.0)))
+    return _h2_from_schur(sys.A, _hurwitz_schur(sys.A, _NOT_HURWITZ),
+                          sys.B, sys.C)
 
 
 def stable_antistable_decompose(sys):

@@ -50,15 +50,6 @@ class Partition:
         object.__setattr__(self, "k", _pair(self.k, "k"))
 
 
-def selector(sizes, which):
-    """Block selector [I; 0] (which=0) or [0; I] (which=1) for a 2-split."""
-    total = sizes[0] + sizes[1]
-    E = np.zeros((total, sizes[which]))
-    off = 0 if which == 0 else sizes[0]
-    E[off:off + sizes[which], :] = np.eye(sizes[which])
-    return E
-
-
 def _upper_block_error(name, M, rows, cols):
     blk = M[:rows, cols:]
     if blk.size and np.any(blk != 0.0):

@@ -152,7 +152,7 @@ def youla_data(plant, bundle):
     """
     gains = nominal_gains(plant, bundle)
     n, m, k = plant.n, plant.m, plant.k
-    A0 = plant.A + plant.B2 @ gains.K_d + gains.L_d @ plant.C2
+    A0 = nominal_controller(plant, gains).A
     D_swap = np.block([
         [np.zeros((m, k)), np.eye(m)],
         [np.eye(k), np.zeros((k, m))],

@@ -16,9 +16,10 @@ import numpy as np
 import scipy.linalg as sla
 
 from ._kernels import terminal_state_covariance
-from .linalg import (SolverError, _hurwitz_schur, _lyapunov_from_schur,
-                     _real_schur, _sylvester_from_schur, h2_norm, is_hurwitz,
-                     screen_are, solve_are, solve_lyapunov)
+from .linalg import (SolverError, _h2_from_schur, _hurwitz_schur,
+                     _lyapunov_from_schur, _real_schur, _sylvester_from_schur,
+                     h2_norm, is_hurwitz, screen_are, solve_are,
+                     solve_lyapunov)
 from .plant import (AssumptionError, TwoPlayerPlant, check_assumptions,
                     cost_cov_matrices)
 from .stabilization import controller_from_q, q_from_controller
@@ -31,6 +32,8 @@ IDENTITY_TOL = 1e-8
 CHECK_TOL = 1e-7
 MATCH_TOL = 1e-6
 ORACLE_STATE_GUARD = 200
+MONTE_CARLO_PATHS = 10000
+MONTE_CARLO_HORIZON = 50.0
 
 
 def _close(actual, expected, tol, label):
@@ -262,79 +265,46 @@ def zeta_estimator(plant, synth):
     return StateSpace(synth.A_gap, B, C, np.zeros((2 * n + m, k1 + m)))
 
 
-@dataclass
-class EstimatorSystems:
-    """Error and residual maps for both players, plus the two estimators.
+def _innovation_residual(A, B, C_err, C_inn, D_inn):
+    """Causal size of E R~ for E = (A, B, C_err, 0) and R = (A, B, C_inn, D_inn).
 
-    E2sys/R2sys are the estimation error and the innovations of the
-    full-measurement estimator; E1sys/R1sys are the corresponding maps for
-    the player-1 estimator. E1sys, E2sys and R2sys are driven by w and read
-    off the synthesized loop; R1sys filters R2sys through the local
-    estimator loop. Optimality is certified by the error of each player
-    being anticausal with respect to that player's innovations.
+    The stable part of the product is (A, B D_inn^T + W C_inn^T, C_err, 0)
+    with A W + W A^T + B B^T = 0, and it has no feedthrough, so one real
+    Schur form of A serves the Hurwitz test, W and both Gramians of the H2
+    norm.
     """
-
-    E1sys: StateSpace
-    R1sys: StateSpace
-    E2sys: StateSpace
-    R2sys: StateSpace
-    zeta_est: StateSpace
-    xi_est: StateSpace
-
-
-def estimator_systems(plant, synth):
-    """Assemble the error/residual systems of both estimators from the design.
-
-    In the coordinates (zeta, xi - zeta, x - xi) of
-    `synthesis.error_coordinates`, the last 2n states of `synth.closed_loop`
-    carry the player-1 error x - zeta as their sum, and the last n states the
-    full-measurement error x - xi; E1sys, E2sys and R2sys are those
-    sub-blocks.
-    """
-    b = synth.bundle
-    n, k1, nw = plant.n, plant.k1, plant.nw
-    L = b.L_cen
-    A, B = error_coordinates(synth.closed_loop, n)
-
-    E2sys = StateSpace(A[2 * n:, 2 * n:], B[2 * n:], np.eye(n),
-                       np.zeros((n, nw)))
-    R2sys = StateSpace(E2sys.A, E2sys.B, plant.C2, plant.D21)
-    E1sys = StateSpace(A[n:, n:], B[n:], np.hstack([np.eye(n), np.eye(n)]),
-                       np.zeros((n, nw)))
-
-    # Player 1's innovations are the shared innovations filtered through the
-    # local estimator loop; the feedthrough keeps the first measurement block.
-    S_B = -b.L_cen[:plant.n1, :].copy()
-    S_B[:, :k1] += b.L_loc1
-    S_D = np.zeros((k1, plant.k))
-    S_D[:, :k1] = np.eye(k1)
-    shear = StateSpace(b.A_filt1, S_B, plant.C2_11, S_D)
-    R1sys = shear * R2sys
-
-    xi_est = StateSpace(b.A_filt, np.hstack([-L, plant.B2]), np.eye(n),
-                        np.zeros((n, plant.k + plant.m)))
-    return EstimatorSystems(E1sys=E1sys, R1sys=R1sys, E2sys=E2sys,
-                            R2sys=R2sys, zeta_est=zeta_estimator(plant, synth),
-                            xi_est=xi_est)
+    schur = _hurwitz_schur(A, "closed loop is not Hurwitz")
+    W = _lyapunov_from_schur(A, schur, B @ B.T, "N")
+    return _h2_from_schur(A, schur, B @ D_inn.T + W @ C_inn.T, C_err)
 
 
 def orthogonality_residuals(plant, synth):
     """Causal content of error-innovations products for both players.
 
+    Both players' errors and innovations are read off `synth.closed_loop` in
+    the coordinates (zeta, xi - zeta, x - xi) of
+    `synthesis.error_coordinates`. Player 1's error x - zeta is the sum of
+    the last two state blocks and its innovations are y1 - C2[:k1] zeta =
+    C2[:k1] (x - zeta) + D21[:k1] w; player 2's error x - xi is the last
+    block and its innovations are C2 (x - xi) + D21 w. Each player's error
+    and innovations share one realization, whose state matrix is factored
+    once.
+
     Returns
     -------
     (float, float)
         Residuals for player 1 and player 2. Each is the H2 norm of the
-        stable part plus the feedthrough norm of the product E R~ of the
-        error system with the adjoint of the innovations system; at the
-        optimum both vanish to working precision. The stable part is the
-        causal-part projection `_stable_sandwich(I, E, R)`, whose state
-        matrix is that of E.
+        stable part of the product E R~ of the error system with the adjoint
+        of the innovations system; at the optimum both vanish to working
+        precision.
     """
-    est = estimator_systems(plant, synth)
-    eye = StateSpace.gain(np.eye(plant.n))
-    r1 = _causal_size(_stable_sandwich(eye, est.E1sys, est.R1sys))
-    r2 = _causal_size(_stable_sandwich(eye, est.E2sys, est.R2sys))
+    n, k1 = plant.n, plant.k1
+    A, B = error_coordinates(synth.closed_loop, n)
+    to_err1 = np.hstack([np.eye(n), np.eye(n)])
+    r1 = _innovation_residual(A[n:, n:], B[n:], to_err1,
+                              plant.C2[:k1] @ to_err1, plant.D21[:k1])
+    r2 = _innovation_residual(A[2 * n:, 2 * n:], B[2 * n:], np.eye(n),
+                              plant.C2, plant.D21)
     return r1, r2
 
 
@@ -755,25 +725,24 @@ def fixed_point_maps(plant, synth, data):
 # Monte Carlo covariance check support
 
 
-def simulated_error_covariance(plant, synth, n_paths=10000,
-                               horizon_constants=50.0, seed=101):
+def simulated_error_covariance(plant, synth, seed):
     """Terminal sample covariance of the player-1 estimation error.
 
     Samples `synth.closed_loop` under unit-intensity white noise from rest
     and returns the sample covariance of x - zeta at the final time, which
-    should match Y_common. The horizon is the given multiple of the slowest
-    closed-loop time constant, rounded up to a whole number of them. Each
-    path's terminal state is drawn in one step from its exact Gaussian law
-    N(0, Q(horizon)), because exact transitions compose; the one error left
-    is sampling error. The seed is fixed for reproducibility.
+    should match Y_common. MONTE_CARLO_PATHS paths run for MONTE_CARLO_HORIZON
+    times the slowest closed-loop time constant, rounded up to a whole number
+    of them. Each path's terminal state is drawn in one step from its exact
+    Gaussian law N(0, Q(horizon)), because exact transitions compose; the one
+    error left is sampling error, fixed by `seed` for reproducibility.
     """
     cl = synth.closed_loop
     decay = -np.max(np.linalg.eigvals(cl.A).real)
     if not decay > 0:
         raise SolverError("closed loop is not Hurwitz; simulation diverges")
     cov_full = terminal_state_covariance(cl.A, cl.B, 1.0 / decay,
-                                         int(np.ceil(horizon_constants)),
-                                         n_paths, seed)
+                                         int(np.ceil(MONTE_CARLO_HORIZON)),
+                                         MONTE_CARLO_PATHS, seed)
     n = plant.n
     sel = np.hstack([np.eye(n), -np.eye(n), np.zeros((n, n))])
     return sel @ cov_full @ sel.T

@@ -1,11 +1,13 @@
-"""The benchmark's layer trace names functions of nesth2; a refactor keeps them."""
+"""The benchmark names functions of nesth2, in its layer trace and its
+imports; a refactor keeps them."""
 
 import ast
 import importlib
 import inspect
 import pathlib
 
-SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 def _spans_tree():
@@ -58,6 +60,69 @@ def test_every_traced_name_resolves():
         missing += [f"{module}.{name}" for name in names
                     if not callable(getattr(home, name, None))]
     assert missing == []
+
+
+_MISSING = object()
+
+
+def _lookup(dotted):
+    """The object a dotted nesth2 name refers to, or _MISSING.
+
+    As for `from package import name`, an attribute of the parent module is
+    tried first and a submodule second.
+    """
+    module, _, name = dotted.rpartition(".")
+    home = importlib.import_module(module)
+    if hasattr(home, name):
+        return getattr(home, name)
+    try:
+        return importlib.import_module(dotted)
+    except ModuleNotFoundError:
+        return _MISSING
+
+
+def _is_nesth2(module):
+    return module == "nesth2" or module.startswith("nesth2.")
+
+
+def _nesth2_reads(tree):
+    """Dotted nesth2 names that a benchmark module uses: every name imported
+    from nesth2, and every attribute read on a nesth2 module bound by an
+    import."""
+    modules, reads = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 \
+                and _is_nesth2(node.module or ""):
+            for alias in node.names:
+                dotted = f"{node.module}.{alias.name}"
+                reads.add(dotted)
+                if inspect.ismodule(_lookup(dotted)):
+                    modules[alias.asname or alias.name] = dotted
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if _is_nesth2(alias.name):
+                    # `import a.b` binds a; `import a.b as c` binds a.b
+                    bound = alias.asname or alias.name.split(".")[0]
+                    modules[bound] = alias.name if alias.asname else bound
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id in modules:
+            reads.add(f"{modules[node.value.id]}.{node.attr}")
+    return reads
+
+
+def test_every_imported_name_resolves():
+    # perfbench/*.py parsed, not run: a deleted or renamed name would
+    # otherwise surface only as a failed benchmark run
+    reads = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        reads |= _nesth2_reads(ast.parse(path.read_text(), filename=str(path)))
+    assert reads >= {"nesth2.statespace.is_block_lower_tf",
+                     "nesth2.linalg.is_hurwitz", "nesth2.statespace.lft_lower",
+                     "nesth2.plant.save_plant", "nesth2._kernels.USE_NUMBA",
+                     "nesth2.cli.main"}
+    assert sorted(name for name in reads if _lookup(name) is _MISSING) == []
 
 
 def test_work_counters_read_parameters_that_exist():

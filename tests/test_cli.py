@@ -374,15 +374,15 @@ def test_verify_factors_each_state_matrix_once(tmp_path, capsys, monkeypatch):
     # certifies computes no eigenvalues at all, and no check re-tests a
     # matrix that synthesis already certified Hurwitz.
     assert _count_factorizations(tmp_path, capsys, monkeypatch, "verify") \
-        == {"eigvals": 11, "schur": 17}
+        == {"eigvals": 11, "schur": 13}
 
 
 def test_analyze_factors_each_state_matrix_once(tmp_path, capsys,
                                                 monkeypatch):
-    # the gap Lyapunov pair shares one Schur form of A_gap; each
-    # orthogonality projection factors the error and innovations matrices
+    # the gap Lyapunov pair shares one Schur form of A_gap; each player's
+    # error and innovations share one realization, factored once
     assert _count_factorizations(tmp_path, capsys, monkeypatch, "analyze") \
-        == {"eigvals": 6, "schur": 15}
+        == {"eigvals": 6, "schur": 11}
 
 
 def test_monte_carlo_is_skipped_without_the_identity_chain(tmp_path, capsys,

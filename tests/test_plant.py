@@ -12,7 +12,6 @@ from nesth2.plant import (
     plant_from_dict,
     plant_to_dict,
     save_plant,
-    selector,
 )
 from nesth2.fixtures import (
     make_decoupled,
@@ -33,15 +32,6 @@ def test_partition_rejects_zero_splits():
         Partition((1, 1), (1, 0), (1, 1))
     p = Partition([2, 1], [1, 1], [1, 1])
     assert p.n == (2, 1)
-
-
-def test_selector_blocks():
-    E1 = selector((2, 3), 0)
-    E2 = selector((2, 3), 1)
-    assert E1.shape == (5, 2) and E2.shape == (5, 3)
-    M = np.arange(25.0).reshape(5, 5)
-    assert np.array_equal(M @ E2, M[:, 2:])
-    assert np.array_equal(E1.T @ M, M[:2, :])
 
 
 def test_plant_rejects_upper_blocks():

@@ -24,7 +24,7 @@ from nesth2.stabilization import youla_data
 from nesth2.statespace import (StateSpace, lft_lower, minreal,
                                scaled_markov_parameters, vcat)
 from nesth2.synthesis import (centralized_h2, controller_realizations,
-                              optimal_controller)
+                              error_coordinates, optimal_controller)
 from nesth2 import validation as va
 
 SQRT2 = np.sqrt(2.0)
@@ -198,15 +198,73 @@ def test_estimator_first_components_coincide_when_decoupled():
     # contributes nothing to it.
     plant = make_decoupled()
     synth = optimal_controller(plant)
-    est = va.estimator_systems(plant, synth)
+    zeta_est = va.zeta_estimator(plant, synth)
+    xi_est = va.kalman_estimator(plant)
     k1 = plant.k1
-    zeta_first = est.zeta_est.subsystem(rows=[0], cols=list(range(k1 + plant.m)))
+    zeta_first = zeta_est.subsystem(rows=[0], cols=list(range(k1 + plant.m)))
     xi_cols = list(range(k1)) + [plant.k + j for j in range(plant.m)]
-    xi_first = est.xi_est.subsystem(rows=[0], cols=xi_cols)
+    xi_first = xi_est.subsystem(rows=[0], cols=xi_cols)
     assert va._markov_mismatch(zeta_first, xi_first) < 1e-7
-    cross = est.xi_est.subsystem(rows=[0], cols=[k1])
+    cross = xi_est.subsystem(rows=[0], cols=[k1])
     assert max(np.abs(p).max(initial=0.0)
                for p in cross.markov_parameters(8)) < 1e-12
+
+
+def _sandwich_route(plant, synth):
+    """Reference orthogonality residuals through the general sandwich.
+
+    Player 1's innovations are the shared innovations filtered through the
+    optimal local estimator loop, a series product with n1 + n states, and
+    each residual is `_causal_size(_stable_sandwich(I, E, R))`. Returns
+    (r1, r2, R1sys).
+    """
+    b = synth.bundle
+    n, k1, nw = plant.n, plant.k1, plant.nw
+    A, B = error_coordinates(synth.closed_loop, n)
+    E2sys = StateSpace(A[2 * n:, 2 * n:], B[2 * n:], np.eye(n),
+                       np.zeros((n, nw)))
+    R2sys = StateSpace(E2sys.A, E2sys.B, plant.C2, plant.D21)
+    E1sys = StateSpace(A[n:, n:], B[n:], np.hstack([np.eye(n), np.eye(n)]),
+                       np.zeros((n, nw)))
+    S_B = -b.L_cen[:plant.n1, :].copy()
+    S_B[:, :k1] += b.L_loc1
+    S_D = np.zeros((k1, plant.k))
+    S_D[:, :k1] = np.eye(k1)
+    R1sys = StateSpace(b.A_filt1, S_B, plant.C2_11, S_D) * R2sys
+    eye = StateSpace.gain(np.eye(n))
+    r1 = va._causal_size(va._stable_sandwich(eye, E1sys, R1sys))
+    r2 = va._causal_size(va._stable_sandwich(eye, E2sys, R2sys))
+    return r1, r2, R1sys
+
+
+# the fixture, the decoupled plant and the first eight (2, 2) plants of the
+# acceptance ensemble's seed sequence
+ORTHOGONALITY_PLANTS = [make_random_fixture, make_decoupled] + [
+    (lambda seed=1000 + 97 * i: random_plant(seed, n_split=(2, 2)))
+    for i in range(8)]
+ORTHOGONALITY_IDS = ["fixture", "decoupled"] + [
+    f"seed{1000 + 97 * i}" for i in range(8)]
+
+
+@pytest.mark.parametrize("make", ORTHOGONALITY_PLANTS, ids=ORTHOGONALITY_IDS)
+def test_loop_read_orthogonality_matches_the_sandwich_route(make):
+    plant = make()
+    synth = optimal_controller(plant)
+    want1, want2, R1sys = _sandwich_route(plant, synth)
+    r1, r2 = va.orthogonality_residuals(plant, synth)
+    assert abs(r1 - want1) <= 1e-10
+    assert abs(r2 - want2) <= 1e-10
+    # y1 - C2[:k1] zeta read off the loop is the same transfer function as
+    # the shared innovations filtered through the local estimator loop
+    n, k1 = plant.n, plant.k1
+    A, B = error_coordinates(synth.closed_loop, n)
+    to_err1 = np.hstack([np.eye(n), np.eye(n)])
+    loop_read = StateSpace(A[n:, n:], B[n:], plant.C2[:k1] @ to_err1,
+                           plant.D21[:k1])
+    for s in EVAL_POINTS:
+        want = R1sys.eval_at(s)
+        assert np.linalg.norm(loop_read.eval_at(s) - want) \
+            <= 1e-12 * (1.0 + np.linalg.norm(want))
 
 
 def test_orthogonality_residuals_vanish_at_optimum():
@@ -535,8 +593,7 @@ def test_simulated_covariance_matches_gap_lyapunov():
     plant = make_decoupled()
     synth = optimal_controller(plant)
     target = va.hat_pair(plant, synth).Y_common
-    sim = va.simulated_error_covariance(plant, synth, n_paths=4000,
-                                        horizon_constants=15.0, seed=11)
+    sim = va.simulated_error_covariance(plant, synth, seed=11)
     rel = np.linalg.norm(sim - target) / np.linalg.norm(target)
     assert rel < 0.05
 
