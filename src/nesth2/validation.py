@@ -500,9 +500,10 @@ def _joint_realization(T11, T12, T21):
     """Minimal joint realization of the three model-matching blocks.
 
     The naive stacked realization carries every mode three times, which is
-    poison for the eigenvector-based Riccati solver (repeated Hamiltonian
-    eigenvalues), so the stack is reduced to a minimal realization before
-    being split back into the four-block form.
+    poison for the eigenvector-based Riccati solver that `solve_are` uses
+    below 32 states (repeated Hamiltonian eigenvalues), so the stack is
+    reduced to a minimal realization before being split back into the
+    four-block form.
     """
     if T12.ny != T11.ny or T21.nu != T11.nu:
         raise ValueError("model-matching blocks have inconsistent dimensions")
@@ -641,12 +642,14 @@ def vectorization_oracle(T):
     Raises
     ------
     SolverError
-        If more than ORACLE_STATE_GUARD joint states remain after reduction.
+        If more than ORACLE_STATE_GUARD joint states remain after reduction;
+        the lifted factor is reduced and tested alone first, so a problem
+        whose lifted factor is already too large is refused before the
+        target is reduced.
     """
     partition = T.partition
     T11, T12, T21 = T.T11, T.T12, T.T21
     m, k = T12.nu, T21.ny
-    target = minreal(_vec_system(T11))
     lifted = _kron_identity_left(T21.transpose(), T12.ny) \
         * _kron_identity_right(T12, k)
     if partition is not None:
@@ -654,6 +657,13 @@ def vectorization_oracle(T):
     else:
         keep = list(range(m * k))
     lifted = minreal(lifted.subsystem(cols=keep))
+    # the joint count is at least the lifted one, so the guard can refuse
+    # before the target is reduced, the costlier of the two reductions
+    if lifted.nx > ORACLE_STATE_GUARD:
+        raise SolverError(
+            f"lifted factor has {lifted.nx} states after reduction, "
+            f"above the {ORACLE_STATE_GUARD}-state guard")
+    target = minreal(_vec_system(T11))
 
     joint_states = target.nx + lifted.nx
     if joint_states > ORACLE_STATE_GUARD:

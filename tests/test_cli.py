@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 
 import numpy as np
@@ -264,6 +265,30 @@ def test_benchmark_requests_pass(tmp_path, capsys, n):
     assert main(argv) == 0
     assert "verdict: pass" in capsys.readouterr().out
 
+
+def test_synthesize_report_does_not_depend_on_the_riccati_path(
+        tmp_path, capsys, monkeypatch):
+    # at n = 32 the plant's two full-order Riccati equations take the sign
+    # path; forcing every equation onto the eigenvector path must print the
+    # same report. The report prints 17 significant digits, so its text
+    # must match with the numbers masked, and the numbers must agree to
+    # rounding: the two paths' rounding errors differ.
+    import nesth2.linalg as linalg
+
+    path = _write_plant(tmp_path,
+                        random_plant(0, (16, 16), (16, 16), (16, 16)))
+    reports = []
+    for cutoff in (linalg._SIGN_MIN_STATES, sys.maxsize):
+        monkeypatch.setattr(linalg, "_SIGN_MIN_STATES", cutoff)
+        assert main(["synthesize", path]) == 0
+        reports.append(capsys.readouterr().out)
+    number = re.compile(r"-?\d+(?:\.\d*)?(?:e[-+]?\d+)?")
+    sign_text, eig_text = (number.sub("#", r) for r in reports)
+    assert sign_text == eig_text
+    sign_num, eig_num = (np.array(number.findall(r), dtype=float)
+                         for r in reports)
+    assert np.all(np.abs(sign_num - eig_num)
+                  <= 1e-10 * (1.0 + np.abs(eig_num)))
 
 def test_verify_oracle_guard_failure_is_numerical(tmp_path, capsys, monkeypatch):
     import nesth2.cli as cli

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from nesth2 import linalg
 from nesth2.statespace import StateSpace
 from nesth2.linalg import (
     HURWITZ_MARGIN,
@@ -489,7 +490,9 @@ def test_are_sqrt2_and_sqrt5():
 
 def test_are_matches_scipy_with_cross_term():
     rng = np.random.default_rng(102)
-    for n, m, p in ((3, 1, 4), (4, 2, 6), (5, 2, 7)):
+    # the last three take the sign-function path
+    for n, m, p in ((3, 1, 4), (4, 2, 6), (5, 2, 7),
+                    (32, 3, 35), (48, 4, 52), (64, 5, 69)):
         A = rng.standard_normal((n, n))
         B = rng.standard_normal((n, m))
         C = rng.standard_normal((p, n))
@@ -502,6 +505,103 @@ def test_are_matches_scipy_with_cross_term():
         assert np.linalg.norm(sol.X - X_ref) < 1e-7 * (1.0 + np.linalg.norm(X_ref))
         assert is_hurwitz(A + B @ sol.K, margin=0.0)
         assert sol.residual < 1e-8 * (1.0 + np.linalg.norm(sol.X) ** 2)
+
+
+def _regulator(A, B):
+    """(A, B, C, D) with cost x^T x + u^T u."""
+    n, m = B.shape
+    C = np.vstack([np.eye(n), np.zeros((m, n))])
+    D = np.vstack([np.zeros((n, m)), np.eye(m)])
+    return A, B, C, D
+
+
+@pytest.mark.parametrize("n, eig_calls", [
+    (1, 1), (linalg._SIGN_MIN_STATES - 1, 1),
+    (linalg._SIGN_MIN_STATES, 0), (64, 0),
+])
+def test_are_path_follows_the_cutoff(monkeypatch, n, eig_calls):
+    rng = np.random.default_rng(n)
+    data = _regulator(rng.standard_normal((n, n)) / np.sqrt(n),
+                      rng.standard_normal((n, max(2, n // 4))))
+    calls = []
+    original = np.linalg.eig
+
+    def counted(M):
+        calls.append(M.shape)
+        return original(M)
+    monkeypatch.setattr(np.linalg, "eig", counted)
+    solve_are(*data)
+    assert len(calls) == eig_calls
+
+
+def _sign_refusal_cases():
+    # every case has 32 states, so it takes the sign path
+    n = linalg._SIGN_MIN_STATES
+    rng = np.random.default_rng(11)
+    A2 = _stable_matrix(rng, n - 1)
+    B2 = rng.standard_normal((n - 1, 2))
+    _, _, C2, D2 = _regulator(A2, B2)
+    # the scalar solve_are(1, 1, 1, 1) case, whose Hamiltonian has a double
+    # eigenvalue at 0, as one block of a block-diagonal problem
+    axis = (scipy.linalg.block_diag(1.0, A2), scipy.linalg.block_diag(1.0, B2),
+            scipy.linalg.block_diag(1.0, C2), scipy.linalg.block_diag(1.0, D2))
+    # an unstable mode that no input reaches: its stable direction has no
+    # component in x, so [I; X] cannot span the stable subspace
+    unstab = _regulator(scipy.linalg.block_diag(1.0, A2),
+                        np.vstack([np.zeros((1, 2)), B2]))
+    A_nan = rng.standard_normal((n, n))
+    A_nan[3, 5] = np.nan
+    nan = _regulator(A_nan, rng.standard_normal((n, 2)))
+    return [
+        pytest.param(axis, SolverError, "imaginary axis", id="axis"),
+        pytest.param(unstab, SolverError, "stable-subspace basis is singular",
+                     id="unstabilizable"),
+        pytest.param(nan, np.linalg.LinAlgError, "infs or NaNs", id="nan"),
+    ]
+
+
+@pytest.mark.parametrize("data, error, match", _sign_refusal_cases())
+def test_are_sign_path_refuses(data, error, match):
+    with pytest.raises(error, match=match):
+        solve_are(*data)
+
+
+def test_are_sign_path_refuses_at_the_step_cap(monkeypatch):
+    rng = np.random.default_rng(12)
+    n = linalg._SIGN_MIN_STATES
+    data = _regulator(rng.standard_normal((n, n)) / np.sqrt(n),
+                      rng.standard_normal((n, n // 4)))
+    solve_are(*data)
+    monkeypatch.setattr(linalg, "_SIGN_MAX_STEPS", 2)
+    with pytest.raises(SolverError, match="did not converge in 2 steps"):
+        solve_are(*data)
+
+
+def test_are_sign_path_stops_at_its_rounding_floor(monkeypatch):
+    # A = -1e-5 I clusters 30 of the Hamiltonian's eigenvalue pairs at
+    # +-1e-5. The sign iteration's steps level off near 2e-12, above its
+    # 1e-13 tolerance, so only the stagnation stop ends it in time.
+    n, m = linalg._SIGN_MIN_STATES, 2
+    B = np.random.default_rng(0).standard_normal((n, m))
+    A, B, C, D = _regulator(-1e-5 * np.eye(n), B)
+    C = 0.1 * C
+    iterates = []
+    original = scipy.linalg.get_lapack_funcs
+
+    def recording(names, arrays):
+        getrf, getri = original(names, arrays)
+        return (lambda Z: iterates.append(Z.copy()) or getrf(Z)), getri
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", recording)
+    sol = solve_are(A, B, C, D)
+    monkeypatch.undo()
+    assert len(iterates) < linalg._SIGN_MAX_STEPS
+    # the step that ended the iteration, from the last factored iterate
+    Z = iterates[-1]
+    Z_next = 0.5 * (Z + np.linalg.inv(Z))
+    assert np.linalg.norm(Z_next - Z, 1) > 1e-13 * np.linalg.norm(Z_next, 1)
+    monkeypatch.setattr(linalg, "_SIGN_MIN_STATES", n + 1)
+    X_eig = solve_are(A, B, C, D).X
+    assert np.linalg.norm(sol.X - X_eig) < 1e-6 * np.linalg.norm(X_eig)
 
 
 # ---------------------------------------------------------------- gramians / h2
@@ -665,3 +765,25 @@ def test_are_closed_loop_property(seed):
     sol = solve_are(A, B, C, D)
     assert is_hurwitz(A + B @ sol.K, margin=0.0)
     assert np.min(np.linalg.eigvalsh(sol.X)) > -1e-8
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6),
+       n=st.integers(min_value=linalg._SIGN_MIN_STATES - 4,
+                     max_value=linalg._SIGN_MIN_STATES + 8))
+def test_are_closed_loop_property_across_the_cutoff(seed, n):
+    # n // 4 or more inputs keep ||X|| below about 1e4 at this scale of A
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(n // 4, n // 2))
+    A = rng.standard_normal((n, n)) / np.sqrt(n)
+    B = rng.standard_normal((n, m))
+    C = rng.standard_normal((n + m, n)) / np.sqrt(n)
+    D = np.vstack([np.zeros((n, m)), np.eye(m)])
+    sol = solve_are(A, B, C, D)
+    X = sol.X
+    assert is_hurwitz(A + B @ sol.K)
+    assert np.min(np.linalg.eigvalsh(X)) > -1e-8 * (1.0 + np.linalg.norm(X))
+    # D^T D = I, so the gain is K = -(B^T X + D^T C)
+    G = X @ B + C.T @ D
+    res = np.linalg.norm(A.T @ X + X @ A + C.T @ C - G @ G.T)
+    assert res < 1e-8 * (1.0 + np.linalg.norm(X)) ** 2

@@ -514,8 +514,14 @@ def test_oracle_state_guard_trips(monkeypatch):
     synth = optimal_controller(plant)
     data = youla_data(plant, synth.bundle)
     monkeypatch.setattr(va, "ORACLE_STATE_GUARD", 3)
+    calls = []
+    vec_system = va._vec_system
+    monkeypatch.setattr(va, "_vec_system",
+                        lambda sys: calls.append(sys) or vec_system(sys))
     with pytest.raises(SolverError, match="guard"):
         va.vectorization_oracle(data)
+    # the lifted factor alone exceeds the guard: the target is never lifted
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
