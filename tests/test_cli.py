@@ -290,6 +290,7 @@ def test_synthesize_report_does_not_depend_on_the_riccati_path(
     assert np.all(np.abs(sign_num - eig_num)
                   <= 1e-10 * (1.0 + np.abs(eig_num)))
 
+
 def test_verify_oracle_guard_failure_is_numerical(tmp_path, capsys, monkeypatch):
     import nesth2.cli as cli
 

@@ -520,7 +520,8 @@ def test_oracle_state_guard_trips(monkeypatch):
                         lambda sys: calls.append(sys) or vec_system(sys))
     with pytest.raises(SolverError, match="guard"):
         va.vectorization_oracle(data)
-    # the lifted factor alone exceeds the guard: the target is never lifted
+    # the lifted factor alone exceeds the guard, so the target's
+    # vectorization is never built
     assert calls == []
 
 
