@@ -223,7 +223,7 @@ def cmd_analyze(plant, args):
     rep = RunReport("analyze", plant)
     synth = optimal_controller(plant)
     rep.number("centralized norm", synth.centralized_norm)
-    rep.number("structured norm", h2_norm(synth.closed_loop))
+    rep.number("structured norm", synth.loop_factors.h2_norm)
     deltas = _attempt(rep, "three delta formulas agree",
                       lambda: va.delta_cost(plant, synth,
                                             va.hat_pair(plant, synth)))
@@ -292,7 +292,7 @@ def cmd_verify(plant, args):
 
     if args.oracle:
         def run_oracle():
-            n_struct = h2_norm(synth.closed_loop)
+            n_struct = synth.loop_factors.h2_norm
             _, n_oracle = va.vectorization_oracle(checked_data())
             rel = abs(n_oracle - n_struct) / (1.0 + n_struct)
             if not rel <= args.tol:

@@ -20,7 +20,11 @@ diagonal entries, the real part of the pair), so the Hurwitz test reads it
 there, and the same (T, U) serves A P + P A^T and A^T P + P A through
 `trsyl`'s transpose flags. `h2_norm` takes both Gramians and its stability
 test from one factorization; `solve_lyapunov` and `solve_sylvester` are thin
-wrappers over the same from-Schur solvers.
+wrappers over the same from-Schur solvers. The from-Schur solvers also
+accept the factors of a nearby matrix, such as the block upper triangular
+form that `synthesis.LoopFactors` assembles from the synthesized loop's
+diagonal blocks: every residual is checked against the matrix passed in,
+so the shortcut holds only where that matrix agrees with its factors.
 
 The structural preconditions of a Riccati equation are PBH rank tests:
 stabilizability, and the absence of invariant zeros on the imaginary axis,
@@ -61,6 +65,10 @@ class SolverError(RuntimeError):
     """A solver's preconditions failed or its result did not verify."""
 
 
+_MARGIN_BAND = ("Hamiltonian eigenvalue inside the margin band; "
+                "no strictly stabilizing solution")
+
+
 def is_hurwitz(A, margin=HURWITZ_MARGIN):
     """True iff every eigenvalue of A satisfies Re(lambda) < -margin."""
     A = _mat(A, "A")
@@ -98,17 +106,23 @@ def _real_schur(A):
     return scipy.linalg.schur(A, output="real", check_finite=False)
 
 
-def _hurwitz_schur(A, message):
-    """Real Schur form (T, U) of A, or SolverError(message) unless every
-    eigenvalue has Re < -HURWITZ_MARGIN.
+def _require_hurwitz(T, message):
+    """SolverError(message) unless every eigenvalue of the real Schur form
+    T has Re < -HURWITZ_MARGIN.
 
     The real parts are the diagonal of T: real eigenvalues sit there, and
     each standardized 2 x 2 block carries the real part of its pair on both
     diagonal entries.
     """
-    T, U = _real_schur(A)
     if T.shape[0] and not np.max(np.diag(T)) < -HURWITZ_MARGIN:
         raise SolverError(message)
+
+
+def _hurwitz_schur(A, message):
+    """Real Schur form (T, U) of A, or SolverError(message) unless every
+    eigenvalue has Re < -HURWITZ_MARGIN (see `_require_hurwitz`)."""
+    T, U = _real_schur(A)
+    _require_hurwitz(T, message)
     return T, U
 
 
@@ -306,8 +320,7 @@ def _eig_solution(H, n):
     """
     w, V = np.linalg.eig(H)
     if np.any(np.abs(w.real) <= HURWITZ_MARGIN):
-        raise SolverError("Hamiltonian eigenvalue inside the margin band; "
-                          "no strictly stabilizing solution")
+        raise SolverError(_MARGIN_BAND)
     sel = w.real < -HURWITZ_MARGIN
     if int(np.sum(sel)) != n:
         raise SolverError(
@@ -403,11 +416,16 @@ def solve_are(A, B, C, D):
     closed-loop property that A + B K has every eigenvalue left of
     -HURWITZ_MARGIN are all checked. The spectrum of A + B K is the stable
     half of H's, whose eigenvalues come in +-lambda pairs, so a Hamiltonian
-    eigenvalue inside the margin band shows up there on either path.
+    eigenvalue inside the margin band shows up there on either path. The
+    one eigenvalue computation of A + B K gives its largest real part; in
+    [-HURWITZ_MARGIN, 0) the refusal names the margin band, with the
+    eigenvector path's wording, and any other value that is not below
+    -HURWITZ_MARGIN refuses the closed loop as not Hurwitz.
 
     Raises SolverError if D^T D is not positive definite, a Hamiltonian
     eigenvalue falls in the +-HURWITZ_MARGIN band (tested on H's spectrum
-    on the eigenvector path), the stable eigenvalues do not number n, the
+    on the eigenvector path, on that of A + B K on both), the stable
+    eigenvalues do not number n, the
     sign iteration does not converge, or any verification fails. Data
     without a stabilizing solution ends in one of those. A NaN or infinite
     entry raises LinAlgError. The structural preconditions (stabilizable
@@ -440,7 +458,10 @@ def solve_are(A, B, C, D):
         raise SolverError(f"Riccati residual {res:.2e} exceeds tolerance")
     if np.linalg.eigvalsh(X).min() < -1e-8 * (1.0 + np.linalg.norm(X)):
         raise SolverError("Riccati solution is not positive semidefinite")
-    if not is_hurwitz(A + B @ K, margin=HURWITZ_MARGIN):
+    top = np.max(np.linalg.eigvals(A + B @ K).real, initial=-np.inf)
+    if -HURWITZ_MARGIN <= top < 0.0:
+        raise SolverError(_MARGIN_BAND)
+    if not top < -HURWITZ_MARGIN:
         raise SolverError("closed loop A + B K is not Hurwitz")
     return AreSolution(X=X, K=K, residual=float(res))
 
@@ -485,12 +506,23 @@ def h2_norm(sys):
     Raises SolverError for a non-Hurwitz A, and ValueError for a nonzero
     feedthrough (the norm is infinite).
     """
+    return _h2_norm_from_schur(sys, None)
+
+
+def _h2_norm_from_schur(sys, schur):
+    """`h2_norm` of sys from schur = (T, U), a real Schur form of sys.A or
+    of a matrix that sys.A equals within the residual gate of
+    `_lyapunov_from_schur`; None factors sys.A here. The Hurwitz test reads
+    the diagonal of T, and both Lyapunov residuals are checked against
+    sys.A itself."""
     if np.linalg.norm(sys.D) != 0.0:
         raise ValueError("nonzero feedthrough: the H2 norm is unbounded")
     if sys.nx == 0:
         return 0.0
-    return _h2_from_schur(sys.A, _hurwitz_schur(sys.A, _NOT_HURWITZ),
-                          sys.B, sys.C)
+    if schur is None:
+        schur = _real_schur(sys.A)
+    _require_hurwitz(schur[0], _NOT_HURWITZ)
+    return _h2_from_schur(sys.A, schur, sys.B, sys.C)
 
 
 def stable_antistable_decompose(sys):

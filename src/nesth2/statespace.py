@@ -4,17 +4,17 @@ Everything here is desk-scale dense linear algebra: systems are stored as plain
 (A, B, C, D) numpy arrays and composed by block-matrix formulas, with no
 attention to sparsity. Scale is handled in two places: `balance_realization`
 equalizes a realization's rows and columns by an exact powers-of-two
-similarity, and the Markov-parameter comparisons run on the frequency-scaled
-G(alpha s) of `scaled_markov_parameters`, relative to its peak.
+similarity, found in damped sweeps that move every state at once, and the
+Markov-parameter comparisons run on the frequency-scaled G(alpha s) of
+`scaled_markov_parameters`, relative to its peak.
 """
-
-import math
 
 import numpy as np
 import scipy.linalg as sla
 
 REDUCE_TOL = 1e-9
-BALANCE_SWEEPS = 10
+#: cap on the simultaneous sweeps of `balance_realization`
+BALANCE_SWEEPS = 64
 #: below this fraction of the realizations' parameter bound, a Markov peak
 #: counts as a zero transfer function carrying rounding noise
 MARKOV_FLOOR = 1e-6
@@ -328,46 +328,44 @@ def minreal(sys):
 def balance_realization(sys):
     """Rescale the states of sys by powers of two to equalize row/column weight.
 
-    Diagonal similarity in the style of the classic joint (A, B, C) balancing:
-    each state is scaled so that the 1-norm of its row through [A B] matches
-    the 1-norm of its column through [A; C]. Powers of two keep the transform
-    exact in floating point, and the transfer function is unchanged. Products
-    of realizations can leave B and C orders of magnitude apart, which ruins the
-    accuracy of Gramian-based norms; this repairs the scaling without touching
-    the dynamics.
+    Diagonal similarity in the style of the classic joint (A, B, C) balancing
+    (Parlett & Reinsch 1969, Numer. Math. 13): each state is scaled so that
+    the 1-norm of its row through [A B] approaches the 1-norm of its column
+    through [A; C]. Powers of two keep the transform exact in floating
+    point, and the transfer function is unchanged. Products of realizations
+    can leave B and C orders of magnitude apart, which ruins the accuracy of
+    Gramian-based norms; this repairs the scaling without touching the
+    dynamics.
 
-    The Gauss-Seidel sweeps run on an integer exponent vector e, the
-    similarity being diag(2^e): state i's row weight is
-    2^-e_i (|A_offdiag[i, :]| . 2^e + |B[i, :]|_1) and its column weight
-    2^e_i (|A_offdiag[:, i]| . 2^-e + |C[:, i]|_1), one dot product each, and
-    it moves by round(log2(r/c)/2). The realization is scaled once, with
+    The sweeps run on an integer exponent vector e, the similarity being
+    diag(2^e), and move every state at once: state i's row weight is
+    r_i = 2^-e_i (|A_offdiag[i, :]| . 2^e + |B[i, :]|_1) and its column
+    weight c_i = 2^e_i (|A_offdiag[:, i]| . 2^-e + |C[:, i]|_1), one
+    matrix-vector product for all r and one for all c. Each state with
+    r_i, c_i > 0 moves by rint(log2(r_i / c_i) / 4), half the step that
+    would equalize it alone: undamped simultaneous moves can overshoot
+    through the coupling and cycle. A state whose ratio is not finite, as
+    a NaN or infinite entry makes it, stays. The sweeps stop when no state
+    moves, which leaves every such state's r_i / c_i within a factor of 4,
+    or after BALANCE_SWEEPS. The realization is scaled once, with
     `np.ldexp`, after the last sweep.
     """
-    n = sys.nx
     absA = np.abs(sys.A)
     np.fill_diagonal(absA, 0.0)
-    absAT = absA.T.copy()
     row_B = np.abs(sys.B).sum(axis=1)
     col_C = np.abs(sys.C).sum(axis=0)
-    e = [0] * n
-    up = np.ones(n)
-    down = np.ones(n)
+    e = np.zeros(sys.nx, dtype=int)
     for _ in range(BALANCE_SWEEPS):
-        changed = False
-        for i in range(n):
-            r = (absA[i] @ up + row_B[i]) * down[i]
-            c = (absAT[i] @ down + col_C[i]) * up[i]
-            if r == 0.0 or c == 0.0:
-                continue
-            k = round(math.log2(r / c) / 2.0)
-            if k != 0:
-                changed = True
-                e[i] += k
-                up[i] = math.ldexp(1.0, e[i])
-                down[i] = math.ldexp(1.0, -e[i])
-        if not changed:
+        up = np.ldexp(1.0, e)
+        down = np.ldexp(1.0, -e)
+        r = (absA @ up + row_B) * down
+        c = (down @ absA + col_C) * up
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            move = np.rint(np.log2(r / c) / 4.0)
+        move[~((r > 0.0) & (c > 0.0) & np.isfinite(move))] = 0.0
+        if not move.any():
             break
-    e = np.array(e, dtype=int)
+        e += move.astype(int)
     return StateSpace(np.ldexp(sys.A, e[None, :] - e[:, None]),
                       np.ldexp(sys.B, -e[:, None]),
                       np.ldexp(sys.C, e[None, :]), sys.D)

@@ -14,14 +14,15 @@ its own measurement history, and the full-measurement estimate that player 2
 can maintain, with the input blending the two.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .linalg import (RESIDUAL_TOL, SolverError, screen_are, solve_are,
-                     triangular_sylvester)
+from .linalg import (RESIDUAL_TOL, SolverError, _h2_norm_from_schur,
+                     _real_schur, screen_are, solve_are, triangular_sylvester)
 from .plant import (AssumptionError, Partition, TwoPlayerPlant,
                     check_assumptions, cost_cov_matrices)
 from .statespace import StateSpace, lft_lower
@@ -107,6 +108,12 @@ class SynthesisResult:
     the same coordinates. `centralized_norm` is the closed-loop H2 norm of
     the information-unconstrained design, from the bundle's centralized
     solutions; it equals `centralized_h2(plant)[1]`.
+    `loop_factors` is the loop in those coordinates with a real Schur form
+    assembled from the three diagonal blocks (`LoopFactors`). It is built
+    on first use, never by `optimal_controller`, and then kept; the checks
+    of `validation` take every factorization of the loop and of its
+    trailing blocks from it, and every one of A_gap except the Gramian's
+    reference solve.
     The nominal gains of the controller parameterization are not part of
     the design: `stabilization.youla_data(plant, bundle)` builds them.
     """
@@ -120,6 +127,26 @@ class SynthesisResult:
     controller_alt: StateSpace
     closed_loop: StateSpace
     centralized_norm: float
+
+    @functools.cached_property
+    def loop_factors(self):
+        n = self.A_gap.shape[0]
+        A, B = error_coordinates(self.closed_loop, n)
+        C = self.closed_loop.C.reshape(-1, 3, n)
+        C = np.hstack([C.sum(axis=1), C[:, 0] + C[:, 2], C[:, 0]])
+        # three n x n factorizations instead of one of the 3n-state loop
+        blocks = tuple(_real_schur(M) for M in (self.bundle.A_ctrl,
+                                                self.A_gap, self.bundle.A_filt))
+        T = np.zeros_like(A)
+        U = np.zeros_like(A)
+        rows = [slice(i * n, (i + 1) * n) for i in range(3)]
+        for i, (T_i, U_i) in enumerate(blocks):
+            T[rows[i], rows[i]] = T_i
+            U[rows[i], rows[i]] = U_i
+            for j in range(i + 1, 3):
+                T[rows[i], rows[j]] = U_i.T @ A[rows[i], rows[j]] @ blocks[j][1]
+        return LoopFactors(loop=StateSpace(A, B, C, self.closed_loop.D),
+                           blocks=blocks, schur=(T, U))
 
 
 def solve_four_ares(plant):
@@ -470,6 +497,44 @@ def error_coordinates(closed_loop, n):
                   [S[2] - S[1], P[2] - P[1], blk[2, 0] - blk[1, 0]],
                   [S[0] - S[2], P[0] - P[2], blk[0, 0] - blk[2, 0]]])
     return A, np.vstack([B[1], B[2] - B[1], B[0] - B[2]])
+
+
+@dataclass
+class LoopFactors:
+    """The synthesized loop in the estimation-error coordinates, factored
+    through its three n x n diagonal blocks.
+
+    `loop` realizes `SynthesisResult.closed_loop` in the coordinates
+    (zeta, xi - zeta, x - xi) of `error_coordinates`. `blocks` holds real
+    Schur forms (T_i, U_i) of A_ctrl, A_gap and A_filt. `schur` = (T, U)
+    assembles them: U = diag(U_i), T_ii = T_i, T_ij = U_i' A[i, j] U_j for
+    i < j, with A = loop.A in n x n blocks, and exact zeros below the
+    diagonal. That is a real Schur form of the block upper triangular
+    matrix which `optimal_controller` certifies loop.A to equal within
+    SEPARATION_TOL; its trailing 2n x 2n and n x n parts are real Schur
+    forms of the loop's tails in the same way. Every solve from these
+    factors checks its residual against loop.A itself, not against the
+    zeroed copy, so a loop that does not separate is refused there.
+    """
+
+    loop: StateSpace
+    blocks: tuple
+    schur: tuple
+
+    def tail(self, start):
+        """(A, B, (T, U)) of the loop's states from block `start` (0, 1 or
+        2) on: the trailing blocks of the loop and of its Schur form."""
+        n = self.blocks[0][0].shape[0]
+        tail = slice(start * n, None)
+        T, U = self.schur
+        return (self.loop.A[tail, tail], self.loop.B[tail],
+                (T[tail, tail], U[tail, tail]))
+
+    @functools.cached_property
+    def h2_norm(self):
+        """H2 norm of the loop from the assembled Schur form, whose diagonal
+        carries the Hurwitz test; computed once and kept."""
+        return _h2_norm_from_schur(self.loop, self.schur)
 
 
 def _certify_closed_loop(closed, bundle, A_gap):

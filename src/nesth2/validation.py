@@ -16,17 +16,16 @@ import numpy as np
 import scipy.linalg as sla
 
 from ._kernels import terminal_state_covariance
-from .linalg import (SolverError, _h2_from_schur, _hurwitz_schur,
-                     _lyapunov_from_schur, _real_schur, _sylvester_from_schur,
-                     h2_norm, is_hurwitz, screen_are, solve_are,
-                     solve_lyapunov)
+from .linalg import (SolverError, _h2_from_schur, _h2_norm_from_schur,
+                     _hurwitz_schur, _lyapunov_from_schur, _require_hurwitz,
+                     _sylvester_from_schur, h2_norm, is_hurwitz, screen_are,
+                     solve_are, solve_lyapunov)
 from .plant import (AssumptionError, TwoPlayerPlant, check_assumptions,
                     cost_cov_matrices)
 from .stabilization import controller_from_q, q_from_controller
 from .statespace import (StateSpace, _markov_scale, _peak,
                          balance_realization, is_block_lower_tf, minreal,
                          scaled_markov_parameters)
-from .synthesis import error_coordinates
 
 IDENTITY_TOL = 1e-8
 CHECK_TOL = 1e-7
@@ -110,8 +109,9 @@ def hat_pair(plant, synth):
     -------
     HatPair
         The pair (Y_common, X_private) with every identity of the chain
-        checked at the scaled tolerance IDENTITY_TOL. One real Schur form of
-        A_gap serves both gap Lyapunov equations. Both
+        checked at the scaled tolerance IDENTITY_TOL. Both gap Lyapunov
+        equations are solved from the one real Schur form of A_gap in
+        `synth.loop_factors`. Both
         dominate their centralized counterparts, their corner blocks equal
         the local ARE solutions and the coupling matrices, and both
         structured gains are reproduced from them by the displayed formulas.
@@ -122,7 +122,7 @@ def hat_pair(plant, synth):
     dL = synth.L_common - b.L_cen
     dK = synth.K_private - b.K_cen
 
-    schur = _real_schur(synth.A_gap)
+    schur = synth.loop_factors.blocks[1]
     Y_gap = _lyapunov_from_schur(synth.A_gap, schur, dL @ cc.V @ dL.T, "N")
     X_gap = _lyapunov_from_schur(synth.A_gap, schur, dK.T @ cc.R @ dK, "T")
     _psd_floor(Y_gap, IDENTITY_TOL, "Y_common - Y_cen")
@@ -177,14 +177,21 @@ def closed_loop_gramian(plant, synth):
     equation, and checks that the off-diagonal blocks vanish to CHECK_TOL
     relative to the Gramian norm while the diagonal blocks match
     (Z, Y_common - Y_cen, Y_cen) where Z solves its own small Lyapunov
-    equation driven by the common injection.
+    equation driven by the common injection. The 3n equation is solved
+    from the Schur form in `synth.loop_factors`, assembled from those of the
+    blocks A_ctrl, A_gap and A_filt, with its residual checked against the
+    loop itself, so a loop that does not separate is refused. The two n x n
+    references Z and the middle block go through the public
+    `solve_lyapunov`, so the layer trace of the benchmark still sees the
+    Lyapunov work of the loop checks; each costs one n x n Schur form.
     """
     b = synth.bundle
     cc = cost_cov_matrices(plant)
     n = plant.n
     Lh, L = synth.L_common, b.L_cen
-    A_c, B_c = error_coordinates(synth.closed_loop, n)
-    Theta = solve_lyapunov(A_c, B_c @ B_c.T)
+    factors = synth.loop_factors
+    A_c, B_c, schur = factors.tail(0)
+    Theta = _lyapunov_from_schur(A_c, schur, B_c @ B_c.T, "N")
 
     Z = solve_lyapunov(b.A_ctrl, Lh @ cc.V @ Lh.T)
     dL = Lh - L
@@ -265,15 +272,15 @@ def zeta_estimator(plant, synth):
     return StateSpace(synth.A_gap, B, C, np.zeros((2 * n + m, k1 + m)))
 
 
-def _innovation_residual(A, B, C_err, C_inn, D_inn):
+def _innovation_residual(A, B, schur, C_err, C_inn, D_inn):
     """Causal size of E R~ for E = (A, B, C_err, 0) and R = (A, B, C_inn, D_inn).
 
     The stable part of the product is (A, B D_inn^T + W C_inn^T, C_err, 0)
-    with A W + W A^T + B B^T = 0, and it has no feedthrough, so one real
-    Schur form of A serves the Hurwitz test, W and both Gramians of the H2
-    norm.
+    with A W + W A^T + B B^T = 0, and it has no feedthrough, so the one real
+    Schur form `schur` of A serves the Hurwitz test, W and both Gramians of
+    the H2 norm.
     """
-    schur = _hurwitz_schur(A, "closed loop is not Hurwitz")
+    _require_hurwitz(schur[0], "closed loop is not Hurwitz")
     W = _lyapunov_from_schur(A, schur, B @ B.T, "N")
     return _h2_from_schur(A, schur, B @ D_inn.T + W @ C_inn.T, C_err)
 
@@ -287,8 +294,9 @@ def orthogonality_residuals(plant, synth):
     the last two state blocks and its innovations are y1 - C2[:k1] zeta =
     C2[:k1] (x - zeta) + D21[:k1] w; player 2's error x - xi is the last
     block and its innovations are C2 (x - xi) + D21 w. Each player's error
-    and innovations share one realization, whose state matrix is factored
-    once.
+    and innovations share one realization, the loop's trailing 2n or n
+    states, whose real Schur form is the matching trailing part of the one
+    in `synth.loop_factors`; no matrix is factored here.
 
     Returns
     -------
@@ -299,11 +307,11 @@ def orthogonality_residuals(plant, synth):
         precision.
     """
     n, k1 = plant.n, plant.k1
-    A, B = error_coordinates(synth.closed_loop, n)
+    factors = synth.loop_factors
     to_err1 = np.hstack([np.eye(n), np.eye(n)])
-    r1 = _innovation_residual(A[n:, n:], B[n:], to_err1,
+    r1 = _innovation_residual(*factors.tail(1), to_err1,
                               plant.C2[:k1] @ to_err1, plant.D21[:k1])
-    r2 = _innovation_residual(A[2 * n:, 2 * n:], B[2 * n:], np.eye(n),
+    r2 = _innovation_residual(*factors.tail(2), np.eye(n),
                               plant.C2, plant.D21)
     return r1, r2
 
@@ -321,7 +329,9 @@ def delta_cost(plant, synth, hats):
     norms of `synth.closed_loop` and of the centralized design.
 
     `hats` is the design's HatPair from `hat_pair`. The gap system is the
-    weighted gap parameter of `youla_parameters`.
+    weighted gap parameter of `youla_parameters`. Both norms come from
+    `synth.loop_factors`: the gap system's from its Schur form of A_gap,
+    the loop's from the assembled one (`LoopFactors.h2_norm`).
     """
     b = synth.bundle
     cc = cost_cov_matrices(plant)
@@ -332,7 +342,7 @@ def delta_cost(plant, synth, hats):
 
     gap_sys = StateSpace(synth.A_gap, dL @ plant.D21, plant.D12 @ dK,
                          np.zeros((plant.nz, plant.nw)))
-    d_norm = h2_norm(gap_sys) ** 2
+    d_norm = _h2_norm_from_schur(gap_sys, synth.loop_factors.blocks[1]) ** 2
     d_trace_y = float(np.trace(Y_gap @ dK.T @ cc.R @ dK))
     d_trace_x = float(np.trace(X_gap @ dL @ cc.V @ dL.T))
 
@@ -346,7 +356,7 @@ def delta_cost(plant, synth, hats):
     if not d_norm >= -CHECK_TOL:
         raise SolverError(f"decentralization cost is negative: {d_norm:.3e}")
 
-    sq_opt = h2_norm(synth.closed_loop) ** 2
+    sq_opt = synth.loop_factors.h2_norm ** 2
     sq_cen = synth.centralized_norm ** 2
     if not abs(sq_opt - sq_cen - d_norm) <= CHECK_TOL * (1.0 + sq_opt):
         raise SolverError(
@@ -742,12 +752,14 @@ def simulated_error_covariance(plant, synth, seed):
     and returns the sample covariance of x - zeta at the final time, which
     should match Y_common. MONTE_CARLO_PATHS paths run for MONTE_CARLO_HORIZON
     times the slowest closed-loop time constant, rounded up to a whole number
-    of them. Each path's terminal state is drawn in one step from its exact
+    of them; the slowest decay rate is read off the diagonal of the Schur
+    form in `synth.loop_factors`, which carries the spectra of A_ctrl, A_gap
+    and A_filt. Each path's terminal state is drawn in one step from its exact
     Gaussian law N(0, Q(horizon)), because exact transitions compose; the one
     error left is sampling error, fixed by `seed` for reproducibility.
     """
     cl = synth.closed_loop
-    decay = -np.max(np.linalg.eigvals(cl.A).real)
+    decay = -np.max(np.diag(synth.loop_factors.schur[0]))
     if not decay > 0:
         raise SolverError("closed loop is not Hurwitz; simulation diverges")
     cov_full = terminal_state_covariance(cl.A, cl.B, 1.0 / decay,

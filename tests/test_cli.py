@@ -351,7 +351,9 @@ def test_escaping_linalg_error_is_numerical(tmp_path, capsys, monkeypatch):
 def test_verify_solves_the_shared_data_once(tmp_path, capsys, monkeypatch):
     # one HatPair serves delta_cost and the Monte Carlo target, and one
     # youla_data serves the parameter round trip, the structured certificate
-    # and the oracle
+    # and the oracle; of the loop checks' Lyapunov equations only the
+    # Gramian's two n x n references Z and mid go through solve_lyapunov,
+    # every other one is solved from the design's loop factors
     import nesth2.cli as cli
 
     counts = _count_calls(monkeypatch, ("solve_lyapunov", "solve_are"))
@@ -369,9 +371,31 @@ def test_verify_solves_the_shared_data_once(tmp_path, capsys, monkeypatch):
     counted(cli, "youla_data")
     path = _write_plant(tmp_path, make_decoupled())
     assert main(["verify", path, "--oracle", "--seed", "7"]) == 0
-    assert counts == {"solve_lyapunov": 3, "solve_are": 8, "hat_pair": 1,
+    assert counts == {"solve_lyapunov": 2, "solve_are": 8, "hat_pair": 1,
                       "youla_data": 1}
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (5, 1)])
+def test_verify_reports_a_nan_loop(tmp_path, capsys, monkeypatch, entry):
+    # the loop factors' Schur forms come from the finite A_ctrl, A_gap and
+    # A_filt, so a NaN in the loop reaches the checks through their
+    # residual gates, and the balancing leaves its state where it is
+    import nesth2.cli as cli
+
+    original = cli.optimal_controller
+
+    def broken(plant):
+        synth = original(plant)
+        synth.closed_loop.A[entry] = np.nan
+        return synth
+    monkeypatch.setattr(cli, "optimal_controller", broken)
+    path = _write_plant(tmp_path, make_random_fixture())
+    assert main(["verify", path]) == 2
+    out = capsys.readouterr().out
+    assert "  FAIL  closed-loop Gramian block diagonal: " in out
+    assert "  FAIL  structured optimality certificate: " in out
+    assert "verdict: FAIL" in out
 
 
 def _count_factorizations(tmp_path, capsys, monkeypatch, command):
@@ -393,22 +417,25 @@ def _count_factorizations(tmp_path, capsys, monkeypatch, command):
 
 
 def test_verify_factors_each_state_matrix_once(tmp_path, capsys, monkeypatch):
-    # h2_norm, the structured certificate and the orthogonality projections
-    # take their Hurwitz tests and their Lyapunov and Sylvester solves from
-    # one real Schur form per state matrix; a redundant spectrum
-    # or factorization shows up here. A rank test that one SVD of B
-    # certifies computes no eigenvalues at all, and no check re-tests a
-    # matrix that synthesis already certified Hurwitz.
+    # two Schur forms in the coupling solve, three n x n ones of A_ctrl,
+    # A_gap and A_filt that every loop check shares, two more of A_ctrl and
+    # A_gap in the Gramian's solve_lyapunov references, and three in the
+    # structured certificate; a redundant spectrum or factorization shows up
+    # here. A rank test that one SVD of B certifies computes no eigenvalues
+    # at all, and no check re-tests a matrix that synthesis already
+    # certified Hurwitz.
     assert _count_factorizations(tmp_path, capsys, monkeypatch, "verify") \
-        == {"eigvals": 11, "schur": 13}
+        == {"eigvals": 11, "schur": 10}
 
 
 def test_analyze_factors_each_state_matrix_once(tmp_path, capsys,
                                                 monkeypatch):
-    # the gap Lyapunov pair shares one Schur form of A_gap; each player's
-    # error and innovations share one realization, factored once
+    # beyond the coupling solve's two, the loop factors' Schur forms of
+    # A_ctrl, A_gap and A_filt, which the design norm, the gap Lyapunov
+    # pair, the Gramian and both players' orthogonality products share, and
+    # the two n x n ones of the Gramian's solve_lyapunov references
     assert _count_factorizations(tmp_path, capsys, monkeypatch, "analyze") \
-        == {"eigvals": 6, "schur": 11}
+        == {"eigvals": 6, "schur": 7}
 
 
 def test_monte_carlo_is_skipped_without_the_identity_chain(tmp_path, capsys,

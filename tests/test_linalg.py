@@ -566,6 +566,24 @@ def test_are_sign_path_refuses(data, error, match):
         solve_are(*data)
 
 
+@pytest.mark.parametrize("n", [linalg._SIGN_MIN_STATES - 1,
+                               linalg._SIGN_MIN_STATES])
+def test_are_names_the_margin_band_on_both_paths(n):
+    # one uncontrolled, unweighted mode at -1e-10 puts a Hamiltonian pair at
+    # +-1e-10, inside the margin band. The eigenvector path (31 states) sees
+    # it in H's spectrum; the sign path (32) converges through it and meets
+    # the mode again as the largest real part of A + B K
+    rng = np.random.default_rng(13)
+    A2 = _stable_matrix(rng, n - 1)
+    B2 = rng.standard_normal((n - 1, 2))
+    A, B, C, D = _regulator(scipy.linalg.block_diag(-1e-10, A2),
+                            np.vstack([np.zeros((1, 2)), B2]))
+    C[:, 0] = 0.0
+    with pytest.raises(SolverError, match="Hamiltonian eigenvalue inside "
+                                          "the margin band"):
+        solve_are(A, B, C, D)
+
+
 def test_are_sign_path_refuses_at_the_step_cap(monkeypatch):
     rng = np.random.default_rng(12)
     n = linalg._SIGN_MIN_STATES

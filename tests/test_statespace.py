@@ -308,36 +308,60 @@ def test_adjoint_is_involutive(seed):
     assert np.linalg.norm(gg.eval_at(s) - g.eval_at(s)) < 1e-9
 
 
-def _balance_by_state(sys):
-    """Reference balancing: one state at a time on the scaled matrices."""
-    A = sys.A.copy()
-    B = sys.B.copy()
-    C = sys.C.copy()
-    n = A.shape[0]
-    for _ in range(BALANCE_SWEEPS):
-        changed = False
-        for i in range(n):
-            r = np.abs(A[i, :]).sum() - abs(A[i, i]) + np.abs(B[i, :]).sum()
-            c = np.abs(A[:, i]).sum() - abs(A[i, i]) + np.abs(C[:, i]).sum()
-            if r == 0.0 or c == 0.0:
-                continue
-            f = 2.0 ** round(np.log2(r / c) / 2.0)
-            if f != 1.0:
-                changed = True
-                A[i, :] /= f
-                B[i, :] /= f
-                A[:, i] *= f
-                C[:, i] *= f
-        if not changed:
-            break
-    return StateSpace(A, B, C, sys.D)
+def _weights(A, B, C):
+    """Row weight through [A B] and column weight through [A; C] of every
+    state, the diagonal of A left out."""
+    off = np.abs(A) * (1.0 - np.eye(A.shape[0]))
+    return (off.sum(axis=1) + np.abs(B).sum(axis=1),
+            off.sum(axis=0) + np.abs(C).sum(axis=0))
+
+
+def _balance_reference(sys):
+    """Reference balancing on the scaled matrices: every state's weights
+    are read off one sweep's matrices, then all states move at once, by
+    rint(log2(r / c) / 4). Returns the balanced system and the number of
+    sweeps that moved a state; BALANCE_SWEEPS means the cap was reached."""
+    A, B, C = sys.A.copy(), sys.B.copy(), sys.C.copy()
+    for sweep in range(BALANCE_SWEEPS):
+        moves = np.zeros(A.shape[0])
+        for i, (r, c) in enumerate(zip(*_weights(A, B, C))):
+            if r > 0.0 and c > 0.0:
+                moves[i] = np.rint(np.log2(r / c) / 4.0)
+        if not moves.any():
+            return StateSpace(A, B, C, sys.D), sweep
+        f = 2.0 ** moves
+        A = A / f[:, None] * f[None, :]
+        B = B / f[:, None]
+        C = C * f[None, :]
+    return StateSpace(A, B, C, sys.D), BALANCE_SWEEPS
 
 
 def _assert_same_balancing(sys):
     got = balance_realization(sys)
-    ref = _balance_by_state(sys)
+    ref, sweeps = _balance_reference(sys)
+    assert sweeps < BALANCE_SWEEPS
     for name in "ABCD":
         assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+    _assert_balanced(sys, got)
+
+
+def _is_power_of_two(x):
+    return np.all(np.frexp(x)[0] == 0.5)
+
+
+def _assert_balanced(sys, got):
+    """got is sys under an exact diagonal powers-of-two similarity, and
+    every state with weight on both sides ends with r / c within 4."""
+    assert np.array_equal(np.diag(got.A), np.diag(sys.A))
+    assert np.array_equal(got.D, sys.D)
+    for new, old in ((got.A, sys.A), (got.B, sys.B), (got.C, sys.C)):
+        assert np.array_equal(new == 0.0, old == 0.0)
+        assert _is_power_of_two(new[old != 0.0] / old[old != 0.0])
+    r, c = _weights(got.A, got.B, got.C)
+    both = (r > 0.0) & (c > 0.0)
+    ratio = r[both] / c[both]
+    slack = 1.0 + 1e-12
+    assert np.all((ratio <= 4.0 * slack) & (ratio >= 0.25 / slack))
 
 
 def _badly_scaled_system(rng, nx, nu, ny):
@@ -348,7 +372,7 @@ def _badly_scaled_system(rng, nx, nu, ny):
                       g.C * 10.0 ** rng.uniform(-4.0, 4.0), g.D)
 
 
-def test_balance_matches_the_per_state_sweeps():
+def test_balance_matches_the_reference_sweeps():
     rng = np.random.default_rng(21)
     for _ in range(200):
         nx, nu, ny = (int(v) for v in rng.integers(1, (12, 4, 4)))
@@ -356,10 +380,12 @@ def test_balance_matches_the_per_state_sweeps():
 
 
 def test_balance_matches_on_ties():
-    # integer entries make r / c an exact power of two, where round() sends
-    # log2(r / c) / 2 = k + 1/2 to the even neighbour
-    _assert_same_balancing(StateSpace(0.0, 2.0, 1.0))
-    _assert_same_balancing(StateSpace(0.0, 8.0, 1.0))
+    # integer entries make r / c an exact power of two, where rint() sends
+    # log2(r / c) / 4 = k + 1/2 to the even neighbour
+    assert balance_realization(StateSpace(0.0, 4.0, 1.0)).B[0, 0] == 4.0
+    assert balance_realization(StateSpace(0.0, 64.0, 1.0)).B[0, 0] == 16.0
+    _assert_same_balancing(StateSpace(0.0, 4.0, 1.0))
+    _assert_same_balancing(StateSpace(0.0, 64.0, 1.0))
     rng = np.random.default_rng(23)
     for _ in range(100):
         nx, nu, ny = (int(v) for v in rng.integers(1, (8, 3, 3)))
@@ -393,6 +419,12 @@ def test_balance_of_a_gain_is_the_gain():
         assert balance_realization(g).A.shape == (0, 0)
 
 
+def _markov_close(g1, g2, tol):
+    count = 2 * g1.nx + 2
+    _, (p1, p2) = scaled_markov_parameters([g1, g2], count)
+    return np.abs(p1 - p2).max() <= tol * np.abs(p2).max()
+
+
 def test_balance_matches_on_the_certificate_realizations():
     for seed, n in ((0, 4), (1, 6), (2, 8)):
         h = n // 2
@@ -401,3 +433,15 @@ def test_balance_matches_on_the_certificate_realizations():
         T = youla_data(plant, synth.bundle)
         for g in (T.T12, synth.closed_loop, T.T21):
             _assert_same_balancing(g)
+            assert _markov_close(balance_realization(g), g, 1e-12)
+
+
+def test_balance_keeps_the_markov_parameters():
+    rng = np.random.default_rng(24)
+    for _ in range(50):
+        nx, nu, ny = (int(v) for v in rng.integers(1, (12, 4, 4)))
+        g = _random_system(rng, nx, nu, ny)
+        scale = 2.0 ** rng.integers(-20, 21, size=(nx, 1))
+        g = StateSpace(g.A * scale / scale.T, g.B * scale, g.C / scale.T,
+                       g.D)
+        assert _markov_close(balance_realization(g), g, 1e-12)

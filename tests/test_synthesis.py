@@ -14,6 +14,7 @@ from nesth2.synthesis import (
     centralized_h2,
     controller_realizations,
     dual_plant,
+    SEPARATION_TOL,
     error_coordinates,
     optimal_controller,
     solve_four_ares,
@@ -352,6 +353,57 @@ def test_synthesis_factors_no_matrix_beyond_the_hamiltonian(monkeypatch):
         monkeypatch.setattr(home, name, counted)
     optimal_controller(plant)
     assert rows and max(rows) <= 2 * plant.n
+
+
+def _count_factorizations(monkeypatch):
+    import scipy.linalg
+
+    counts = dict.fromkeys(("eigvals", "schur"), 0)
+    for home, name in ((np.linalg, "eigvals"), (scipy.linalg, "schur")):
+        original = getattr(home, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(home, name, counted)
+    return counts
+
+
+def test_synthesis_leaves_the_loop_factors_unbuilt(monkeypatch):
+    # the checks' shared factorization of the loop is built on first use:
+    # synthesis alone takes the coupling solve's two Schur forms, and
+    # building the loop factors eagerly would add three
+    counts = _count_factorizations(monkeypatch)
+    synth = optimal_controller(make_random_fixture())
+    assert counts == {"eigvals": 11, "schur": 2}
+    assert "loop_factors" not in vars(synth)
+    assert synth.loop_factors is synth.loop_factors
+    assert counts == {"eigvals": 11, "schur": 5}
+
+
+def test_loop_factors_are_a_schur_form_of_the_loop():
+    for plant in (make_random_fixture(), make_decoupled(),
+                  random_plant(0, (4, 4), (4, 4), (4, 4))):
+        synth = optimal_controller(plant)
+        n = plant.n
+        factors = synth.loop_factors
+        A, B = error_coordinates(synth.closed_loop, n)
+        assert np.array_equal(factors.loop.A, A)
+        assert np.array_equal(factors.loop.B, B)
+        # the new coordinates leave the loop's transfer function as it was
+        for s in (0.3 + 0.7j, -1.2 + 2.0j):
+            want = synth.closed_loop.eval_at(s)
+            assert np.linalg.norm(factors.loop.eval_at(s) - want) \
+                <= 1e-10 * (1.0 + np.linalg.norm(want))
+        T, U = factors.schur
+        assert np.linalg.norm(U.T @ U - np.eye(3 * n)) <= 1e-13 * n
+        # quasi upper triangular, exact zeros below each diagonal block
+        assert not np.any(np.tril(T, -2))
+        for i in range(3):
+            assert not np.any(T[(i + 1) * n:, i * n:(i + 1) * n])
+        assert np.linalg.norm(U @ T @ U.T - A) \
+            <= 10 * SEPARATION_TOL * np.linalg.norm(A)
+        assert np.max(np.diag(T)) < 0.0
 
 
 def test_controller_realizations_same_transfer_function():

@@ -267,6 +267,57 @@ def test_loop_read_orthogonality_matches_the_sandwich_route(make):
             <= 1e-12 * (1.0 + np.linalg.norm(want))
 
 
+def _perturb_lower_block(synth, n, block, rel):
+    """Add a random block of norm rel * ||closed_loop.A|| to one strictly
+    lower block of the loop in (zeta, xi - zeta, x - xi), in place."""
+    A, _ = error_coordinates(synth.closed_loop, n)
+    i, j = block
+    E = np.random.default_rng(5).standard_normal((n, n))
+    A[i * n:(i + 1) * n, j * n:(j + 1) * n] += \
+        rel * np.linalg.norm(synth.closed_loop.A) / np.linalg.norm(E) * E
+    # (x, zeta, xi) = M (zeta, xi - zeta, x - xi), and M^-1 is exact
+    I, Z = np.eye(n), np.zeros((n, n))
+    M = np.block([[I, I, I], [I, Z, Z], [I, I, Z]])
+    M_inv = np.block([[Z, I, Z], [Z, -I, I], [I, Z, -I]])
+    synth.closed_loop.A[:] = M @ A @ M_inv
+
+
+@pytest.mark.parametrize("block", [(1, 0), (2, 0), (2, 1)])
+def test_gramian_refuses_a_loop_that_does_not_separate(block):
+    # the loop factors take their Schur form from the diagonal blocks with
+    # zeros below them, but the Lyapunov residual is checked against the
+    # loop itself
+    plant = make_random_fixture()
+    synth = optimal_controller(plant)
+    _perturb_lower_block(synth, plant.n, block, 1e-6)
+    with pytest.raises(SolverError, match="Lyapunov residual"):
+        va.closed_loop_gramian(plant, synth)
+
+
+def test_loop_checks_factor_no_matrix_beyond_n(monkeypatch):
+    # the gap Lyapunov pair, the Gramian, both orthogonality products and
+    # both delta norms share three n x n Schur forms, of A_ctrl, A_gap and
+    # A_filt; the Gramian's references Z and mid factor A_ctrl and A_gap
+    # once more through solve_lyapunov; no 2n- or 3n-state matrix is
+    # factored
+    import scipy.linalg
+
+    plant = random_plant(0, (4, 4), (4, 4), (4, 4))
+    synth = optimal_controller(plant)
+    rows = []
+    original = scipy.linalg.schur
+
+    def counted(a, *args, **kwargs):
+        rows.append(np.shape(a)[0])
+        return original(a, *args, **kwargs)
+    monkeypatch.setattr(scipy.linalg, "schur", counted)
+    hats = va.hat_pair(plant, synth)
+    va.closed_loop_gramian(plant, synth)
+    va.orthogonality_residuals(plant, synth)
+    va.delta_cost(plant, synth, hats)
+    assert rows == [plant.n] * 5
+
+
 def test_orthogonality_residuals_vanish_at_optimum():
     plant = make_random_fixture()
     synth = optimal_controller(plant)
@@ -285,9 +336,8 @@ def test_orthogonality_flags_suboptimal_injection():
     controller, _ = controller_realizations(plant, synth.bundle,
                                             synth.K_private, L_pert)
     closed = lft_lower(plant.generalized(), controller, plant.nz, plant.nw)
-    detuned = SimpleNamespace(bundle=synth.bundle, A_gap=A_gap,
-                              L_common=L_pert, K_private=synth.K_private,
-                              closed_loop=closed)
+    detuned = dataclasses.replace(synth, A_gap=A_gap, L_common=L_pert,
+                                  controller=controller, closed_loop=closed)
     r1, r2 = va.orthogonality_residuals(plant, detuned)
     assert r1 > 1e-3
     assert r2 < 1e-7
