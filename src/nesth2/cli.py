@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from .linalg import RESIDUAL_TOL, SolverError, h2_norm
+from .linalg import RESIDUAL_TOL, SolverError
 from .plant import AssumptionError, check_assumptions, load_plant
 from .stabilization import youla_data
 from .statespace import is_block_lower_tf
@@ -152,7 +152,7 @@ def cmd_synthesize(plant, args):
     synth = optimal_controller(plant)
     K = synth.controller if args.realization == "primary" \
         else synth.controller_alt
-    n_struct, n_cen = h2_norm(synth.closed_loop), synth.centralized_norm
+    n_struct, n_cen = synth.loop_factors.h2_norm, synth.centralized_norm
     rep.check("controller uses twice the plant state dimension",
               K.nx == 2 * plant.n, f"{K.nx} states")
     rep.check("controller transfer function is block lower",

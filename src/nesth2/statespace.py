@@ -7,12 +7,23 @@ equalizes a realization's rows and columns by an exact powers-of-two
 similarity, found in damped sweeps that move every state at once, and the
 Markov-parameter comparisons run on the frequency-scaled G(alpha s) of
 `scaled_markov_parameters`, relative to its peak.
+
+Both Krylov sequences over (A, B) cost O(N^3) for N states and a narrow B.
+`reachable_basis`, under every `minreal`, is the orthogonal staircase of
+Varga 1981 (Electronics Letters 17(2)) and Van Dooren 1981 (IEEE TAC
+26(1)): each step orthogonalizes and factors only A times the newest block.
+`StateSpace.markov_parameters` fills its stack MARKOV_BLOCK powers at a
+time. The Markov comparisons read only as many parameters as
+Cayley-Hamilton needs: D and the first N of a system with N states.
 """
 
 import numpy as np
 import scipy.linalg as sla
 
+#: relative rank cut of the staircase blocks of `reachable_basis`
 REDUCE_TOL = 1e-9
+#: powers of A per block product in `StateSpace.markov_parameters`
+MARKOV_BLOCK = 8
 #: cap on the simultaneous sweeps of `balance_realization`
 BALANCE_SWEEPS = 64
 #: below this fraction of the realizations' parameter bound, a Markov peak
@@ -99,13 +110,32 @@ class StateSpace:
 
     def markov_parameters(self, count):
         """First `count` Markov parameters [D, CB, CAB, CA^2 B, ...], stacked
-        as one (count, ny, nu) array."""
+        as one (count, ny, nu) array.
+
+        The strictly proper ones are filled MARKOV_BLOCK = 8 at a time: the
+        first block [B, AB, ..., A^7 B] is grown one product with A at a
+        time, every later block is A^8 times the one before, and each block
+        enters the stack through one product with C. A^8 is formed by
+        repeated squaring, and only if a second block is needed.
+        """
         out = np.empty((count, self.ny, self.nu))
         out[:1] = self.D
-        An_B = self.B
-        for k in range(1, count):
-            out[k] = self.C @ An_B
-            An_B = self.A @ An_B
+        steps = count - 1
+        if steps <= 0:
+            return out
+        block = [self.B]
+        for _ in range(min(steps, MARKOV_BLOCK) - 1):
+            block.append(self.A @ block[-1])
+        block = np.hstack(block)
+        if steps > MARKOV_BLOCK:
+            power = np.linalg.matrix_power(self.A, MARKOV_BLOCK)
+        for k in range(0, steps, MARKOV_BLOCK):
+            if k:
+                block = power @ block
+            width = min(MARKOV_BLOCK, steps - k)
+            params = (self.C @ block[:, :width * self.nu]).reshape(
+                self.ny, width, self.nu)
+            out[1 + k:1 + k + width] = params.transpose(1, 0, 2)
         return out
 
     def transpose(self):
@@ -256,19 +286,22 @@ def is_block_lower_tf(sys, out_split, in_split, tol=1e-8):
 
     Checked structurally on the frequency-scaled G(alpha s) of
     `scaled_markov_parameters`: the largest entry of the (1,2) blocks of D
-    and of the first 2 nx Markov parameters must be at most tol times the
+    and of the first nx Markov parameters must be at most tol times the
     `_markov_scale` of all of them, the scale `validation._markov_mismatch`
-    uses. A NaN anywhere reads as not block lower.
+    uses. The (1,2) block is realized on nx states, so by Cayley-Hamilton
+    it vanishes iff those nx + 1 parameters do. A NaN anywhere reads as not
+    block lower.
     """
     rows, _ = out_split
     cols, _ = in_split
-    alpha, (params,) = scaled_markov_parameters([sys], 2 * sys.nx + 1)
+    alpha, (params,) = scaled_markov_parameters([sys], sys.nx + 1)
     return bool(_peak(params[:, :rows, cols:])
                 <= tol * _markov_scale(sys, alpha, params))
 
 
-def _orth_cols(M):
-    """Orthonormal basis of the column space of M, rank cut at REDUCE_TOL."""
+def _orth_cols(M, floor=1.0):
+    """Orthonormal basis of the column space of M: the left singular vectors
+    whose singular values exceed REDUCE_TOL * max(floor, ||M||_2)."""
     if M.shape[1] == 0:
         return np.zeros((M.shape[0], 0))
     try:
@@ -279,24 +312,36 @@ def _orth_cols(M):
         U, s, _ = sla.svd(M, full_matrices=False, lapack_driver="gesvd")
     if s.size == 0:
         return np.zeros((M.shape[0], 0))
-    rank = int(np.sum(s > REDUCE_TOL * max(1.0, s[0])))
+    rank = int(np.sum(s > REDUCE_TOL * max(floor, s[0])))
     return U[:, :rank]
 
 
 def reachable_basis(A, B):
     """Orthonormal basis of the reachable subspace of (A, B).
 
-    Grown Krylov-style: span{B, AB, A^2 B, ...} until the dimension stops
-    increasing. The result is deterministic for fixed inputs.
+    The orthogonal staircase of Varga 1981 (Electronics Letters 17(2)) and
+    Van Dooren 1981 (IEEE TAC 26(1)): the basis V grows one block at a time,
+    and only the newest block is worked on. The first block spans B, cut at
+    REDUCE_TOL * max(1, ||B||_2). Each later one takes W = A times the
+    newest block, orthogonalizes it against V twice (classical Gram-Schmidt
+    with one re-orthogonalization), and keeps the left singular vectors of
+    W alone whose singular values exceed REDUCE_TOL * max(1, ||A new||_F),
+    ||A new||_F measured before the projection; that bound is read before
+    the SVD, so no second factorization is needed. The growth stops when a
+    block is empty or V spans the state space. Every SVD after the first
+    has at most nu columns, so for a narrow B the whole basis costs O(N^3)
+    for N states. The result is deterministic for fixed inputs.
     """
     A = _mat(A, "A")
     B = _mat(B, "B")
-    V = _orth_cols(B)
-    for _ in range(A.shape[0]):
-        W = _orth_cols(np.hstack([V, A @ V]))
-        if W.shape[1] == V.shape[1]:
-            return W
-        V = W
+    new = V = _orth_cols(B)
+    while new.shape[1] and V.shape[1] < A.shape[0]:
+        W = A @ new
+        floor = max(1.0, np.linalg.norm(W))
+        for _ in range(2):
+            W -= V @ (V.T @ W)
+        new = _orth_cols(W, floor)
+        V = np.hstack([V, new])
     return V
 
 
@@ -318,9 +363,11 @@ def reduce_unobservable(sys):
 def minreal(sys):
     """Structural minimal realization: drop unreachable then unobservable states.
 
-    This is staircase truncation at REDUCE_TOL, intended to strip the
-    exactly-cancelling states produced by block compositions, not to do
-    balanced model reduction.
+    Two orthogonal staircases of `reachable_basis`, on (A, B) and then on
+    (A^T, C^T), each truncated at its rank cut REDUCE_TOL; O(N^3) for N
+    states and narrow B and C. Intended to strip the exactly-cancelling
+    states produced by block compositions, not to do balanced model
+    reduction.
     """
     return reduce_unobservable(reduce_unreachable(sys))
 

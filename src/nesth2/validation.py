@@ -59,8 +59,12 @@ def _markov_mismatch(g1, g2):
     transfer function, one exactly zero and one at rounding level, read as
     equal. Exactly zero parameters on both sides read 0.0; a NaN anywhere
     reads NaN.
+
+    The parameters compared are D and the first N = g1.nx + g2.nx: the
+    difference g1 - g2 is realized on N states, so by Cayley-Hamilton it is
+    zero iff those N + 1 are.
     """
-    count = 2 * max(g1.nx, g2.nx, 1) + 2
+    count = g1.nx + g2.nx + 1
     alpha, (p1, p2) = scaled_markov_parameters([g1, g2], count)
     scale = float(np.max([_markov_scale(g1, alpha, p1),
                           _markov_scale(g2, alpha, p2)]))
@@ -332,6 +336,15 @@ def delta_cost(plant, synth, hats):
     weighted gap parameter of `youla_parameters`. Both norms come from
     `synth.loop_factors`: the gap system's from its Schur form of A_gap,
     the loop's from the assembled one (`LoopFactors.h2_norm`).
+
+    The comparisons "norm vs Y-trace" and "norm vs X-trace" are not
+    independent directions. The gap system (A_gap, dL D21, D12 dK) has
+    Gramians that solve A_gap Wc + Wc A_gap^T + dL V dL^T = 0 and
+    A_gap^T Wo + Wo A_gap + dK^T R dK = 0, the two equations `hat_pair`
+    solves for Y_common - Y_cen and X_private - X_cen, from the same Schur
+    form of A_gap; so each comparison checks one of `hat_pair`'s equations
+    against a second solve of itself. Only the closed-loop gap
+    sq_opt - sq_cen ties the three forms to a separate computation.
     """
     b = synth.bundle
     cc = cost_cov_matrices(plant)

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
@@ -6,6 +7,7 @@ from nesth2.fixtures import random_plant
 from nesth2.stabilization import youla_data
 from nesth2.statespace import (
     BALANCE_SWEEPS,
+    MARKOV_BLOCK,
     StateSpace,
     _orth_cols,
     balance_realization,
@@ -13,6 +15,7 @@ from nesth2.statespace import (
     lft_lower,
     lft_upper,
     minreal,
+    reachable_basis,
     scaled_markov_parameters,
     vcat,
 )
@@ -124,6 +127,32 @@ def test_markov_parameters():
     assert np.allclose(mp[3], g.C @ g.A @ g.A @ g.B)
 
 
+def _markov_loop(g, count):
+    """Markov parameters one product with A at a time."""
+    out = [g.D]
+    An_B = g.B
+    for _ in range(1, count):
+        out.append(g.C @ An_B)
+        An_B = g.A @ An_B
+    return np.array(out[:count]).reshape(count, g.ny, g.nu)
+
+
+@pytest.mark.parametrize("nx", [0, 3, 11])
+@pytest.mark.parametrize("count", [0, 1, 2, MARKOV_BLOCK, MARKOV_BLOCK + 1,
+                                   2 * MARKOV_BLOCK + 1, 30])
+def test_blocked_markov_parameters_match_the_plain_loop(nx, count):
+    rng = np.random.default_rng(100 + nx)
+    g = _random_system(rng, nx, 2, 3, stable=nx > 0)
+    g = StateSpace(g.A / max(1.0, np.linalg.norm(g.A, 2)), g.B, g.C, g.D)
+    want = _markov_loop(g, count)
+    got = g.markov_parameters(count)
+    assert got.shape == want.shape == (count, 3, 2)
+    # powers of A come from squaring, so the rounding differs from the loop
+    peak = max(1.0, np.abs(want).max(initial=0.0))
+    tol = 64 * np.finfo(float).eps * peak
+    assert np.abs(got - want).max(initial=0.0) <= tol
+
+
 def _partition_eval(P, nz, nw, s):
     M = P.eval_at(s)
     return M[:nz, :nw], M[:nz, nw:], M[nz:, :nw], M[nz:, nw:]
@@ -221,6 +250,25 @@ def test_is_block_lower_tf_is_relative_to_the_system():
     assert not is_block_lower_tf(coupled, (1, 1), (1, 1))
 
 
+def test_is_block_lower_tf_reads_the_coupling_first_shown_at_index_nx():
+    # a chain of nx states: the (1,2) block C1 (A)^k B2 is zero up to
+    # k = nx - 2 and first shows at k = nx - 1, stack index nx; a count of
+    # nx parameters would pass this coupled system as block lower
+    nx = 5
+    A = -np.eye(nx) + np.eye(nx, k=1)
+    B = np.zeros((nx, 2))
+    B[0, 0] = B[-1, 1] = 1.0
+    C = np.zeros((2, nx))
+    C[0, 0] = C[1, -1] = 1.0
+    g = StateSpace(A, B, C, np.zeros((2, 2)))
+    _, (params,) = scaled_markov_parameters([g], nx + 1)
+    assert np.all(params[:nx, 0, 1] == 0.0)
+    assert params[nx, 0, 1] != 0.0
+    assert not is_block_lower_tf(g, (1, 1), (1, 1))
+    C[0, 0] = 0.0
+    assert is_block_lower_tf(StateSpace(A, B, C, g.D), (1, 1), (1, 1))
+
+
 def _stiff_block_lower(rng, h=30, size=1e6):
     """A block-lower system whose raw Markov parameters overflow."""
     def lower(rows, cols):
@@ -257,6 +305,28 @@ def test_orth_cols_falls_back_to_gesvd(monkeypatch):
     assert got.shape == want.shape == (8, 3)
     assert np.allclose(got.T @ got, np.eye(3), atol=1e-12)
     assert np.allclose(got @ got.T, want @ want.T, atol=1e-12)
+
+
+def test_reachable_basis_factors_only_the_newest_block(monkeypatch):
+    # the staircase SVDs B once, then each projected block A new alone, never
+    # the growing basis [V, A V]
+    rng = np.random.default_rng(21)
+    n, nu = 12, 2
+    A = rng.standard_normal((n, n))
+    B = rng.standard_normal((n, nu))
+    widths = []
+    svd = np.linalg.svd
+
+    def counting_svd(M, *args, **kwargs):
+        widths.append(M.shape[1])
+        return svd(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    V = reachable_basis(A, B)
+    assert V.shape == (n, n)
+    assert np.allclose(V.T @ V, np.eye(n), atol=1e-12)
+    assert len(widths) == n // nu
+    assert max(widths[1:]) <= nu
 
 
 def test_minreal_removes_cancelling_states():

@@ -455,6 +455,23 @@ def test_structured_residual_at_optimum_with_large_local_solutions(seed):
     assert _constrained_residual(plant, synth, synth.closed_loop) <= 1e-6
 
 
+@pytest.mark.parametrize("seed", [6432, 7111])
+def test_structured_residual_at_optimum_below_the_old_rounding_floor(seed):
+    # a minreal that re-factors the whole Krylov basis at every step leaves
+    # a rounding floor of 8e-7 (6432) and 1e-5 (7111) on these optimal
+    # loops; the staircase reads 7.7e-11 and 1.2e-9, while a 1e-4 detuning
+    # of player 2 still reads 3.5e-2 and 0.8
+    plant = random_plant(seed, n_split=(2, 2))
+    synth = optimal_controller(plant)
+    assert _constrained_residual(plant, synth, synth.closed_loop) <= 1e-8
+    K = synth.controller
+    C = K.C.copy()
+    C[plant.m1:, :] *= 1.0 + 1e-4
+    detuned = StateSpace(K.A, K.B, C, K.D)
+    cl = lft_lower(plant.generalized(), detuned, plant.nz, plant.nw)
+    assert _constrained_residual(plant, synth, cl) > 1e-6
+
+
 def test_structured_residual_requires_partition():
     plant = make_random_fixture()
     synth = optimal_controller(plant)
@@ -600,6 +617,39 @@ def test_markov_mismatch_refuses_nan(g2):
     assert np.isnan(va._markov_mismatch(g1, g2))
     assert np.isnan(va._markov_mismatch(g2, g1))
     assert va._markov_mismatch(g1, g1) == 0.0
+
+
+def _monic_companion(num, den):
+    """Controllable canonical realization of num(s) / den(s), den monic and
+    of higher degree; coefficients from the highest power down."""
+    n = len(den) - 1
+    A = np.eye(n, k=1)
+    A[-1, :] = -np.asarray(den[:0:-1], dtype=float)
+    B = np.zeros((n, 1))
+    B[-1, 0] = 1.0
+    num = np.concatenate([np.zeros(n - len(num)), num])
+    return StateSpace(A, B, np.asarray(num[::-1], dtype=float)[None, :],
+                      np.zeros((1, 1)))
+
+
+@pytest.mark.parametrize("num1, den1, den2", [
+    # (s+1)^2 / ((s+1)^3 + eps) against 1 / (s+1): nx = (3, 1)
+    ([1.0, 2.0, 1.0], [1.0, 3.0, 3.0, 1.0 + 0.5], [1.0, 1.0]),
+    # 1 / ((s+1)^2 + eps) against 1 / (s+1)^2: nx = (2, 2)
+    ([1.0], [1.0, 2.0, 1.0 + 0.5], [1.0, 2.0, 1.0]),
+])
+def test_markov_mismatch_reads_a_difference_first_shown_at_index_n(
+        num1, den1, den2):
+    # the difference is -eps / (den1 den2) up to sign, of relative degree
+    # N = nx1 + nx2, so its Markov parameters vanish through index N - 1
+    # and first show at index N: a count of N parameters reads no mismatch
+    g1 = _monic_companion(num1, den1)
+    g2 = _monic_companion([1.0], den2)
+    N = g1.nx + g2.nx
+    _, (p1, p2) = scaled_markov_parameters([g1, g2], N + 1)
+    assert np.abs(p1[:N] - p2[:N]).max() < 1e-15
+    assert abs(p1[N] - p2[N]).max() > 1e-3 * va._peak(p1)
+    assert va._markov_mismatch(g1, g2) > 1e-3
 
 
 def test_markov_mismatch_on_a_stiff_realization():
