@@ -1,16 +1,24 @@
-"""Path-simulation kernel for the Monte Carlo covariance check.
+"""Sampling kernel for the Monte Carlo covariance check.
 
-Samples the terminal state of the linear SDE dx = A x dt + B dW, x(0) = 0,
-at time t across many independent paths. That state is exactly Gaussian,
+Draws the sample covariance of the terminal states of many independent
+paths of the linear SDE dx = A x dt + B dW, x(0) = 0, at time t. Each
+terminal state is exactly Gaussian,
 
     x(t) = S eta,   S S^T = Q(t) = int_0^t e^{As} B B^T e^{A^T s} ds,
 
-with eta standard normal. Exact transitions compose, so one draw per path
-has the law that any number of exact steps to t would reach. The one error
-left is sampling error, and the sample covariance has the exact Wishart
-law. Q(t) comes from the block exponential of Van Loan (1978, IEEE TAC
-23(3)) on a short sub-step, doubled up to t. One numpy generator draws
-every path, so a seed fixes the result.
+with eta standard normal, because exact transitions compose. Q(t) comes
+from the block exponential of Van Loan (1978, IEEE TAC 23(3)) on a short
+sub-step, doubled up to t.
+
+The centred sample covariance C of N such draws has an exact Wishart law,
+nu C ~ W_p(Q, nu) with nu = N - 1, and it is drawn directly rather than
+through its N paths: by Bartlett's decomposition (Bartlett 1933; Odell &
+Feiveson 1966, JASA 61:199-203), L L^T ~ W_p(I, nu) for a lower-triangular L
+with L_ii^2 ~ chi^2(nu - i) and standard normals below the diagonal, and
+S W_p(I, nu) S^T ~ W_p(S S^T, nu) also when Q is singular. The draw takes
+p(p+1)/2 variates, O(p^3) time and O(p^2) memory whatever N is, and needs
+nu >= p. One numpy generator draws every variate, so a seed fixes the
+result.
 """
 
 import numpy as np
@@ -72,15 +80,23 @@ def noise_factor(Q):
 def terminal_state_covariance(A, B, dt, n_steps, n_paths, seed):
     """Sample covariance of x(n_steps dt) for dx = A x dt + B dW, x(0) = 0.
 
-    Draws the terminal states of `n_paths` independent paths in one exact
-    step of length n_steps dt and returns their sample covariance, with the
-    n_paths - 1 normalization.
+    One draw from the exact law of the sample covariance, with the
+    n_paths - 1 normalization, of `n_paths` independent terminal states:
+    S L L^T S^T / nu with nu = n_paths - 1, S = noise_factor(Q(n_steps dt))
+    and L the Bartlett factor of W_p(I, nu). Raises ValueError when
+    nu < p, the state count, where that law has no such factor.
     """
     _, Q = transition(A, B, dt * n_steps)
     S = noise_factor(Q)
+    p = S.shape[0]
+    nu = int(n_paths) - 1
+    if nu < p:
+        raise ValueError(f"{n_paths} paths cannot sample the covariance of "
+                         f"{p} states: need at least {p + 1}")
     rng = np.random.default_rng(int(seed))
-    n_paths = int(n_paths)
-    X = S @ rng.standard_normal((S.shape[0], n_paths))
-    X -= X.mean(axis=1, keepdims=True)
-    cov = X @ X.T / (n_paths - 1.0)
+    L = np.zeros((p, p))
+    L[np.tril_indices(p, -1)] = rng.standard_normal(p * (p - 1) // 2)
+    L[np.diag_indices(p)] = np.sqrt(rng.chisquare(nu - np.arange(p)))
+    SL = S @ L
+    cov = SL @ SL.T / nu
     return 0.5 * (cov + cov.T)

@@ -330,7 +330,7 @@ _COMMANDS = {
 }
 
 
-def _parse_args(argv):
+def _build_parser():
     parser = argparse.ArgumentParser(
         prog="nesth2",
         description="Synthesize and verify the structured H2-optimal "
@@ -355,7 +355,11 @@ def _parse_args(argv):
     parser.add_argument("--seed", type=int, default=None,
                         help="with verify: also run the Monte Carlo "
                              "covariance cross-check with this seed")
-    return parser.parse_args(argv)
+    return parser
+
+
+#: built once at import; parsing reads it and never changes it
+_PARSER = _build_parser()
 
 
 def _check_args(args):
@@ -369,7 +373,7 @@ def _check_args(args):
 
 
 def main(argv=None):
-    args = _parse_args(argv)
+    args = _PARSER.parse_args(argv)
     start = time.perf_counter()
     try:
         _check_args(args)

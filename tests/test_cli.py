@@ -500,3 +500,15 @@ def test_report_body_is_deterministic(tmp_path, capsys):
     assert first.out == second.out
     assert "wall time" not in first.out
     assert "wall time" in first.err
+
+
+def test_seeded_verify_report_is_deterministic(tmp_path, capsys):
+    # the Monte Carlo line is fixed by the seed; the parser is built once and
+    # reused, so a second call in the same process reads the same options
+    path = _write_plant(tmp_path, make_random_fixture())
+    argv = ["verify", path, "--oracle", "--seed", "7", "--json"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+    assert "Monte Carlo relative error" in first

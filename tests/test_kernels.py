@@ -101,17 +101,38 @@ def test_terminal_covariance_has_the_wishart_spread():
     assert abs(mean_sq / expected - 1.0) < 0.2
 
 
+def test_each_entry_has_the_wishart_variance():
+    # entry (i, j) of the sample covariance of N paths of N(0, P) has
+    # variance (P_ij^2 + P_ii P_jj) / (N - 1)
+    A, B = _stiff_loop(n=4, spread=10.0)
+    n_paths = 1000
+    P = transition(A, B, 10.0)[1]
+    draws = np.array([terminal_state_covariance(A, B, 1.0, 10, n_paths, seed=s)
+                      for s in range(400)])
+    expected = (P ** 2 + np.outer(np.diag(P), np.diag(P))) / (n_paths - 1)
+    assert np.all(np.abs(draws.var(axis=0, ddof=1) / expected - 1.0) < 0.2)
+
+
+def test_too_few_paths_for_the_state_count_is_refused():
+    # the Bartlett factor of W_p(I, nu) needs nu = n_paths - 1 >= p
+    A, B = _stiff_loop(n=4, spread=10.0)
+    assert terminal_state_covariance(A, B, 1.0, 10, 5, seed=1).shape == (4, 4)
+    with pytest.raises(ValueError, match="need at least 5"):
+        terminal_state_covariance(A, B, 1.0, 10, 4, seed=1)
+
+
 def test_kernel_memory_stays_small():
-    # 9 states, 10,000 paths: the normals and the states are one (9, 10000)
-    # array each, 0.72 MB; noise for 50 steps at once would be 36 MB
+    # 9 states: the draw holds a few 9 x 9 arrays, and the transition a few
+    # 18 x 18 ones, whatever the path count
     rng = np.random.default_rng(1)
     A = rng.standard_normal((9, 9))
     A -= (np.max(np.linalg.eigvals(A).real) + 1.0) * np.eye(9)
     B = rng.standard_normal((9, 5))
-    tracemalloc.start()
-    try:
-        terminal_state_covariance(A, B, 1.0, 50, 10000, seed=2)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 4e6
+    for n_paths in (10, 10 ** 4, 10 ** 12):
+        tracemalloc.start()
+        try:
+            terminal_state_covariance(A, B, 1.0, 50, n_paths, seed=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e3, n_paths
