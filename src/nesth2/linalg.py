@@ -25,6 +25,8 @@ accept the factors of a nearby matrix, such as the block upper triangular
 form that `synthesis.LoopFactors` assembles from the synthesized loop's
 diagonal blocks: every residual is checked against the matrix passed in,
 so the shortcut holds only where that matrix agrees with its factors.
+`_h2_from_schur` also takes a controllability Gramian that its caller has
+already solved, as `LoopFactors` does with the loop's.
 
 The structural preconditions of a Riccati equation are PBH rank tests:
 stabilizability, and the absence of invariant zeros on the imaginary axis,
@@ -479,14 +481,17 @@ def gramian(sys, kind="controllability"):
     raise ValueError("kind must be 'controllability' or 'observability'")
 
 
-def _h2_from_schur(A, schur, B, C):
+def _h2_from_schur(A, schur, B, C, Wc=None):
     """H2 norm of (A, B, C, 0) given schur = (T, U) of a Hurwitz A.
 
     Wc from A Wc + Wc A^T + B B^T = 0 and Wo from A^T Wo + Wo A + C^T C = 0
     both come from the one factorization, the second through `trsyl`'s
     transpose flag; the two trace forms must agree to H2_CONSISTENCY_TOL.
+    A caller that already holds Wc passes it, and only Wo is solved. The
+    Hurwitz test is the caller's: this reads no spectrum.
     """
-    Wc = _lyapunov_from_schur(A, schur, B @ B.T, "N")
+    if Wc is None:
+        Wc = _lyapunov_from_schur(A, schur, B @ B.T, "N")
     Wo = _lyapunov_from_schur(A, schur, C.T @ C, "T")
     sq_c = float(np.trace(C @ Wc @ C.T))
     sq_o = float(np.trace(B.T @ Wo @ B))
@@ -506,22 +511,9 @@ def h2_norm(sys):
     Raises SolverError for a non-Hurwitz A, and ValueError for a nonzero
     feedthrough (the norm is infinite).
     """
-    return _h2_norm_from_schur(sys, None)
-
-
-def _h2_norm_from_schur(sys, schur):
-    """`h2_norm` of sys from schur = (T, U), a real Schur form of sys.A or
-    of a matrix that sys.A equals within the residual gate of
-    `_lyapunov_from_schur`; None factors sys.A here. The Hurwitz test reads
-    the diagonal of T, and both Lyapunov residuals are checked against
-    sys.A itself."""
     if np.linalg.norm(sys.D) != 0.0:
         raise ValueError("nonzero feedthrough: the H2 norm is unbounded")
-    if sys.nx == 0:
-        return 0.0
-    if schur is None:
-        schur = _real_schur(sys.A)
-    _require_hurwitz(schur[0], _NOT_HURWITZ)
+    schur = _hurwitz_schur(sys.A, _NOT_HURWITZ)
     return _h2_from_schur(sys.A, schur, sys.B, sys.C)
 
 

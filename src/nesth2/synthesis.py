@@ -21,8 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .linalg import (RESIDUAL_TOL, SolverError, _h2_norm_from_schur,
-                     _real_schur, screen_are, solve_are, triangular_sylvester)
+from .linalg import (RESIDUAL_TOL, SolverError, _NOT_HURWITZ, _h2_from_schur,
+                     _lyapunov_from_schur, _real_schur, _require_hurwitz,
+                     screen_are, solve_are, triangular_sylvester)
 from .plant import (AssumptionError, Partition, TwoPlayerPlant,
                     check_assumptions, cost_cov_matrices)
 from .statespace import StateSpace, lft_lower
@@ -111,9 +112,9 @@ class SynthesisResult:
     `loop_factors` is the loop in those coordinates with a real Schur form
     assembled from the three diagonal blocks (`LoopFactors`). It is built
     on first use, never by `optimal_controller`, and then kept; the checks
-    of `validation` take every factorization of the loop and of its
-    trailing blocks from it, and every one of A_gap except the Gramian's
-    reference solve.
+    of `validation` take every factorization of the loop, of its trailing
+    blocks and of A_gap from it, and read the loop's Gramian, solved once,
+    from it too. Only the Gramian's reference block Z factors A_ctrl again.
     The nominal gains of the controller parameterization are not part of
     the design: `stabilization.youla_data(plant, bundle)` builds them.
     """
@@ -515,26 +516,46 @@ class LoopFactors:
     forms of the loop's tails in the same way. Every solve from these
     factors checks its residual against loop.A itself, not against the
     zeroed copy, so a loop that does not separate is refused there.
+    `gramian` is the loop's controllability Gramian, solved once on first
+    use; the design norm `h2_norm` and each tail's Gramian read it.
     """
 
     loop: StateSpace
     blocks: tuple
     schur: tuple
 
+    @functools.cached_property
+    def gramian(self):
+        """Controllability Gramian Theta of the loop, from
+        A Theta + Theta A' + B B' = 0 with (A, B) = (loop.A, loop.B).
+
+        Solved once, from the assembled Schur form, with its residual
+        checked against loop.A; every loop check reads it. Since the
+        strictly lower blocks of loop.A vanish to SEPARATION_TOL, the
+        trailing 2n x 2n and n x n blocks of Theta are the Gramians of the
+        loop's tails within the same gate.
+        """
+        return _lyapunov_from_schur(self.loop.A, self.schur,
+                                    self.loop.B @ self.loop.B.T, "N")
+
     def tail(self, start):
-        """(A, B, (T, U)) of the loop's states from block `start` (0, 1 or
-        2) on: the trailing blocks of the loop and of its Schur form."""
+        """(A, B, (T, U), W) of the loop's states from block `start` (1 or
+        2) on: the trailing blocks of the loop, of its Schur form and of
+        its Gramian `gramian`."""
         n = self.blocks[0][0].shape[0]
         tail = slice(start * n, None)
         T, U = self.schur
         return (self.loop.A[tail, tail], self.loop.B[tail],
-                (T[tail, tail], U[tail, tail]))
+                (T[tail, tail], U[tail, tail]), self.gramian[tail, tail])
 
     @functools.cached_property
     def h2_norm(self):
-        """H2 norm of the loop from the assembled Schur form, whose diagonal
-        carries the Hurwitz test; computed once and kept."""
-        return _h2_norm_from_schur(self.loop, self.schur)
+        """H2 norm of the loop with `gramian` as its Wc. The diagonal of the
+        assembled Schur form carries the Hurwitz test, and Wo is solved from
+        the same form for the cross-check; computed once and kept."""
+        _require_hurwitz(self.schur[0], _NOT_HURWITZ)
+        return _h2_from_schur(self.loop.A, self.schur, self.loop.B,
+                              self.loop.C, self.gramian)
 
 
 def _certify_closed_loop(closed, bundle, A_gap):

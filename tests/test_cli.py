@@ -352,8 +352,8 @@ def test_verify_solves_the_shared_data_once(tmp_path, capsys, monkeypatch):
     # one HatPair serves delta_cost and the Monte Carlo target, and one
     # youla_data serves the parameter round trip, the structured certificate
     # and the oracle; of the loop checks' Lyapunov equations only the
-    # Gramian's two n x n references Z and mid go through solve_lyapunov,
-    # every other one is solved from the design's loop factors
+    # Gramian's n x n reference Z goes through solve_lyapunov, every other
+    # one is solved from the design's loop factors
     import nesth2.cli as cli
 
     counts = _count_calls(monkeypatch, ("solve_lyapunov", "solve_are"))
@@ -371,7 +371,7 @@ def test_verify_solves_the_shared_data_once(tmp_path, capsys, monkeypatch):
     counted(cli, "youla_data")
     path = _write_plant(tmp_path, make_decoupled())
     assert main(["verify", path, "--oracle", "--seed", "7"]) == 0
-    assert counts == {"solve_lyapunov": 2, "solve_are": 8, "hat_pair": 1,
+    assert counts == {"solve_lyapunov": 1, "solve_are": 8, "hat_pair": 1,
                       "youla_data": 1}
     capsys.readouterr()
 
@@ -394,8 +394,37 @@ def test_verify_reports_a_nan_loop(tmp_path, capsys, monkeypatch, entry):
     assert main(["verify", path]) == 2
     out = capsys.readouterr().out
     assert "  FAIL  closed-loop Gramian block diagonal: " in out
+    # every reader of the loop's Gramian raises again: a cached_property
+    # whose computation raised has kept nothing
+    assert "  FAIL  error/innovations orthogonality: " in out
+    assert "  FAIL  decentralization cost certificates: " in out
     assert "  FAIL  structured optimality certificate: " in out
     assert "verdict: FAIL" in out
+
+
+def test_verify_solves_the_loop_gramian_once(tmp_path, capsys, monkeypatch):
+    # by state count: the loop's Gramian Theta and the design norm's
+    # observability Gramian (9 states); the two Gramians of player 1's
+    # orthogonality product (6), whose W is Theta's trailing 2n block;
+    # player 2's product, the gap Lyapunov pair, the reference blocks Z and
+    # mid and the two cost-gap Gramians (3); a 0-state call solves nothing
+    import nesth2.linalg as linalg
+
+    original = linalg._lyapunov_from_schur
+    states = {}
+
+    def counted(A, *args, **kwargs):
+        if A.shape[0]:
+            states[A.shape[0]] = states.get(A.shape[0], 0) + 1
+        return original(A, *args, **kwargs)
+    for key, module in list(sys.modules.items()):
+        if module is not None and key.startswith("nesth2") \
+                and vars(module).get("_lyapunov_from_schur") is original:
+            monkeypatch.setattr(module, "_lyapunov_from_schur", counted)
+    path = _write_plant(tmp_path, make_random_fixture())
+    assert main(["verify", path]) == 0
+    capsys.readouterr()
+    assert states == {3: 8, 6: 2, 9: 2}
 
 
 def _count_factorizations(tmp_path, capsys, monkeypatch, command):
@@ -418,14 +447,14 @@ def _count_factorizations(tmp_path, capsys, monkeypatch, command):
 
 def test_verify_factors_each_state_matrix_once(tmp_path, capsys, monkeypatch):
     # two Schur forms in the coupling solve, three n x n ones of A_ctrl,
-    # A_gap and A_filt that every loop check shares, two more of A_ctrl and
-    # A_gap in the Gramian's solve_lyapunov references, and three in the
+    # A_gap and A_filt that every loop check shares, one more of A_ctrl in
+    # the Gramian's solve_lyapunov reference Z, and three in the
     # structured certificate; a redundant spectrum or factorization shows up
     # here. A rank test that one SVD of B certifies computes no eigenvalues
     # at all, and no check re-tests a matrix that synthesis already
     # certified Hurwitz.
     assert _count_factorizations(tmp_path, capsys, monkeypatch, "verify") \
-        == {"eigvals": 11, "schur": 10}
+        == {"eigvals": 11, "schur": 9}
 
 
 def test_analyze_factors_each_state_matrix_once(tmp_path, capsys,
@@ -433,9 +462,9 @@ def test_analyze_factors_each_state_matrix_once(tmp_path, capsys,
     # beyond the coupling solve's two, the loop factors' Schur forms of
     # A_ctrl, A_gap and A_filt, which the design norm, the gap Lyapunov
     # pair, the Gramian and both players' orthogonality products share, and
-    # the two n x n ones of the Gramian's solve_lyapunov references
+    # the n x n one of the Gramian's solve_lyapunov reference Z
     assert _count_factorizations(tmp_path, capsys, monkeypatch, "analyze") \
-        == {"eigvals": 6, "schur": 7}
+        == {"eigvals": 6, "schur": 6}
 
 
 def test_monte_carlo_is_skipped_without_the_identity_chain(tmp_path, capsys,

@@ -18,7 +18,7 @@ from nesth2.fixtures import (
     random_plant,
 )
 from nesth2.linalg import (SolverError, h2_norm, is_hurwitz,
-                           stable_antistable_decompose)
+                           solve_lyapunov, stable_antistable_decompose)
 from nesth2.plant import AssumptionError
 from nesth2.stabilization import youla_data
 from nesth2.statespace import (StateSpace, lft_lower, minreal,
@@ -297,9 +297,8 @@ def test_gramian_refuses_a_loop_that_does_not_separate(block):
 def test_loop_checks_factor_no_matrix_beyond_n(monkeypatch):
     # the gap Lyapunov pair, the Gramian, both orthogonality products and
     # both delta norms share three n x n Schur forms, of A_ctrl, A_gap and
-    # A_filt; the Gramian's references Z and mid factor A_ctrl and A_gap
-    # once more through solve_lyapunov; no 2n- or 3n-state matrix is
-    # factored
+    # A_filt; the Gramian's reference Z factors A_ctrl once more through
+    # solve_lyapunov; no 2n- or 3n-state matrix is factored
     import scipy.linalg
 
     plant = random_plant(0, (4, 4), (4, 4), (4, 4))
@@ -315,7 +314,56 @@ def test_loop_checks_factor_no_matrix_beyond_n(monkeypatch):
     va.closed_loop_gramian(plant, synth)
     va.orthogonality_residuals(plant, synth)
     va.delta_cost(plant, synth, hats)
-    assert rows == [plant.n] * 5
+    assert rows == [plant.n] * 4
+
+
+SHARING_PLANTS = [make_random_fixture, lambda: random_plant(0, (8, 8), (8, 8),
+                                                            (8, 8))]
+
+
+@pytest.mark.parametrize("make", SHARING_PLANTS)
+def test_loop_gramian_tails_are_the_tail_gramians(make):
+    # the orthogonality products read their W from the loop's Gramian;
+    # each trailing block must be what a solve of the tail alone gives
+    factors = optimal_controller(make()).loop_factors
+    for start in (1, 2):
+        A, B, _, W = factors.tail(start)
+        ref = solve_lyapunov(A, B @ B.T)
+        assert np.linalg.norm(W - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("make", SHARING_PLANTS)
+def test_design_norm_reads_the_loop_gramian(make):
+    factors = optimal_controller(make()).loop_factors
+    C = factors.loop.C
+    sq = np.trace(C @ factors.gramian @ C.T)
+    assert factors.h2_norm ** 2 == pytest.approx(sq, rel=1e-14)
+
+
+def test_orthogonality_of_a_detuned_design_matches_its_own_tail():
+    # away from the optimum r1 is far from zero, so a W read from the wrong
+    # block of the loop's Gramian would show; the reference solves the
+    # tail's Gramian on its own and takes the norm through h2_norm
+    plant = make_random_fixture()
+    synth = optimal_controller(plant)
+    L_pert = synth.L_common.copy()
+    L_pert[0, 0] += 0.1
+    A_gap = plant.A + plant.B2 @ synth.K_private + L_pert @ plant.C2
+    controller, _ = controller_realizations(plant, synth.bundle,
+                                            synth.K_private, L_pert)
+    closed = lft_lower(plant.generalized(), controller, plant.nz, plant.nw)
+    detuned = dataclasses.replace(synth, A_gap=A_gap, L_common=L_pert,
+                                  controller=controller, closed_loop=closed)
+    r1, _ = va.orthogonality_residuals(plant, detuned)
+    n, k1 = plant.n, plant.k1
+    A, B, _, _ = detuned.loop_factors.tail(1)
+    W = solve_lyapunov(A, B @ B.T)
+    to_err = np.hstack([np.eye(n), np.eye(n)])
+    B_stable = B @ plant.D21[:k1].T + W @ (plant.C2[:k1] @ to_err).T
+    stable = StateSpace(A, B_stable, to_err, np.zeros((n, k1)))
+    ref = h2_norm(stable)
+    assert ref > 1e-3
+    assert abs(r1 - ref) <= 1e-10 * ref
 
 
 def test_orthogonality_residuals_vanish_at_optimum():
