@@ -6,6 +6,7 @@ from .statespace import (
     lft_lower,
     lft_upper,
     is_block_lower_tf,
+    tf_mismatch,
     minreal,
 )
 from .linalg import (

@@ -19,7 +19,7 @@ import numpy as np
 from .linalg import RESIDUAL_TOL, SolverError
 from .plant import AssumptionError, check_assumptions, load_plant
 from .stabilization import youla_data
-from .statespace import is_block_lower_tf
+from .statespace import is_block_lower_tf, tf_mismatch
 from .synthesis import optimal_controller
 from . import validation as va
 
@@ -158,9 +158,9 @@ def cmd_synthesize(plant, args):
     rep.check("controller transfer function is block lower",
               is_block_lower_tf(K, (plant.m1, plant.m2),
                                 (plant.k1, plant.k2), tol=1e-8))
-    mismatch = va._markov_mismatch(synth.controller, synth.controller_alt)
+    mismatch = tf_mismatch(synth.controller, synth.controller_alt)
     rep.check("primary and alternative realizations agree",
-              mismatch <= args.tol, f"markov mismatch {_fmt(mismatch)}")
+              mismatch <= args.tol, f"transfer mismatch {_fmt(mismatch)}")
     worst_are = max(synth.bundle.residuals)
     worst_coupling = max(synth.coupling.residuals)
     rep.check("equation residuals under tolerance",

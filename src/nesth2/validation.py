@@ -23,9 +23,8 @@ from .linalg import (SolverError, _h2_from_schur, _hurwitz_schur,
 from .plant import (AssumptionError, TwoPlayerPlant, check_assumptions,
                     cost_cov_matrices)
 from .stabilization import controller_from_q, q_from_controller
-from .statespace import (StateSpace, _markov_scale, _peak,
-                         balance_realization, is_block_lower_tf, minreal,
-                         scaled_markov_parameters)
+from .statespace import (StateSpace, balance_realization, is_block_lower_tf,
+                         minreal, tf_mismatch)
 
 IDENTITY_TOL = 1e-8
 CHECK_TOL = 1e-7
@@ -53,27 +52,6 @@ def _psd_floor(M, tol, label):
         raise SolverError(f"'{label}' is not positive semidefinite: "
                           f"min eigenvalue {lo:.3e}")
     return lo
-
-
-def _markov_mismatch(g1, g2):
-    """Largest difference of the leading Markov parameters of g1(alpha s)
-    and g2(alpha s), with one alpha for both, relative to the larger
-    `statespace._markov_scale` of the two, so that two realizations of a zero
-    transfer function, one exactly zero and one at rounding level, read as
-    equal. Exactly zero parameters on both sides read 0.0; a NaN anywhere
-    reads NaN.
-
-    The parameters compared are D and the first N = g1.nx + g2.nx: the
-    difference g1 - g2 is realized on N states, so by Cayley-Hamilton it is
-    zero iff those N + 1 are.
-    """
-    count = g1.nx + g2.nx + 1
-    alpha, (p1, p2) = scaled_markov_parameters([g1, g2], count)
-    scale = float(np.max([_markov_scale(g1, alpha, p1),
-                          _markov_scale(g2, alpha, p2)]))
-    if scale == 0.0:
-        return 0.0
-    return _peak(p1 - p2) / scale
 
 
 def _causal_size(sys):
@@ -400,9 +378,12 @@ def youla_parameters(plant, synth, data):
     """Optimal parameter and the parameter of the decentralization gap.
 
     `data` is `youla_data(plant, synth.bundle)`; its nominal gains fix the
-    parameterization. Every Markov comparison must pass at CHECK_TOL. Q_opt
-    is stable without a test: its state matrix is block_diag(A_ctrl,
-    A_filt), which `solve_are` certified Hurwitz.
+    parameterization. Q_opt must be block lower and agree with the two-port
+    extraction, and the controller rebuilt from it must agree with the
+    design, each read by `tf_mismatch` at CHECK_TOL: a test at four generic
+    points, not a Cayley-Hamilton proof. Q_opt is stable without a test: its
+    state matrix is block_diag(A_ctrl, A_filt), which `solve_are` certified
+    Hurwitz.
 
     Returns
     -------
@@ -421,14 +402,15 @@ def youla_parameters(plant, synth, data):
         raise SolverError("optimal parameter is not block lower triangular")
 
     Q_lft = q_from_controller(data, synth.controller)
-    gap = _markov_mismatch(Q_opt, Q_lft)
+    gap = tf_mismatch(Q_opt, Q_lft)
     if not gap <= CHECK_TOL:
         raise SolverError(f"parameter display disagrees with the two-port "
-                          f"extraction: Markov mismatch {gap:.3e}")
+                          f"extraction: transfer mismatch {gap:.3e}")
     K_round = controller_from_q(data, Q_opt)
-    gap = _markov_mismatch(K_round, synth.controller)
+    gap = tf_mismatch(K_round, synth.controller)
     if not gap <= CHECK_TOL:
-        raise SolverError(f"parameter round trip failed: Markov mismatch {gap:.3e}")
+        raise SolverError(f"parameter round trip failed: transfer mismatch "
+                          f"{gap:.3e}")
 
     dK = synth.K_private - b.K_cen
     dL = synth.L_common - b.L_cen
@@ -731,7 +713,8 @@ def fixed_point_maps(plant, synth, data):
     block held fixed, turns out not to depend on the fixed block at all; the
     two displayed systems below are therefore constant maps whose values
     must coincide with the diagonal blocks of the optimal parameter. That
-    coincidence is verified here by Markov comparison at CHECK_TOL.
+    coincidence is verified here by `tf_mismatch` at CHECK_TOL, at four
+    generic points rather than by a Cayley-Hamilton count of parameters.
     `data` is `youla_data(plant, synth.bundle)`, as for `youla_parameters`.
 
     Returns
@@ -751,12 +734,14 @@ def fixed_point_maps(plant, synth, data):
     Q_opt = _q_opt_display(plant, synth, data)
     blk11 = Q_opt.subsystem(rows=slice(0, m1), cols=slice(0, k1))
     blk22 = Q_opt.subsystem(rows=slice(m1, None), cols=slice(k1, None))
-    gap = _markov_mismatch(g2, blk11)
+    gap = tf_mismatch(g2, blk11)
     if not gap <= CHECK_TOL:
-        raise SolverError(f"player-1 fixed point fails: Markov mismatch {gap:.3e}")
-    gap = _markov_mismatch(g1, blk22)
+        raise SolverError(f"player-1 fixed point fails: transfer mismatch "
+                          f"{gap:.3e}")
+    gap = tf_mismatch(g1, blk22)
     if not gap <= CHECK_TOL:
-        raise SolverError(f"player-2 fixed point fails: Markov mismatch {gap:.3e}")
+        raise SolverError(f"player-2 fixed point fails: transfer mismatch "
+                          f"{gap:.3e}")
     return g1, g2
 
 

@@ -42,6 +42,8 @@ from nesth2.synthesis import (
     swap_transpose,
 )
 
+from markov_oracle import markov_mismatch
+
 N_SPLITS = ((1, 1), (2, 1), (1, 2), (2, 2))
 SEEDS_PER_SPLIT = 8
 EVAL_POINTS = [0.3 + 0.7j, -1.2 + 2.0j, 2.5 - 0.4j, 1.0j]
@@ -360,8 +362,8 @@ def test_11_partial_optimization_fixed_point():
                                     cols=slice(0, plant.k1))
             blk22 = Q_opt.subsystem(rows=slice(plant.m1, None),
                                     cols=slice(plant.k1, None))
-            worst = max(worst, va._markov_mismatch(g2, blk11),
-                        va._markov_mismatch(g1, blk22))
+            worst = max(worst, markov_mismatch(g2, blk11),
+                        markov_mismatch(g1, blk22))
         ok = worst <= 1e-7
         detail = "worst best-response Markov mismatch %.3e" % worst
     except (SolverError, AssumptionError) as exc:
@@ -380,8 +382,8 @@ def test_12_controller_shape_and_realizations():
             lower_ok &= is_block_lower_tf(synth.controller, p.m, p.k,
                                           tol=1e-8)
             stable_ok &= is_hurwitz(_closed_loop(plant, synth.controller).A)
-            worst = max(worst, va._markov_mismatch(synth.controller,
-                                                   synth.controller_alt))
+            worst = max(worst, markov_mismatch(synth.controller,
+                                               synth.controller_alt))
         ok = states_ok and lower_ok and stable_ok and worst <= 1e-7
         detail = "2n states, block-lower, stabilizing; realizations " \
             "agree to %.3e" % worst

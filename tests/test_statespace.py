@@ -7,7 +7,6 @@ from nesth2.fixtures import random_plant
 from nesth2.stabilization import youla_data
 from nesth2.statespace import (
     BALANCE_SWEEPS,
-    MARKOV_BLOCK,
     StateSpace,
     _orth_cols,
     balance_realization,
@@ -16,10 +15,12 @@ from nesth2.statespace import (
     lft_upper,
     minreal,
     reachable_basis,
-    scaled_markov_parameters,
+    tf_mismatch,
     vcat,
 )
 from nesth2.synthesis import optimal_controller
+
+from markov_oracle import markov_parameters, scaled_markov_parameters
 
 EVAL_POINTS = [0.3 + 0.7j, -1.2 + 2.0j, 2.5 - 0.4j, 0.0 + 1.0j]
 
@@ -55,6 +56,12 @@ def test_scalar_and_gain_systems():
     h = StateSpace(-4.0, 2.0, 1.0, 0.5)
     assert h.nx == 1 and h.nu == 1 and h.ny == 1
     assert abs(h.eval_at(0.0) - (0.5 + 2.0 / 4.0)) < 1e-12
+    # an array of points gives the stack of the values point by point
+    for sys in (g, h):
+        stack = sys.eval_at(np.array(EVAL_POINTS))
+        assert stack.shape == (len(EVAL_POINTS), sys.ny, sys.nu)
+        assert np.abs(stack - [sys.eval_at(s) for s in EVAL_POINTS]).max() \
+            < 1e-12
 
 
 def test_series_matches_pointwise_product():
@@ -119,38 +126,12 @@ def test_subsystem_selects_rows_and_cols():
 def test_markov_parameters():
     rng = np.random.default_rng(12)
     g = _random_system(rng, 3, 2, 2)
-    mp = g.markov_parameters(4)
+    mp = markov_parameters(g, 4)
     assert len(mp) == 4
     assert np.allclose(mp[0], g.D)
     assert np.allclose(mp[1], g.C @ g.B)
     assert np.allclose(mp[2], g.C @ g.A @ g.B)
     assert np.allclose(mp[3], g.C @ g.A @ g.A @ g.B)
-
-
-def _markov_loop(g, count):
-    """Markov parameters one product with A at a time."""
-    out = [g.D]
-    An_B = g.B
-    for _ in range(1, count):
-        out.append(g.C @ An_B)
-        An_B = g.A @ An_B
-    return np.array(out[:count]).reshape(count, g.ny, g.nu)
-
-
-@pytest.mark.parametrize("nx", [0, 3, 11])
-@pytest.mark.parametrize("count", [0, 1, 2, MARKOV_BLOCK, MARKOV_BLOCK + 1,
-                                   2 * MARKOV_BLOCK + 1, 30])
-def test_blocked_markov_parameters_match_the_plain_loop(nx, count):
-    rng = np.random.default_rng(100 + nx)
-    g = _random_system(rng, nx, 2, 3, stable=nx > 0)
-    g = StateSpace(g.A / max(1.0, np.linalg.norm(g.A, 2)), g.B, g.C, g.D)
-    want = _markov_loop(g, count)
-    got = g.markov_parameters(count)
-    assert got.shape == want.shape == (count, 3, 2)
-    # powers of A come from squaring, so the rounding differs from the loop
-    peak = max(1.0, np.abs(want).max(initial=0.0))
-    tol = 64 * np.finfo(float).eps * peak
-    assert np.abs(got - want).max(initial=0.0) <= tol
 
 
 def _partition_eval(P, nz, nw, s):
@@ -160,11 +141,11 @@ def _partition_eval(P, nz, nw, s):
 
 def test_markov_parameters_stack():
     g = _random_system(np.random.default_rng(4), 3, 2, 1)
-    assert g.markov_parameters(5).shape == (5, 1, 2)
-    assert g.markov_parameters(1).shape == (1, 1, 2)
-    assert g.markov_parameters(0).shape == (0, 1, 2)
+    assert markov_parameters(g, 5).shape == (5, 1, 2)
+    assert markov_parameters(g, 1).shape == (1, 1, 2)
+    assert markov_parameters(g, 0).shape == (0, 1, 2)
     gain = StateSpace.gain(np.ones((2, 3)))
-    assert np.array_equal(gain.markov_parameters(3),
+    assert np.array_equal(markov_parameters(gain, 3),
                           np.stack([np.ones((2, 3)), np.zeros((2, 3)),
                                     np.zeros((2, 3))]))
 
@@ -229,9 +210,10 @@ def test_is_block_lower_tf_refuses_nan():
 
 
 def test_is_block_lower_tf_is_relative_to_the_system():
-    # ||A|| ~ 1e6 with unit B and C: the scaled parameters peak near 1e-6,
-    # so a (1,2) coupling of about 1e-6 of that peak sits far under an
-    # absolute 1e-8 while it is 100 times the relative 1e-8
+    # ||A|| ~ 1e6 with unit B and C: the system is of size 1e-6 at the
+    # scaled points (its scaled Markov parameters peak near 1e-6 too), so a
+    # (1,2) coupling of about 1e-6 of that size sits far under an absolute
+    # 1e-8 while it is 100 times the relative 1e-8
     rng = np.random.default_rng(11)
     A = -1e6 * (np.eye(4) + 0.1 * rng.standard_normal((4, 4)))
     A[:2, 2:] = 0.0
@@ -253,7 +235,8 @@ def test_is_block_lower_tf_is_relative_to_the_system():
 def test_is_block_lower_tf_reads_the_coupling_first_shown_at_index_nx():
     # a chain of nx states: the (1,2) block C1 (A)^k B2 is zero up to
     # k = nx - 2 and first shows at k = nx - 1, stack index nx; a count of
-    # nx parameters would pass this coupled system as block lower
+    # nx parameters would pass this coupled system as block lower, and the
+    # point test must read the same weak coupling 1 / (s + 1)^nx
     nx = 5
     A = -np.eye(nx) + np.eye(nx, k=1)
     B = np.zeros((nx, 2))
@@ -269,6 +252,25 @@ def test_is_block_lower_tf_reads_the_coupling_first_shown_at_index_nx():
     assert is_block_lower_tf(StateSpace(A, B, C, g.D), (1, 1), (1, 1))
 
 
+@pytest.mark.parametrize("nx, lower", [(40, False), (83, False), (84, True)])
+def test_is_block_lower_tf_reads_a_deep_coupling_weaker_by_the_radius(
+        nx, lower):
+    # the limit of a point test: on an integrator chain (alpha = 1) the
+    # (1,2) block 1/s^nx first shows at Markov index nx at the full size of
+    # G, which the Markov test reads; at |s_j| = TF_RADIUS it is
+    # TF_RADIUS^(1 - nx) of G's size 1/TF_RADIUS there: 1.1e-8 at nx = 83
+    # and 9.0e-9, under the 1e-8 gate, at nx = 84
+    A = np.eye(nx, k=1)
+    B = np.zeros((nx, 2))
+    B[0, 0] = B[-1, 1] = 1.0
+    C = np.zeros((2, nx))
+    C[0, 0] = C[1, -1] = 1.0
+    g = StateSpace(A, B, C, np.zeros((2, 2)))
+    _, (params,) = scaled_markov_parameters([g], nx + 1)
+    assert params[nx, 0, 1] == np.abs(params).max() == 1.0
+    assert is_block_lower_tf(g, (1, 1), (1, 1)) is lower
+
+
 def _stiff_block_lower(rng, h=30, size=1e6):
     """A block-lower system whose raw Markov parameters overflow."""
     def lower(rows, cols):
@@ -281,15 +283,32 @@ def _stiff_block_lower(rng, h=30, size=1e6):
 
 def test_is_block_lower_tf_on_a_stiff_realization():
     # C A^k B reaches inf by k = 2 nx, and 0 * inf is NaN in the zero block;
-    # the frequency-scaled parameters stay bounded and exactly zero there
+    # at the scaled points every resolvent is bounded by 4 / alpha
     g = _stiff_block_lower(np.random.default_rng(3))
     with np.errstate(over="ignore", invalid="ignore"):
-        raw = g.markov_parameters(2 * g.nx + 1)
+        raw = markov_parameters(g, 2 * g.nx + 1)
     assert not np.all(np.isfinite(raw[-1]))
     assert is_block_lower_tf(g, (1, 1), (1, 1))
     B = g.B.copy()
     B[0, 1] = 1.0
     assert not is_block_lower_tf(StateSpace(g.A, B, g.C, g.D), (1, 1), (1, 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6),
+       nx=st.integers(min_value=1, max_value=12))
+def test_tf_mismatch_is_symmetric_and_blind_to_a_similarity(seed, nx):
+    rng = np.random.default_rng(seed)
+    g1 = _random_system(rng, nx, 2, 3)
+    g2 = _random_system(rng, nx, 2, 3)
+    assert tf_mismatch(g1, g2) == tf_mismatch(g2, g1)
+    # T = Q diag(d), Q orthogonal and d in [0.5, 2]: cond(T) <= 4
+    Q, _ = np.linalg.qr(rng.standard_normal((nx, nx)))
+    T = Q * rng.uniform(0.5, 2.0, nx)
+    Ti = np.linalg.inv(T)
+    twin = StateSpace(Ti @ g1.A @ T, Ti @ g1.B, g1.C @ T, g1.D)
+    assert tf_mismatch(g1, twin) <= 1e-12
+    assert tf_mismatch(twin, g1) == tf_mismatch(g1, twin)
 
 
 def test_orth_cols_falls_back_to_gesvd(monkeypatch):

@@ -20,12 +20,16 @@ from nesth2.fixtures import (
 from nesth2.linalg import (SolverError, h2_norm, is_hurwitz,
                            solve_lyapunov, stable_antistable_decompose)
 from nesth2.plant import AssumptionError
-from nesth2.stabilization import youla_data
-from nesth2.statespace import (StateSpace, lft_lower, minreal,
-                               scaled_markov_parameters, vcat)
+from nesth2.stabilization import (controller_from_q, q_from_controller,
+                                  youla_data)
+from nesth2.statespace import (StateSpace, lft_lower, minreal, tf_mismatch,
+                               vcat)
 from nesth2.synthesis import (centralized_h2, controller_realizations,
                               error_coordinates, optimal_controller)
 from nesth2 import validation as va
+
+from markov_oracle import (markov_mismatch, markov_parameters, peak,
+                           scaled_markov_parameters)
 
 SQRT2 = np.sqrt(2.0)
 SQRT5 = np.sqrt(5.0)
@@ -204,10 +208,9 @@ def test_estimator_first_components_coincide_when_decoupled():
     zeta_first = zeta_est.subsystem(rows=[0], cols=list(range(k1 + plant.m)))
     xi_cols = list(range(k1)) + [plant.k + j for j in range(plant.m)]
     xi_first = xi_est.subsystem(rows=[0], cols=xi_cols)
-    assert va._markov_mismatch(zeta_first, xi_first) < 1e-7
+    assert tf_mismatch(zeta_first, xi_first) < 1e-7
     cross = xi_est.subsystem(rows=[0], cols=[k1])
-    assert max(np.abs(p).max(initial=0.0)
-               for p in cross.markov_parameters(8)) < 1e-12
+    assert peak(markov_parameters(cross, 8)) < 1e-12
 
 
 def _sandwich_route(plant, synth):
@@ -585,7 +588,7 @@ def test_centralized_match_recovers_embedded_parameter():
     T11 = StateSpace(G.A, G.B, -G.C, np.zeros((2, 2)))
     eye = StateSpace.gain(np.eye(2))
     Q = va.centralized_model_match(T11, eye, eye)
-    assert va._markov_mismatch(Q, G) < 1e-10
+    assert tf_mismatch(Q, G) < 1e-10
     assert h2_norm(minreal(T11 + eye * Q * eye)) < 1e-10
 
 
@@ -608,7 +611,7 @@ def test_oracle_agrees_with_synthesis():
     n_struct = _closed_norm(plant, synth)
     assert abs(n_oracle - n_struct) < 1e-6 * (1.0 + n_struct)
     Q_opt, _ = va.youla_parameters(plant, synth, data)
-    assert va._markov_mismatch(Q_oracle, Q_opt) < 1e-6
+    assert tf_mismatch(Q_oracle, Q_opt) < 1e-6
 
 
 def test_oracle_unconstrained_matches_centralized_match():
@@ -654,17 +657,53 @@ def test_fixed_point_maps_agree_with_parameter_blocks():
     assert is_hurwitz(g1.A) and is_hurwitz(g2.A)
     Q_opt, _ = va.youla_parameters(plant, synth, data)
     blk11 = Q_opt.subsystem(rows=slice(0, plant.m1), cols=slice(0, plant.k1))
-    assert va._markov_mismatch(g2, blk11) < 1e-7
+    assert tf_mismatch(g2, blk11) < 1e-7
+
+
+@pytest.mark.parametrize("make", [
+    make_random_fixture,
+    lambda: random_plant(1000, n_split=(2, 2)),
+    lambda: random_plant(0, (8, 8), (8, 8), (8, 8)),
+], ids=["fixture", "plant-1000", "n16"])
+def test_tf_mismatch_agrees_with_the_markov_oracle(make):
+    # the two comparisons of youla_parameters, read by the package's point
+    # comparator and by the Markov oracle, then a 1e-10 change of K_round
+    plant = make()
+    synth = optimal_controller(plant)
+    data = youla_data(plant, synth.bundle)
+    Q_opt = va._q_opt_display(plant, synth, data)
+    Q_lft = q_from_controller(data, synth.controller)
+    K_round = controller_from_q(data, Q_opt)
+    for g1, g2 in ((Q_opt, Q_lft), (K_round, synth.controller)):
+        assert tf_mismatch(g1, g2) <= 1e-14
+        assert markov_mismatch(g1, g2) <= 1e-14
+    C = K_round.C.copy()
+    C[np.unravel_index(np.abs(C).argmax(), C.shape)] *= 1.0 + 1e-10
+    twin = StateSpace(K_round.A, K_round.B, C, K_round.D)
+    points = tf_mismatch(twin, synth.controller)
+    markov = markov_mismatch(twin, synth.controller)
+    assert 0.5 * markov <= points <= 2.0 * markov
+
+
+# The edge cases below pin the package's comparator `tf_mismatch` and the
+# test-side Markov oracle to the same verdicts.
 
 
 @pytest.mark.parametrize("g2", [StateSpace(-1.0, np.nan, 1.0, 0.0),
-                                StateSpace(-1.0, 1.0, np.nan, 0.0)])
+                                StateSpace(-1.0, 1.0, np.nan, 0.0),
+                                StateSpace(np.nan, 1.0, 1.0, 0.0),
+                                StateSpace([[-1.0, np.nan, 0.0],
+                                            [0.0, -2.0, 0.0],
+                                            [0.0, 0.0, -3.0]],
+                                           np.ones((3, 1)), np.ones((1, 3)),
+                                           0.0)])
 def test_markov_mismatch_refuses_nan(g2):
     # a NaN in any parameter but the first used to drop out of max()
     g1 = StateSpace(-1.0, 1.0, 1.0, 0.0)
-    assert np.isnan(va._markov_mismatch(g1, g2))
-    assert np.isnan(va._markov_mismatch(g2, g1))
-    assert va._markov_mismatch(g1, g1) == 0.0
+    for mismatch in (tf_mismatch, markov_mismatch):
+        assert np.isnan(mismatch(g1, g2))
+        assert np.isnan(mismatch(g2, g1))
+        assert mismatch(g1, g1) == 0.0
 
 
 def _monic_companion(num, den):
@@ -690,14 +729,16 @@ def test_markov_mismatch_reads_a_difference_first_shown_at_index_n(
         num1, den1, den2):
     # the difference is -eps / (den1 den2) up to sign, of relative degree
     # N = nx1 + nx2, so its Markov parameters vanish through index N - 1
-    # and first show at index N: a count of N parameters reads no mismatch
+    # and first show at index N: a count of N parameters reads no mismatch;
+    # at the scaled points the difference is small but not zero
     g1 = _monic_companion(num1, den1)
     g2 = _monic_companion([1.0], den2)
     N = g1.nx + g2.nx
     _, (p1, p2) = scaled_markov_parameters([g1, g2], N + 1)
     assert np.abs(p1[:N] - p2[:N]).max() < 1e-15
-    assert abs(p1[N] - p2[N]).max() > 1e-3 * va._peak(p1)
-    assert va._markov_mismatch(g1, g2) > 1e-3
+    assert abs(p1[N] - p2[N]).max() > 1e-3 * peak(p1)
+    for mismatch in (tf_mismatch, markov_mismatch):
+        assert mismatch(g1, g2) > 1e-3
 
 
 def test_markov_mismatch_on_a_stiff_realization():
@@ -710,9 +751,10 @@ def test_markov_mismatch_on_a_stiff_realization():
     T = np.eye(60) + 0.1 * rng.standard_normal((60, 60))
     Ti = np.linalg.inv(T)
     g2 = StateSpace(Ti @ g1.A @ T, Ti @ g1.B, g1.C @ T, g1.D)
-    assert va._markov_mismatch(g1, g2) < 1e-12
     g3 = StateSpace(g1.A, g1.B, 1.001 * g1.C, g1.D)
-    assert va._markov_mismatch(g1, g3) > 1e-4
+    for mismatch in (tf_mismatch, markov_mismatch):
+        assert mismatch(g1, g2) < 1e-12
+        assert mismatch(g1, g3) > 1e-4
 
 
 def test_markov_mismatch_is_relative_to_a_small_scaled_peak():
@@ -724,9 +766,10 @@ def test_markov_mismatch_is_relative_to_a_small_scaled_peak():
                     rng.standard_normal((2, 60)), np.zeros((2, 2)))
     count = 2 * g1.nx + 2
     _, (p1,) = scaled_markov_parameters([g1], count)
-    assert va._peak(p1) < 1e-5
+    assert peak(p1) < 1e-5
     g3 = StateSpace(g1.A, g1.B, 1.001 * g1.C, g1.D)
-    assert va._markov_mismatch(g1, g3) >= 1e-4
+    for mismatch in (tf_mismatch, markov_mismatch):
+        assert mismatch(g1, g3) >= 1e-4
 
 
 def test_markov_mismatch_of_a_zero_transfer_function_at_rounding_level():
@@ -740,8 +783,9 @@ def test_markov_mismatch_of_a_zero_transfer_function_at_rounding_level():
     noisy = StateSpace(np.block([[A, Z], [Z, A]]), np.vstack([B, B]),
                        np.hstack([C, -C * (1.0 + 4e-16)]), np.zeros((2, 2)))
     zero = StateSpace(A, np.zeros((4, 2)), C, np.zeros((2, 2)))
-    assert va._markov_mismatch(zero, noisy) < 1e-7
-    assert va._markov_mismatch(zero, zero) == 0.0
+    for mismatch in (tf_mismatch, markov_mismatch):
+        assert mismatch(zero, noisy) < 1e-7
+        assert mismatch(zero, zero) == 0.0
 
 
 def test_simulated_covariance_matches_gap_lyapunov():
