@@ -203,12 +203,24 @@ def _attempt(rep, label, fn):
     return value
 
 
-def _needed(value, stage):
-    """The value an earlier check produced, or a SolverError that marks the
-    dependent check as skipped because that stage failed."""
+def _needed(value, reason):
+    """The value an earlier stage produced, or a SolverError that marks the
+    dependent check as skipped for `reason`."""
     if value is None:
-        raise SolverError(f"skipped: {stage} failed")
+        raise SolverError(f"skipped: {reason}")
     return value
+
+
+def _gap_pair(plant, synth):
+    """The design's gap Lyapunov pair, solved once here for every check
+    that reads it. Returns a callable that gives the pair, or, when it
+    could not be solved, raises a SolverError that marks the reading check
+    as skipped. A failed identity-chain verdict skips nothing."""
+    try:
+        hats, reason = va.hat_pair(plant, synth), None
+    except (SolverError, np.linalg.LinAlgError) as exc:
+        hats, reason = None, f"gap Lyapunov pair unsolved: {exc}"
+    return lambda: _needed(hats, reason)
 
 
 def _orthogonality(plant, synth):
@@ -219,20 +231,53 @@ def _orthogonality(plant, synth):
     return r1, r2
 
 
+def _structured(synth, data, tol):
+    """Worst constrained block of the structured certificate, gated at tol."""
+    res = va.structured_optimality_residual(data, synth.closed_loop)
+    worst = float(np.max([res[0, 0], res[1, 0], res[1, 1]]))
+    if not worst <= tol:
+        raise SolverError(f"constrained blocks carry causal content "
+                          f"{worst:.3e}")
+    return worst
+
+
+def _oracle(synth, data, tol):
+    """Oracle norm and its relative gap to the design norm, gated at tol."""
+    n_struct = synth.loop_factors.h2_norm
+    _, n_oracle = va.vectorization_oracle(data)
+    rel = abs(n_oracle - n_struct) / (1.0 + n_struct)
+    if not rel <= tol:
+        raise SolverError(f"oracle norm {n_oracle:.9e} disagrees "
+                          f"with the design norm {n_struct:.9e}")
+    return n_oracle, rel
+
+
+def _monte_carlo(plant, synth, hats, seed):
+    """Relative error of the sampled error covariance against Y_common,
+    gated at MONTE_CARLO_REL_TOL."""
+    target = hats.Y_common
+    sample = va.simulated_error_covariance(plant, synth, seed=seed)
+    rel = np.linalg.norm(sample - target) \
+        / max(np.linalg.norm(target), 1e-12)
+    if not rel <= MONTE_CARLO_REL_TOL:
+        raise SolverError(f"sample covariance off by {rel:.3f} relative")
+    return rel
+
+
 def cmd_analyze(plant, args):
     rep = RunReport("analyze", plant)
     synth = optimal_controller(plant)
     rep.number("centralized norm", synth.centralized_norm)
     rep.number("structured norm", synth.loop_factors.h2_norm)
+    hats = _gap_pair(plant, synth)
     deltas = _attempt(rep, "three delta formulas agree",
-                      lambda: va.delta_cost(plant, synth,
-                                            va.hat_pair(plant, synth)))
+                      lambda: va.delta_cost(plant, synth, hats()))
     if deltas is not None:
-        rep.number("delta (gap-system norm)", deltas[0])
-        rep.number("delta (Y-weighted trace)", deltas[1])
-        rep.number("delta (X-weighted trace)", deltas[2])
+        rep.number("delta (Y-weighted trace)", deltas[0])
+        rep.number("delta (X-weighted trace)", deltas[1])
+        rep.number("delta (closed-loop gap)", deltas[2])
     triple = _attempt(rep, "closed-loop Gramian block diagonal",
-                      lambda: va.closed_loop_gramian(plant, synth))
+                      lambda: va.closed_loop_gramian(plant, synth, hats()))
     if triple is not None:
         rep.number("Gramian off-diagonal residual", triple.offdiag)
     pair = _attempt(rep, "orthogonality residuals under tolerance",
@@ -248,21 +293,19 @@ def cmd_verify(plant, args):
     synth = optimal_controller(plant)
 
     attempt = functools.partial(_attempt, rep)
-    hats = attempt("gap Lyapunov identity chain",
-                   lambda: va.hat_pair(plant, synth))
+    hats = _gap_pair(plant, synth)
+    attempt("gap Lyapunov identity chain",
+            lambda: va.identity_chain(plant, synth, hats()))
     attempt("closed-loop Gramian block diagonal",
-            lambda: va.closed_loop_gramian(plant, synth))
+            lambda: va.closed_loop_gramian(plant, synth, hats()))
     pair = attempt("error/innovations orthogonality",
                    lambda: _orthogonality(plant, synth))
     if pair is not None:
         rep.number("orthogonality residual player 1", pair[0])
         rep.number("orthogonality residual player 2", pair[1])
 
-    def checked_hats():
-        return _needed(hats, "gap Lyapunov identity chain")
-
     deltas = attempt("decentralization cost certificates",
-                     lambda: va.delta_cost(plant, synth, checked_hats()))
+                     lambda: va.delta_cost(plant, synth, hats()))
     if deltas is not None:
         rep.number("delta", deltas[0])
 
@@ -270,52 +313,27 @@ def cmd_verify(plant, args):
                    lambda: youla_data(plant, synth.bundle))
 
     def checked_data():
-        return _needed(data, "nominal gains")
+        return _needed(data, "nominal gains failed")
 
     attempt("parameter extraction round trip",
             lambda: va.youla_parameters(plant, synth, checked_data()))
-
-    def run_structured():
-        res = va.structured_optimality_residual(checked_data(),
-                                                synth.closed_loop)
-        worst = float(np.max([res[0, 0], res[1, 0], res[1, 1]]))
-        if not worst <= args.tol:
-            raise SolverError(
-                f"constrained blocks carry causal content {worst:.3e}")
-        return worst
-    worst = attempt("structured optimality certificate", run_structured)
+    worst = attempt("structured optimality certificate",
+                    lambda: _structured(synth, checked_data(), args.tol))
     if worst is not None:
         rep.number("structured residual", worst)
-
     attempt("partial-optimization fixed points",
             lambda: va.fixed_point_maps(plant, synth, checked_data()))
 
     if args.oracle:
-        def run_oracle():
-            n_struct = synth.loop_factors.h2_norm
-            _, n_oracle = va.vectorization_oracle(checked_data())
-            rel = abs(n_oracle - n_struct) / (1.0 + n_struct)
-            if not rel <= args.tol:
-                raise SolverError(f"oracle norm {n_oracle:.9e} disagrees "
-                                  f"with the design norm {n_struct:.9e}")
-            return n_oracle, rel
-        got = attempt("vectorization oracle agreement", run_oracle)
+        got = attempt("vectorization oracle agreement",
+                      lambda: _oracle(synth, checked_data(), args.tol))
         if got is not None:
             rep.number("oracle norm", got[0])
             rep.number("oracle relative gap", got[1])
 
     if args.seed is not None:
-        def run_monte_carlo():
-            target = checked_hats().Y_common
-            sample = va.simulated_error_covariance(plant, synth,
-                                                   seed=args.seed)
-            rel = np.linalg.norm(sample - target) \
-                / max(np.linalg.norm(target), 1e-12)
-            if not rel <= MONTE_CARLO_REL_TOL:
-                raise SolverError(
-                    f"sample covariance off by {rel:.3f} relative")
-            return rel
-        rel = attempt("Monte Carlo covariance cross-check", run_monte_carlo)
+        rel = attempt("Monte Carlo covariance cross-check",
+                      lambda: _monte_carlo(plant, synth, hats(), args.seed))
         if rel is not None:
             rep.number("Monte Carlo relative error", rel)
 

@@ -481,20 +481,25 @@ def gramian(sys, kind="controllability"):
     raise ValueError("kind must be 'controllability' or 'observability'")
 
 
-def _h2_from_schur(A, schur, B, C, Wc=None):
-    """H2 norm of (A, B, C, 0) given schur = (T, U) of a Hurwitz A.
+def _gramian_traces(A, schur, B, C, Wc=None):
+    """The two trace forms tr(C Wc C^T) and tr(B^T Wo B) of the squared H2
+    norm of (A, B, C, 0), given schur = (T, U) of a Hurwitz A.
 
     Wc from A Wc + Wc A^T + B B^T = 0 and Wo from A^T Wo + Wo A + C^T C = 0
     both come from the one factorization, the second through `trsyl`'s
-    transpose flag; the two trace forms must agree to H2_CONSISTENCY_TOL.
-    A caller that already holds Wc passes it, and only Wo is solved. The
-    Hurwitz test is the caller's: this reads no spectrum.
+    transpose flag. A caller that already holds Wc passes it, and only Wo
+    is solved. The Hurwitz test is the caller's: this reads no spectrum.
     """
     if Wc is None:
         Wc = _lyapunov_from_schur(A, schur, B @ B.T, "N")
     Wo = _lyapunov_from_schur(A, schur, C.T @ C, "T")
-    sq_c = float(np.trace(C @ Wc @ C.T))
-    sq_o = float(np.trace(B.T @ Wo @ B))
+    return float(np.trace(C @ Wc @ C.T)), float(np.trace(B.T @ Wo @ B))
+
+
+def _h2_from_schur(A, schur, B, C, Wc=None):
+    """H2 norm of (A, B, C, 0) from `_gramian_traces`, whose two forms must
+    agree to H2_CONSISTENCY_TOL."""
+    sq_c, sq_o = _gramian_traces(A, schur, B, C, Wc)
     if not abs(sq_c - sq_o) <= H2_CONSISTENCY_TOL * (1.0 + abs(sq_c)):
         raise SolverError(
             f"Gramian forms disagree: {sq_c:.12e} vs {sq_o:.12e}")

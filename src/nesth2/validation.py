@@ -3,11 +3,13 @@
 Everything here re-derives facts about an already-computed design from a
 different direction than the synthesis path took: Lyapunov certificates for
 the gap between the two internal estimates, the block-diagonal closed-loop
-Gramian, orthogonality of estimation errors against innovations, three
-independent expressions for the cost of decentralization, the parameter
-extracted from the controller through the two-port, and a brute-force
-vectorized re-solve of the structured model-matching problem. A design that
-is wrong in any load-bearing way fails at least one of these checks loudly.
+Gramian, orthogonality of estimation errors against innovations, the cost
+of decentralization read three ways (two traces on the gap pair and the
+closed-loop norm gap), the parameter extracted from the controller through
+the two-port, and a brute-force vectorized re-solve of the structured
+model-matching problem. A design that is wrong in any load-bearing way
+fails at least one of these checks loudly; `tests/test_detuning.py` pins
+which check fails on which wrong design.
 """
 
 from dataclasses import dataclass
@@ -16,10 +18,10 @@ import numpy as np
 import scipy.linalg as sla
 
 from ._kernels import terminal_state_covariance
-from .linalg import (SolverError, _h2_from_schur, _hurwitz_schur,
-                     _lyapunov_from_schur, _require_hurwitz,
-                     _sylvester_from_schur, h2_norm, is_hurwitz, screen_are,
-                     solve_are, solve_lyapunov)
+from .linalg import (_NOT_HURWITZ, SolverError, _gramian_traces,
+                     _h2_from_schur, _hurwitz_schur, _lyapunov_from_schur,
+                     _require_hurwitz, _sylvester_from_schur, h2_norm,
+                     is_hurwitz, screen_are, solve_are, solve_lyapunov)
 from .plant import (AssumptionError, TwoPlayerPlant, check_assumptions,
                     cost_cov_matrices)
 from .stabilization import controller_from_q, q_from_controller
@@ -56,9 +58,17 @@ def _psd_floor(M, tol, label):
 
 def _causal_size(sys):
     """H2 norm of the strictly proper part of a stable system plus the
-    Frobenius norm of its feedthrough."""
-    strict = StateSpace(sys.A, sys.B, sys.C, np.zeros_like(sys.D))
-    return h2_norm(strict) + float(np.linalg.norm(sys.D))
+    Frobenius norm of its feedthrough.
+
+    The H2 part reads the larger of the two Gramian trace forms instead of
+    refusing forms that disagree, so a large residual is reported rather
+    than aborting the check. That loosens no gate: forms that disagree
+    beyond H2_CONSISTENCY_TOL have a squared size above 1e-6, so the size
+    reads above 1e-3.
+    """
+    schur = _hurwitz_schur(sys.A, _NOT_HURWITZ)
+    sq = max(_gramian_traces(sys.A, schur, sys.B, sys.C))
+    return float(np.sqrt(max(sq, 0.0))) + float(np.linalg.norm(sys.D))
 
 
 # ---------------------------------------------------------------------------
@@ -67,53 +77,63 @@ def _causal_size(sys):
 
 @dataclass
 class HatPair:
-    """Covariance of the player-1 estimate and its control-side dual.
+    """The estimate-gap pair of a design and the matrices it perturbs.
 
-    Y_common is the steady-state covariance of the error between the state
-    and the estimate built from the shared measurement alone; X_private is
-    the dual cost-to-go matrix. Their corner blocks reproduce the local ARE
-    solutions and the cross coupling matrices exactly, which is the identity
-    chain hat_pair verifies.
+    Y_gap and X_gap solve the two gap Lyapunov equations on A_gap,
+    A_gap Y_gap + Y_gap A_gap^T + dL V dL^T = 0 and
+    A_gap^T X_gap + X_gap A_gap + dK^T R dK = 0, with dL and dK the gaps
+    between the structured and the centralized gains. Y_common = Y_cen +
+    Y_gap is the steady-state covariance of the error between the state and
+    the estimate built from the shared measurement alone; X_private =
+    X_cen + X_gap is the dual cost-to-go matrix.
     """
 
     Y_common: np.ndarray
     X_private: np.ndarray
+    Y_gap: np.ndarray
+    X_gap: np.ndarray
 
 
 def hat_pair(plant, synth):
-    """Solve the two gap Lyapunov equations and verify the identity chain.
+    """Solve the two gap Lyapunov equations of a design, once.
 
-    Parameters
-    ----------
-    plant : TwoPlayerPlant
-        Plant the design was computed for.
-    synth : SynthesisResult
-        Output of `optimal_controller`.
+    Both are solved from the one real Schur form of A_gap in
+    `synth.loop_factors`, each with its residual checked; a SolverError
+    means the pair could not be solved. Every check that reads the pair
+    takes this result: `identity_chain`, the middle reference block of
+    `closed_loop_gramian`, `delta_cost` and the Monte Carlo target.
 
     Returns
     -------
     HatPair
-        The pair (Y_common, X_private) with every identity of the chain
-        checked at the scaled tolerance IDENTITY_TOL. Both gap Lyapunov
-        equations are solved from the one real Schur form of A_gap in
-        `synth.loop_factors`. Both
-        dominate their centralized counterparts, their corner blocks equal
-        the local ARE solutions and the coupling matrices, and both
-        structured gains are reproduced from them by the displayed formulas.
+    """
+    b = synth.bundle
+    cc = cost_cov_matrices(plant)
+    dL = synth.L_common - b.L_cen
+    dK = synth.K_private - b.K_cen
+    schur = synth.loop_factors.blocks[1]
+    Y_gap = _lyapunov_from_schur(synth.A_gap, schur, dL @ cc.V @ dL.T, "N")
+    X_gap = _lyapunov_from_schur(synth.A_gap, schur, dK.T @ cc.R @ dK, "T")
+    return HatPair(Y_common=b.Y_cen + Y_gap, X_private=b.X_cen + X_gap,
+                   Y_gap=Y_gap, X_gap=X_gap)
+
+
+def identity_chain(plant, synth, hats):
+    """Verify the identity chain on the design's gap pair `hats`.
+
+    Every identity is checked at the scaled tolerance IDENTITY_TOL: both
+    gaps are positive semidefinite, so Y_common and X_private dominate
+    their centralized counterparts; their corner blocks equal the local ARE
+    solutions and the coupling matrices; and both structured gains are
+    reproduced from them by the displayed formulas. Raises SolverError
+    naming the first identity that fails.
     """
     b = synth.bundle
     cc = cost_cov_matrices(plant)
     n1, k1, m1 = plant.n1, plant.k1, plant.m1
-    dL = synth.L_common - b.L_cen
-    dK = synth.K_private - b.K_cen
-
-    schur = synth.loop_factors.blocks[1]
-    Y_gap = _lyapunov_from_schur(synth.A_gap, schur, dL @ cc.V @ dL.T, "N")
-    X_gap = _lyapunov_from_schur(synth.A_gap, schur, dK.T @ cc.R @ dK, "T")
-    _psd_floor(Y_gap, IDENTITY_TOL, "Y_common - Y_cen")
-    _psd_floor(X_gap, IDENTITY_TOL, "X_private - X_cen")
-    Y_hat = b.Y_cen + Y_gap
-    X_hat = b.X_cen + X_gap
+    Y_hat, X_hat = hats.Y_common, hats.X_private
+    _psd_floor(hats.Y_gap, IDENTITY_TOL, "Y_common - Y_cen")
+    _psd_floor(hats.X_gap, IDENTITY_TOL, "X_private - X_cen")
 
     _close(Y_hat[:n1, :n1], b.Y_loc1, IDENTITY_TOL,
            "Y_common upper-left vs local filter ARE")
@@ -135,7 +155,6 @@ def hat_pair(plant, synth):
         cc.R22, (plant.B2.T @ X_hat + cc.S.T)[m1:, :])
     _close(K_rebuilt, synth.K_private, IDENTITY_TOL,
            "feedback rebuilt from X_private")
-    return HatPair(Y_common=Y_hat, X_private=X_hat)
 
 
 @dataclass
@@ -143,9 +162,10 @@ class GramianTriple:
     """Diagonal blocks of the closed-loop controllability Gramian.
 
     In the coordinates (player-1 estimate, estimate gap, estimation error)
-    the Gramian is block diagonal with these three blocks; `mid` equals
-    Y_common - Y_cen. `offdiag` records the largest scaled off-diagonal
-    block norm observed while verifying the diagonality.
+    the Gramian is block diagonal with these three references: Z, the gap
+    pair's Y_gap = Y_common - Y_cen as `mid`, and Y_cen. `offdiag` records
+    the largest scaled off-diagonal block norm observed while verifying the
+    diagonality.
     """
 
     Z: np.ndarray
@@ -154,41 +174,40 @@ class GramianTriple:
     offdiag: float = 0.0
 
 
-def closed_loop_gramian(plant, synth):
+def closed_loop_gramian(plant, synth, hats):
     """Verify block-diagonality of the closed-loop Gramian.
 
     Reads the Gramian Theta of `synth.closed_loop` in the coordinates
     (zeta, xi - zeta, x - xi) of `synthesis.error_coordinates`, and checks
     that the off-diagonal blocks vanish to CHECK_TOL relative to the
     Gramian norm while the diagonal blocks match (Z, Y_common - Y_cen,
-    Y_cen) where Z solves its own small Lyapunov equation driven by the
-    common injection. Theta is `synth.loop_factors.gramian`, solved once
-    per design from the Schur form assembled from those of A_ctrl, A_gap
-    and A_filt, with its residual checked against the loop itself, so a
-    loop that does not separate is refused. The middle reference is solved
-    from the loop factors' Schur form of A_gap. Z goes through the public
-    `solve_lyapunov`, at the cost of one more n x n Schur form of A_ctrl,
-    because it is the one loop-check solve that the benchmark's layer
-    trace counts under `linalg.solve_lyapunov`: the benchmark's self-test
-    asserts `linalg.solve_lyapunov.kron_bytes > 0` on `verify-sweep`.
+    Y_cen). Theta is `synth.loop_factors.gramian`, solved once per design
+    from the Schur form assembled from those of A_ctrl, A_gap and A_filt,
+    with its residual checked against the loop itself, so a loop that does
+    not separate is refused. The middle reference is the gap pair `hats`
+    from `hat_pair`, whose floor `identity_chain` checks; nothing is solved
+    on A_gap here. Z solves its own small Lyapunov equation driven by the
+    common injection, through the public `solve_lyapunov`, at the cost of
+    one more n x n Schur form of A_ctrl, because it is the one loop-check
+    solve that the benchmark's layer trace counts under
+    `linalg.solve_lyapunov`: the benchmark's self-test asserts
+    `linalg.solve_lyapunov.kron_bytes > 0` on `verify-sweep`.
+
+    Only the off-diagonal blocks tell a wrong design from the optimum: on
+    gains detuned by 1e-6 they read 6.3e-9 to 2.0e-7 of the Gramian scale,
+    while the three references agree to 6.5e-15 on any gains of this
+    estimator structure.
     """
     b = synth.bundle
     cc = cost_cov_matrices(plant)
     n = plant.n
-    Lh, L = synth.L_common, b.L_cen
-    factors = synth.loop_factors
-    Theta = factors.gramian
+    Theta = synth.loop_factors.gramian
 
-    Z = solve_lyapunov(b.A_ctrl, Lh @ cc.V @ Lh.T)
-    dL = Lh - L
-    mid = _lyapunov_from_schur(synth.A_gap, factors.blocks[1],
-                               dL @ cc.V @ dL.T, "N")
-
+    Z = solve_lyapunov(b.A_ctrl, synth.L_common @ cc.V @ synth.L_common.T)
     theta_scale = np.linalg.norm(Theta)
-    blocks = [(i, j) for i in range(3) for j in range(3)]
-    diag_ref = {0: Z, 1: mid, 2: b.Y_cen}
+    diag_ref = {0: Z, 1: hats.Y_gap, 2: b.Y_cen}
     worst = 0.0
-    for i, j in blocks:
+    for i, j in np.ndindex(3, 3):
         blk = Theta[i * n:(i + 1) * n, j * n:(j + 1) * n]
         if i == j:
             _close(blk, diag_ref[i], CHECK_TOL,
@@ -200,9 +219,9 @@ def closed_loop_gramian(plant, synth):
             raise SolverError(
                 f"Gramian off-diagonal block ({i + 1},{j + 1}) has norm "
                 f"{np.linalg.norm(blk):.3e}; expected zero")
-    for name, M in (("Z", Z), ("mid", mid), ("Y", b.Y_cen)):
+    for name, M in (("Z", Z), ("Y", b.Y_cen)):
         _psd_floor(M, CHECK_TOL, f"Gramian block {name}")
-    return GramianTriple(Z=Z, mid=mid, Y=b.Y_cen, offdiag=worst)
+    return GramianTriple(Z=Z, mid=hats.Y_gap, Y=b.Y_cen, offdiag=worst)
 
 
 # ---------------------------------------------------------------------------
@@ -311,55 +330,43 @@ def orthogonality_residuals(plant, synth):
 def delta_cost(plant, synth, hats):
     """Extra H2 cost of the information constraint, three ways.
 
-    Returns the squared-norm form, the trace form weighted by the feedback
-    gap, and the trace form weighted by the injection gap. All three must
-    agree to CHECK_TOL, be nonnegative, and equal the gap between the squared
-    norms of `synth.closed_loop` and of the centralized design.
+    Returns the trace form weighted by the feedback gap, the trace form
+    weighted by the injection gap, and the closed-loop gap: three separate
+    computations, none of which solves an equation here. The traces read
+    the gap pair `hats` from `hat_pair`: tr(Y_gap dK^T R dK) and
+    tr(X_gap dL V dL^T). The closed-loop gap is ||loop||^2 - ||cen||^2,
+    from the design norm `synth.loop_factors.h2_norm` and
+    `synth.centralized_norm`. The two traces must agree to CHECK_TOL
+    relative to 1 + |Y-trace|, the Y-trace must be nonnegative, and the
+    closed-loop gap must match it to CHECK_TOL relative to 1 + ||loop||^2.
 
-    `hats` is the design's HatPair from `hat_pair`. The gap system is the
-    weighted gap parameter of `youla_parameters`. Both norms come from
-    `synth.loop_factors`: the gap system's from its Schur form of A_gap,
-    whose Hurwitz test `optimal_controller` has passed, the loop's from the
-    assembled one (`LoopFactors.h2_norm`).
-
-    The comparisons "norm vs Y-trace" and "norm vs X-trace" are not
-    independent directions. The gap system (A_gap, dL D21, D12 dK) has
-    Gramians that solve A_gap Wc + Wc A_gap^T + dL V dL^T = 0 and
-    A_gap^T Wo + Wo A_gap + dK^T R dK = 0, the two equations `hat_pair`
-    solves for Y_common - Y_cen and X_private - X_cen, from the same Schur
-    form of A_gap; so each comparison checks one of `hat_pair`'s equations
-    against a second solve of itself. Only the closed-loop gap
-    sq_opt - sq_cen ties the three forms to a separate computation.
+    What it certifies: the decomposition ||loop||^2 = ||cen||^2 + the gap
+    cost, which holds for any gains of this estimator structure, optimal
+    or not. Gains detuned by 1e-6 to 1e-2 read Y-trace vs X-trace and
+    closed-loop gap vs trace at or below 6.2e-15, as at the optimum, so the
+    check does not tell a wrong design from the optimum; it catches a loop
+    or a pair that is computed wrong.
     """
     b = synth.bundle
     cc = cost_cov_matrices(plant)
     dK = synth.K_private - b.K_cen
     dL = synth.L_common - b.L_cen
-    Y_gap = hats.Y_common - b.Y_cen
-    X_gap = hats.X_private - b.X_cen
-
-    d_norm = _h2_from_schur(synth.A_gap, synth.loop_factors.blocks[1],
-                            dL @ plant.D21, plant.D12 @ dK) ** 2
-    d_trace_y = float(np.trace(Y_gap @ dK.T @ cc.R @ dK))
-    d_trace_x = float(np.trace(X_gap @ dL @ cc.V @ dL.T))
-
-    scale = CHECK_TOL * (1.0 + abs(d_norm))
-    for a, bb, what in ((d_norm, d_trace_y, "norm vs Y-trace"),
-                        (d_norm, d_trace_x, "norm vs X-trace"),
-                        (d_trace_y, d_trace_x, "Y-trace vs X-trace")):
-        if not abs(a - bb) <= scale:
-            raise SolverError(f"decentralization-cost forms disagree "
-                              f"({what}): {a:.12e} vs {bb:.12e}")
-    if not d_norm >= -CHECK_TOL:
-        raise SolverError(f"decentralization cost is negative: {d_norm:.3e}")
+    d_trace_y = float(np.trace(hats.Y_gap @ dK.T @ cc.R @ dK))
+    d_trace_x = float(np.trace(hats.X_gap @ dL @ cc.V @ dL.T))
+    if not abs(d_trace_y - d_trace_x) <= CHECK_TOL * (1.0 + abs(d_trace_y)):
+        raise SolverError(f"decentralization-cost forms disagree "
+                          f"(Y-trace vs X-trace): {d_trace_y:.12e} vs "
+                          f"{d_trace_x:.12e}")
+    if not d_trace_y >= -CHECK_TOL:
+        raise SolverError(
+            f"decentralization cost is negative: {d_trace_y:.3e}")
 
     sq_opt = synth.loop_factors.h2_norm ** 2
-    sq_cen = synth.centralized_norm ** 2
-    if not abs(sq_opt - sq_cen - d_norm) <= CHECK_TOL * (1.0 + sq_opt):
-        raise SolverError(
-            f"cost gap mismatch: closed-loop gap {sq_opt - sq_cen:.12e} "
-            f"vs certificate {d_norm:.12e}")
-    return d_norm, d_trace_y, d_trace_x
+    d_loop = sq_opt - synth.centralized_norm ** 2
+    if not abs(d_loop - d_trace_y) <= CHECK_TOL * (1.0 + sq_opt):
+        raise SolverError(f"cost gap mismatch: closed-loop gap {d_loop:.12e} "
+                          f"vs certificate {d_trace_y:.12e}")
+    return d_trace_y, d_trace_x, d_loop
 
 
 # ---------------------------------------------------------------------------

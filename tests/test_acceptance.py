@@ -154,10 +154,11 @@ def test_03_identity_suite_on_ensemble():
     try:
         for seed, split in _ensemble():
             plant, synth, _ = _solved(seed, split)
-            # hat_pair enforces the full chain (corner blocks and both gain
-            # reconstructions) at 1e-8 internally; the corners are measured
-            # again here for the reported number.
+            # identity_chain enforces the full chain (corner blocks and both
+            # gain reconstructions) at 1e-8 on the pair hat_pair solves; the
+            # corners are measured again here for the reported number.
             hp = va.hat_pair(plant, synth)
+            va.identity_chain(plant, synth, hp)
             b = synth.bundle
             n1 = plant.n1
             for got, want in ((hp.Y_common[:n1, :n1], b.Y_loc1),
@@ -179,7 +180,8 @@ def test_04_closed_loop_gramian_block_diagonal():
             plant, synth, _ = _solved(seed, split)
             # Raises if any off-diagonal block exceeds 1e-7 of the Gramian
             # scale or a diagonal block misses its reference.
-            tri = va.closed_loop_gramian(plant, synth)
+            tri = va.closed_loop_gramian(plant, synth,
+                                         va.hat_pair(plant, synth))
             worst = max(worst, tri.offdiag)
         ok = worst <= 1e-7
         detail = "worst scaled off-diagonal block %.3e" % worst
@@ -194,18 +196,18 @@ def test_05_decentralization_cost_three_ways():
     try:
         for seed, split in _ensemble():
             plant, synth, _ = _solved(seed, split)
-            d_norm, d_ty, d_tx = va.delta_cost(plant, synth,
+            d_ty, d_tx, d_loop = va.delta_cost(plant, synth,
                                                va.hat_pair(plant, synth))
-            scale = 1.0 + abs(d_norm)
+            scale = 1.0 + abs(d_ty)
             worst_mutual = max(worst_mutual,
-                               abs(d_norm - d_ty) / scale,
-                               abs(d_norm - d_tx) / scale,
+                               abs(d_loop - d_ty) / scale,
+                               abs(d_loop - d_tx) / scale,
                                abs(d_ty - d_tx) / scale)
-            most_negative = min(most_negative, d_norm, d_ty, d_tx)
+            most_negative = min(most_negative, d_ty, d_tx, d_loop)
             sq_opt = h2_norm(_closed_loop(plant, synth.controller)) ** 2
             sq_cen = centralized_h2(plant)[1] ** 2
             worst_gap = max(worst_gap,
-                            abs(sq_opt - sq_cen - d_norm) / (1.0 + sq_opt))
+                            abs(sq_opt - sq_cen - d_ty) / (1.0 + sq_opt))
         ok = (worst_mutual <= 1e-7 and most_negative >= -1e-9
               and worst_gap <= 1e-6)
         detail = "forms agree to %.3e, min value %.1e, norm-gap match %.3e" \
@@ -298,6 +300,7 @@ def test_09_special_case_reductions():
         for plant in (make_decoupled(), make_decoupled_crosscost()):
             synth = optimal_controller(plant)
             hp = va.hat_pair(plant, synth)
+            va.identity_chain(plant, synth, hp)
             n1 = plant.n1
             gap11 = (hp.Y_common - synth.bundle.Y_cen)[:n1, :n1]
             worst_corner = max(worst_corner, np.abs(gap11).max(initial=0.0))
@@ -311,10 +314,10 @@ def test_09_special_case_reductions():
 
         plant = make_pure_noise_channel()
         synth = optimal_controller(plant)
-        d_norm, _, _ = va.delta_cost(plant, synth, va.hat_pair(plant, synth))
+        d_ty, _, _ = va.delta_cost(plant, synth, va.hat_pair(plant, synth))
         sq_opt = h2_norm(_closed_loop(plant, synth.controller)) ** 2
         sq_cen = centralized_h2(plant)[1] ** 2
-        degenerate_gap = max(abs(d_norm), abs(sq_opt - sq_cen))
+        degenerate_gap = max(abs(d_ty), abs(sq_opt - sq_cen))
 
         ok = worst_corner <= 1e-8 and worst_h <= 1e-8 and degenerate_gap <= 1e-8
         detail = "decoupled corner gap %.1e, cross-gain invariance %.1e, " \
@@ -336,6 +339,7 @@ def test_10_duality_swaps_control_and_filtering():
             dp = dual_plant(plant)
             sd = optimal_controller(dp)
             hpd = va.hat_pair(dp, sd)
+            va.identity_chain(dp, sd, hpd)
             for got, want in (
                     (sd.bundle.X_cen, swap_transpose(b.Y_cen, p.n, p.n)),
                     (sd.bundle.K_cen, swap_transpose(b.L_cen, p.n, p.k)),

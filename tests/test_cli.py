@@ -26,6 +26,22 @@ def _write_plant(tmp_path, plant, name="plant.json", mangle=None):
     return str(path)
 
 
+def _record_lyapunov_solves(monkeypatch, record):
+    """Call record(A, trans) at every Lyapunov solve, from every nesth2
+    module namespace."""
+    import nesth2.linalg as linalg
+
+    original = linalg._lyapunov_from_schur
+
+    def recorded(A, schur, Q, trans):
+        record(A, trans)
+        return original(A, schur, Q, trans)
+    for key, module in list(sys.modules.items()):
+        if module is not None and key.startswith("nesth2") \
+                and vars(module).get("_lyapunov_from_schur") is original:
+            monkeypatch.setattr(module, "_lyapunov_from_schur", recorded)
+
+
 def _count_calls(monkeypatch, names):
     """Count calls of linalg functions from every nesth2 module namespace."""
     import nesth2.linalg as linalg
@@ -236,9 +252,9 @@ def test_analyze_reports_three_agreeing_deltas(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["verdict"] == "pass"
     values = payload["values"]
-    deltas = [values["delta (gap-system norm)"],
-              values["delta (Y-weighted trace)"],
-              values["delta (X-weighted trace)"]]
+    deltas = [values["delta (Y-weighted trace)"],
+              values["delta (X-weighted trace)"],
+              values["delta (closed-loop gap)"]]
     assert max(deltas) - min(deltas) < 1e-7 * (1.0 + max(deltas))
     assert values["structured norm"] > values["centralized norm"]
 
@@ -349,11 +365,12 @@ def test_escaping_linalg_error_is_numerical(tmp_path, capsys, monkeypatch):
 
 
 def test_verify_solves_the_shared_data_once(tmp_path, capsys, monkeypatch):
-    # one HatPair serves delta_cost and the Monte Carlo target, and one
-    # youla_data serves the parameter round trip, the structured certificate
-    # and the oracle; of the loop checks' Lyapunov equations only the
-    # Gramian's n x n reference Z goes through solve_lyapunov, every other
-    # one is solved from the design's loop factors
+    # one HatPair serves the identity chain, the Gramian's middle reference,
+    # delta_cost and the Monte Carlo target, and one youla_data serves the
+    # parameter round trip, the structured certificate and the oracle; of
+    # the loop checks' Lyapunov equations only the Gramian's n x n reference
+    # Z goes through solve_lyapunov, every other one is solved from the
+    # design's loop factors
     import nesth2.cli as cli
 
     counts = _count_calls(monkeypatch, ("solve_lyapunov", "solve_are"))
@@ -406,25 +423,18 @@ def test_verify_solves_the_loop_gramian_once(tmp_path, capsys, monkeypatch):
     # by state count: the loop's Gramian Theta and the design norm's
     # observability Gramian (9 states); the two Gramians of player 1's
     # orthogonality product (6), whose W is Theta's trailing 2n block;
-    # player 2's product, the gap Lyapunov pair, the reference blocks Z and
-    # mid and the two cost-gap Gramians (3); a 0-state call solves nothing
-    import nesth2.linalg as linalg
-
-    original = linalg._lyapunov_from_schur
+    # player 2's product, the gap Lyapunov pair and the reference block Z
+    # (3); a 0-state call solves nothing
     states = {}
 
-    def counted(A, *args, **kwargs):
+    def record(A, trans):
         if A.shape[0]:
             states[A.shape[0]] = states.get(A.shape[0], 0) + 1
-        return original(A, *args, **kwargs)
-    for key, module in list(sys.modules.items()):
-        if module is not None and key.startswith("nesth2") \
-                and vars(module).get("_lyapunov_from_schur") is original:
-            monkeypatch.setattr(module, "_lyapunov_from_schur", counted)
+    _record_lyapunov_solves(monkeypatch, record)
     path = _write_plant(tmp_path, make_random_fixture())
     assert main(["verify", path]) == 0
     capsys.readouterr()
-    assert states == {3: 8, 6: 2, 9: 2}
+    assert states == {3: 5, 6: 2, 9: 2}
 
 
 def _count_factorizations(tmp_path, capsys, monkeypatch, command):
@@ -467,22 +477,72 @@ def test_analyze_factors_each_state_matrix_once(tmp_path, capsys,
         == {"eigvals": 6, "schur": 6}
 
 
-def test_monte_carlo_is_skipped_without_the_identity_chain(tmp_path, capsys,
-                                                          monkeypatch):
+def test_a_failed_identity_chain_skips_no_check(tmp_path, capsys,
+                                                monkeypatch):
+    # the cost certificate and the Monte Carlo check read the gap pair, not
+    # the chain's verdict, so each prints its own
+    import nesth2.cli as cli
+
+    def broken(plant, synth, hats):
+        raise SolverError("identity check failed")
+
+    monkeypatch.setattr(cli.va, "identity_chain", broken)
+    path = _write_plant(tmp_path, make_decoupled())
+    assert main(["verify", path, "--seed", "7"]) == 2
+    out = capsys.readouterr().out
+    assert "FAIL  gap Lyapunov identity chain: identity check failed" in out
+    for label in ("closed-loop Gramian block diagonal",
+                  "decentralization cost certificates",
+                  "Monte Carlo covariance cross-check"):
+        assert f"  pass  {label}\n" in out
+
+
+def test_monte_carlo_is_skipped_without_the_gap_pair(tmp_path, capsys,
+                                                     monkeypatch):
     import nesth2.cli as cli
 
     def broken(plant, synth):
-        raise SolverError("identity check failed")
+        raise SolverError("Lyapunov residual 1e-03 exceeds tolerance")
 
     monkeypatch.setattr(cli.va, "hat_pair", broken)
     path = _write_plant(tmp_path, make_decoupled())
     assert main(["verify", path, "--seed", "7"]) == 2
     out = capsys.readouterr().out
-    assert "FAIL  gap Lyapunov identity chain: identity check failed" in out
-    assert ("FAIL  decentralization cost certificates: "
-            "skipped: gap Lyapunov identity chain failed") in out
-    assert ("FAIL  Monte Carlo covariance cross-check: "
-            "skipped: gap Lyapunov identity chain failed") in out
+    for label in ("gap Lyapunov identity chain",
+                  "closed-loop Gramian block diagonal",
+                  "decentralization cost certificates",
+                  "Monte Carlo covariance cross-check"):
+        assert (f"FAIL  {label}: skipped: gap Lyapunov pair unsolved: "
+                "Lyapunov residual 1e-03 exceeds tolerance") in out
+    assert "  pass  error/innovations orthogonality" in out
+
+
+@pytest.mark.parametrize("argv", [["analyze"], ["verify"],
+                                  ["verify", "--oracle", "--seed", "7"]])
+def test_each_gap_equation_is_solved_once(tmp_path, capsys, monkeypatch,
+                                          argv):
+    # the Y equation (trans "N") and the X equation ("T") on A_gap, each
+    # solved once, by hat_pair: the chain, the Gramian, the cost certificate
+    # and the Monte Carlo target read the pair and solve nothing on A_gap
+    import nesth2.cli as cli
+
+    gaps, solves = [], []
+
+    def record(A, trans):
+        if any(A is A_gap for A_gap in gaps):
+            solves.append(trans)
+    _record_lyapunov_solves(monkeypatch, record)
+    synthesize = cli.optimal_controller
+
+    def kept(plant):
+        synth = synthesize(plant)
+        gaps.append(synth.A_gap)
+        return synth
+    monkeypatch.setattr(cli, "optimal_controller", kept)
+    path = _write_plant(tmp_path, make_random_fixture())
+    assert main([argv[0], path] + argv[1:]) == 0
+    capsys.readouterr()
+    assert solves == ["N", "T"]
 
 
 @pytest.mark.parametrize("residuals", [(0.0, np.nan), (np.nan, 0.0)])

@@ -28,6 +28,7 @@ from nesth2.synthesis import (centralized_h2, controller_realizations,
                               error_coordinates, optimal_controller)
 from nesth2 import validation as va
 
+from detuning import detuned_controller
 from markov_oracle import (markov_mismatch, markov_parameters, peak,
                            scaled_markov_parameters)
 
@@ -86,6 +87,7 @@ def test_hat_pair_corner_identities():
     plant = make_random_fixture()
     synth = optimal_controller(plant)
     hp = va.hat_pair(plant, synth)
+    va.identity_chain(plant, synth, hp)
     b = synth.bundle
     n1 = plant.n1
     assert np.allclose(hp.Y_common[:n1, :n1], b.Y_loc1, atol=1e-8)
@@ -100,6 +102,7 @@ def test_hat_pair_gap_decoupled_closed_form():
     plant = make_decoupled()
     synth = optimal_controller(plant)
     hp = va.hat_pair(plant, synth)
+    va.identity_chain(plant, synth, hp)
     gap = hp.Y_common - synth.bundle.Y_cen
     # Player 1 estimates its own state as well as the centralized filter, so
     # the gap lives entirely in the unobserved second coordinate.
@@ -113,8 +116,8 @@ def test_hat_pair_gap_decoupled_closed_form():
 def test_closed_loop_gramian_diagonal():
     plant = make_random_fixture()
     synth = optimal_controller(plant)
-    tri = va.closed_loop_gramian(plant, synth)
     hp = va.hat_pair(plant, synth)
+    tri = va.closed_loop_gramian(plant, synth, hp)
     assert np.allclose(tri.mid, hp.Y_common - synth.bundle.Y_cen, atol=1e-10)
     assert np.array_equal(tri.Y, synth.bundle.Y_cen)
     for M in (tri.Z, tri.mid, tri.Y):
@@ -293,15 +296,17 @@ def test_gramian_refuses_a_loop_that_does_not_separate(block):
     plant = make_random_fixture()
     synth = optimal_controller(plant)
     _perturb_lower_block(synth, plant.n, block, 1e-6)
+    hats = va.hat_pair(plant, synth)
     with pytest.raises(SolverError, match="Lyapunov residual"):
-        va.closed_loop_gramian(plant, synth)
+        va.closed_loop_gramian(plant, synth, hats)
 
 
 def test_loop_checks_factor_no_matrix_beyond_n(monkeypatch):
     # the gap Lyapunov pair, the Gramian, both orthogonality products and
-    # both delta norms share three n x n Schur forms, of A_ctrl, A_gap and
-    # A_filt; the Gramian's reference Z factors A_ctrl once more through
-    # solve_lyapunov; no 2n- or 3n-state matrix is factored
+    # the design norm that delta_cost reads share three n x n Schur forms,
+    # of A_ctrl, A_gap and A_filt; the Gramian's reference Z factors A_ctrl
+    # once more through solve_lyapunov; no 2n- or 3n-state matrix is
+    # factored
     import scipy.linalg
 
     plant = random_plant(0, (4, 4), (4, 4), (4, 4))
@@ -314,7 +319,7 @@ def test_loop_checks_factor_no_matrix_beyond_n(monkeypatch):
         return original(a, *args, **kwargs)
     monkeypatch.setattr(scipy.linalg, "schur", counted)
     hats = va.hat_pair(plant, synth)
-    va.closed_loop_gramian(plant, synth)
+    va.closed_loop_gramian(plant, synth, hats)
     va.orthogonality_residuals(plant, synth)
     va.delta_cost(plant, synth, hats)
     assert rows == [plant.n] * 4
@@ -402,18 +407,18 @@ def test_delta_cost_zero_for_decoupled():
     plant = make_decoupled()
     synth = optimal_controller(plant)
     hats = va.hat_pair(plant, synth)
-    d_norm, d_ty, d_tx = va.delta_cost(plant, synth, hats)
-    assert abs(d_norm) < 1e-8
+    d_ty, d_tx, d_loop = va.delta_cost(plant, synth, hats)
     assert abs(d_ty) < 1e-8
     assert abs(d_tx) < 1e-8
+    assert abs(d_loop) < 1e-8
 
 
 def test_delta_cost_zero_when_second_measurement_pure_noise():
     plant = make_pure_noise_channel()
     synth = optimal_controller(plant)
     hats = va.hat_pair(plant, synth)
-    d_norm, _, _ = va.delta_cost(plant, synth, hats)
-    assert abs(d_norm) < 1e-8
+    d_ty, _, _ = va.delta_cost(plant, synth, hats)
+    assert abs(d_ty) < 1e-8
     assert abs(_closed_norm(plant, synth) - centralized_h2(plant)[1]) < 1e-8
 
 
@@ -421,15 +426,15 @@ def test_delta_cost_random_fixture_frozen():
     plant = make_random_fixture()
     synth = optimal_controller(plant)
     hats = va.hat_pair(plant, synth)
-    d_norm, d_ty, d_tx = va.delta_cost(plant, synth, hats)
-    assert abs(d_norm - RANDOM_DELTA) < 1e-9
-    assert abs(d_ty - d_norm) < 1e-9
-    assert abs(d_tx - d_norm) < 1e-9
+    d_ty, d_tx, d_loop = va.delta_cost(plant, synth, hats)
+    assert abs(d_ty - RANDOM_DELTA) < 1e-9
+    assert abs(d_tx - d_ty) < 1e-9
+    assert abs(d_loop - d_ty) < 1e-9
     n_struct = _closed_norm(plant, synth)
     n_cen = centralized_h2(plant)[1]
     assert abs(n_struct - RANDOM_STRUCT_NORM) < 1e-9
     assert abs(n_cen - RANDOM_CENTRAL_NORM) < 1e-9
-    assert abs(d_norm - (n_struct ** 2 - n_cen ** 2)) < 1e-6 * (1.0 + d_norm)
+    assert abs(d_ty - (n_struct ** 2 - n_cen ** 2)) < 1e-6 * (1.0 + d_ty)
 
 
 def test_readme_library_example_runs():
@@ -489,12 +494,9 @@ def test_structured_residual_flags_a_detuned_player_2(seed):
     plant = make_random_fixture() if seed is None \
         else random_plant(seed, n_split=(2, 2))
     synth = optimal_controller(plant)
-    K = synth.controller
-    C = K.C.copy()
-    C[plant.m1:, :plant.n] *= 1.0 + 1e-4
-    detuned = StateSpace(K.A, K.B, C, K.D)
-    cl = lft_lower(plant.generalized(), detuned, plant.nz, plant.nw)
-    assert _constrained_residual(plant, synth, cl) > 1e-6
+    detuned = detuned_controller(plant, synth, 1.0 + 1e-4,
+                                 columns=slice(0, plant.n))
+    assert _constrained_residual(plant, synth, detuned.closed_loop) > 1e-6
 
 
 @pytest.mark.parametrize("seed", [5559, 7014, 26220, 32137])
@@ -515,12 +517,21 @@ def test_structured_residual_at_optimum_below_the_old_rounding_floor(seed):
     plant = random_plant(seed, n_split=(2, 2))
     synth = optimal_controller(plant)
     assert _constrained_residual(plant, synth, synth.closed_loop) <= 1e-8
-    K = synth.controller
-    C = K.C.copy()
-    C[plant.m1:, :] *= 1.0 + 1e-4
-    detuned = StateSpace(K.A, K.B, C, K.D)
-    cl = lft_lower(plant.generalized(), detuned, plant.nz, plant.nw)
-    assert _constrained_residual(plant, synth, cl) > 1e-6
+    detuned = detuned_controller(plant, synth, 1.0 + 1e-4)
+    assert _constrained_residual(plant, synth, detuned.closed_loop) > 1e-6
+
+
+@pytest.mark.parametrize("factor", [1.0 + 1e-6, 1.0 + 1e-4])
+def test_structured_residual_reports_rather_than_aborts(factor):
+    # on plant 14580 player 2's detuned loop leaves a causal block whose two
+    # Gramian trace forms disagree (7.7e-3 against 8.8 at 1e-6); the size
+    # reads the larger form, 9.4e-2 and 9.75, where h2_norm's consistency
+    # gate raised before. The optimum still reads 2.8e-8
+    plant = random_plant(14580, n_split=(2, 2))
+    synth = optimal_controller(plant)
+    assert _constrained_residual(plant, synth, synth.closed_loop) <= 1e-7
+    detuned = detuned_controller(plant, synth, factor)
+    assert _constrained_residual(plant, synth, detuned.closed_loop) > 1e-2
 
 
 def test_structured_residual_requires_partition():
@@ -826,7 +837,8 @@ def test_validation_chain_on_random_plants(seed):
     plant = random_plant(seed)
     synth = optimal_controller(plant)
     hats = va.hat_pair(plant, synth)
+    va.identity_chain(plant, synth, hats)
     r1, r2 = va.orthogonality_residuals(plant, synth)
     assert max(r1, r2) < 1e-6
-    d_norm, _, _ = va.delta_cost(plant, synth, hats)
-    assert d_norm >= -1e-9
+    d_ty, _, _ = va.delta_cost(plant, synth, hats)
+    assert d_ty >= -1e-9
