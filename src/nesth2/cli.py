@@ -223,6 +223,23 @@ def _gap_pair(plant, synth):
     return lambda: _needed(hats, reason)
 
 
+def _parameter_frame(plant, synth, data):
+    """The design's parameter frame, evaluated once here for both checks
+    that read it. Returns a callable that gives the frame, or raises what
+    its evaluation raised, so each reading check fails as it would have
+    failed evaluating the frame itself; with no nominal gains it raises
+    the SolverError that marks the reading check as skipped."""
+    if data is None:
+        return lambda: _needed(None, "nominal gains failed")
+    try:
+        frame = va.parameter_frame(plant, synth, data)
+    except (SolverError, np.linalg.LinAlgError) as exc:
+        def fail(exc=exc):
+            raise exc
+        return fail
+    return lambda: frame
+
+
 def _orthogonality(plant, synth):
     r1, r2 = va.orthogonality_residuals(plant, synth)
     if not (r1 <= ORTHOGONALITY_TOL and r2 <= ORTHOGONALITY_TOL):
@@ -315,14 +332,15 @@ def cmd_verify(plant, args):
     def checked_data():
         return _needed(data, "nominal gains failed")
 
+    frame = _parameter_frame(plant, synth, data)
     attempt("parameter extraction round trip",
-            lambda: va.youla_parameters(plant, synth, checked_data()))
+            lambda: va.youla_parameters(plant, synth, frame()))
     worst = attempt("structured optimality certificate",
                     lambda: _structured(synth, checked_data(), args.tol))
     if worst is not None:
         rep.number("structured residual", worst)
     attempt("partial-optimization fixed points",
-            lambda: va.fixed_point_maps(plant, synth, checked_data()))
+            lambda: va.fixed_point_maps(plant, frame()))
 
     if args.oracle:
         got = attempt("vectorization oracle agreement",

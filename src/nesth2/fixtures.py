@@ -150,7 +150,8 @@ def random_plant(seed, n_split=(2, 1), m_split=(1, 1), k_split=(1, 1),
     disturbance and performance channels have generic cross terms, and A is
     redrawn whenever one of its eigenvalues comes within AXIS_MARGIN of the
     imaginary axis (stable/antistable splits in the verification layer need
-    the gap). The draw is deterministic in `seed`.
+    the gap). A is block lower, so its spectrum is that of A11 and A22,
+    tested in that order. The draw is deterministic in `seed`.
 
     Draws whose centralized Riccati solutions or gains exceed `scale_cap` in
     norm are rejected as well (pass None to disable). Raw Gaussian draws
@@ -179,7 +180,8 @@ def random_plant(seed, n_split=(2, 1), m_split=(1, 1), k_split=(1, 1),
         C1 = rng.standard_normal((nz, n)) / np.sqrt(nz)
         D12 = rng.standard_normal((nz, m)) / np.sqrt(nz)
         D21 = rng.standard_normal((k, nw)) / np.sqrt(nw)
-        if np.min(np.abs(np.linalg.eigvals(A).real)) < AXIS_MARGIN:
+        if any(np.min(np.abs(np.linalg.eigvals(blk).real)) < AXIS_MARGIN
+               for blk in (A[:n1, :n1], A[n1:, n1:])):
             continue
         plant = TwoPlayerPlant(A, B1, B2, C1, C2, D12, D21, partition)
         if not check_assumptions(plant).passed:

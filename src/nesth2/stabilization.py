@@ -14,8 +14,8 @@ import numpy as np
 import scipy.linalg
 
 from .statespace import StateSpace, lft_lower, lft_upper
-from .linalg import (SolverError, is_hurwitz, pbh_detectable, pbh_stabilizable,
-                     screen_are, solve_are)
+from .linalg import (SolverError, _check_separation, pbh_detectable,
+                     pbh_stabilizable, screen_axis_rank, solve_are)
 
 
 @dataclass
@@ -81,9 +81,10 @@ class NominalGains:
 
 
 def _nominal_are(name, data):
-    """Screen and solve one nominal-gain equation; an error names it."""
+    """Screen the axis rank of one nominal-gain equation and solve it; an
+    error names it."""
     try:
-        screen_are(*data)
+        screen_axis_rank(*data)
         return solve_are(*data)
     except SolverError as exc:
         raise SolverError(f"nominal gains, {name} equation: {exc}") from exc
@@ -94,10 +95,20 @@ def nominal_gains(plant, bundle):
 
     `bundle` is the plant's AreBundle (see `synthesis.solve_four_ares`); its
     K_loc2 and L_loc1 become K2 and L1. The two equations solved here are
-    screened first: `check_assumptions` covers their stabilizability (A2,
-    A5) but not their axis-rank conditions, because the player-1 control
-    and player-2 filter pencils drop rows that A3 and A6 keep. A failure
-    raises a SolverError that names the equation.
+    screened for their axis-rank conditions first, because the player-1
+    control and player-2 filter pencils drop rows that A3 and A6 keep. Their
+    stabilizability is not screened again: A2 and A5 of `check_assumptions`
+    ran the identical `pbh_stabilizable(A11, B2_11)` and
+    `pbh_detectable(C2_22, A22)`. A failure raises a SolverError that names
+    the equation.
+
+    A_Kd and A_Ld are certified Hurwitz without an eigenvalue solve, by the
+    separation certificate of the synthesis: both are block lower, since
+    A, B2 and C2 are and K_d and L_d are block diagonal, so each must have
+    an exactly zero (1,2) block and diagonal blocks equal, within
+    SEPARATION_TOL, to closed loops that `solve_are` certified Hurwitz:
+    A11 + B2_11 K1 and A_ctrl2 for A_Kd, A_filt1 and A22 + L2 C2_22 for
+    A_Ld.
     """
     n1, m1, k1 = plant.n1, plant.m1, plant.k1
     ctrl1 = (plant.A11, plant.B2_11, plant.C1[:, :n1], plant.D12[:, :m1])
@@ -109,8 +120,18 @@ def nominal_gains(plant, bundle):
     L_d = scipy.linalg.block_diag(bundle.L_loc1, L2)
     A_Kd = plant.A + plant.B2 @ K_d
     A_Ld = plant.A + L_d @ plant.C2
-    if not is_hurwitz(A_Kd, margin=0.0) or not is_hurwitz(A_Ld, margin=0.0):
-        raise SolverError("nominal gains failed the closed-loop Hurwitz check")
+    try:
+        for M, diagonal in (
+                (A_Kd, (plant.A11 + plant.B2_11 @ K1, bundle.A_ctrl2)),
+                (A_Ld, (bundle.A_filt1, plant.A22 + L2 @ plant.C2_22))):
+            if np.any(M[:n1, n1:] != 0.0):
+                raise SolverError("nonzero (1,2) block")
+            _check_separation("nominal closed loop", M, [],
+                              [(M[:n1, :n1], diagonal[0]),
+                               (M[n1:, n1:], diagonal[1])])
+    except SolverError as exc:
+        raise SolverError("nominal gains failed the closed-loop Hurwitz "
+                          "check") from exc
     return NominalGains(
         K_d=K_d, L_d=L_d, A_Kd=A_Kd, A_Ld=A_Ld,
         C_Kd=plant.C1 + plant.D12 @ K_d,
@@ -130,9 +151,10 @@ class ModelMatchData:
 
     lft_lower(J_d, Q) runs over all stabilizing block-lower controllers as Q
     runs over stable block-lower parameters, and the closed loop satisfies
-    F(P, K) = T11 + T12 Q T21 with T11, T12, T21 all stable. J_d_inverse is
-    the exact state-space inverse of J_d (same state dimension). `gains`
-    are the nominal gains the two-port is built on.
+    F(P, K) = T11 + T12 Q T21 with T11, T12, T21 all stable; the three
+    share one 2n x 2n state matrix A_T. J_d_inverse is the exact state-space
+    inverse of J_d (same state dimension). `gains` are the nominal gains the
+    two-port is built on.
     """
 
     J_d: StateSpace

@@ -19,7 +19,10 @@ s_j = alpha z_j, |z_j| = TF_RADIUS > 1 and alpha = max(1, ||A||_2), so each
 costs a few O(N^3) solves for N states. That is a test at generic points
 against a tolerance, not a Cayley-Hamilton proof, and it reads a difference
 that first shows at Markov index k up to TF_RADIUS^(1 - k) times as large
-as the Markov test does (see `tf_mismatch`).
+as the Markov test does (see `tf_mismatch`). `point_values`,
+`values_mismatch` and `values_block_lower` are the same comparison split
+at the values, for a caller that reads several systems at one alpha of its
+own (`validation.parameter_frame`).
 """
 
 import numpy as np
@@ -235,6 +238,25 @@ def lft_upper(M, K, nq, np_):
     return lft_lower(flipped, K, nz, nw)
 
 
+def point_size(g, values, alpha):
+    """Size of g at the comparison points s_j = alpha z_j, given its values
+    there: the largest entry modulus of `values`, floored at TF_FLOOR times
+    the bound 4 ||C|| ||B|| / alpha + ||D|| on |G(s_j)|, so that a zero
+    transfer function and its rounding-level twin compare as equal. The
+    bound holds for any alpha >= ||A||_2 (see `_point_values`)."""
+    bound = (np.linalg.norm(g.C) * np.linalg.norm(g.B)
+             / (alpha * (TF_RADIUS - 1.0)) + np.linalg.norm(g.D))
+    return float(np.max([np.abs(values).max(initial=0.0), TF_FLOOR * bound]))
+
+
+def point_values(g, alpha):
+    """(values, size) of g at the comparison points s_j = alpha z_j: the
+    (points, ny, nu) stack of G(s_j), one batched solve, and `point_size`.
+    alpha must be at least max(1, ||g.A||_2)."""
+    values = g.eval_at(alpha * TF_POINTS)
+    return values, point_size(g, values, alpha)
+
+
 def _point_values(systems):
     """Each system's values at the comparison points, and its size there.
 
@@ -242,24 +264,25 @@ def _point_values(systems):
     alpha = max(1, ||A||_2) over all of `systems`. Since |z_j| = TF_RADIUS
     > 1, each s_j I - A is invertible, for A stable or not, with
     ||(s_j I - A)^{-1}||_2 <= 1 / (alpha (TF_RADIUS - 1)) = 4 / alpha, so
-    |G(s_j)| <= 4 ||C|| ||B|| / alpha + ||D||. A system's size is its
-    largest entry modulus over the points, floored at TF_FLOOR times that
-    bound, so that a zero transfer function and its rounding-level twin
-    compare as equal. A non-finite A takes no part in alpha; its values
-    carry the NaN. Returns a list of ((points, ny, nu) complex stack, size).
+    |G(s_j)| <= 4 ||C|| ||B|| / alpha + ||D||, the bound `point_size`
+    floors at. A non-finite A takes no part in alpha; its values carry the
+    NaN. Returns a list of ((points, ny, nu) complex stack, size).
     """
     # ||A||_2 is the root of the largest eigenvalue of A^T A, found in
     # about half the time of the SVD at n = 8 to 24
     alpha = max([1.0] + [np.sqrt(np.linalg.eigvalsh(g.A.T @ g.A)[-1])
                          for g in systems if g.nx and np.isfinite(g.A).all()])
-    out = []
-    for g in systems:
-        values = g.eval_at(alpha * TF_POINTS)
-        bound = (np.linalg.norm(g.C) * np.linalg.norm(g.B)
-                 / (alpha * (TF_RADIUS - 1.0)) + np.linalg.norm(g.D))
-        size = np.max([np.abs(values).max(initial=0.0), TF_FLOOR * bound])
-        out.append((values, float(size)))
-    return out
+    return [point_values(g, alpha) for g in systems]
+
+
+def values_mismatch(v1, size1, v2, size2):
+    """Largest entry modulus of v1 - v2, two value stacks at the same
+    points, relative to the larger of the two sizes. Two exactly zero
+    sides read 0.0; a NaN anywhere reads NaN."""
+    scale = float(np.max([size1, size2]))
+    if scale == 0.0:
+        return 0.0
+    return float(np.abs(v1 - v2).max(initial=0.0)) / scale
 
 
 def tf_mismatch(g1, g2):
@@ -267,8 +290,7 @@ def tf_mismatch(g1, g2):
 
     Both are evaluated at the same fixed points (`_point_values`); the
     result is the largest entry modulus of G1(s_j) - G2(s_j) over the
-    points, relative to the larger size of the two. Two exactly zero sides
-    read 0.0; a NaN anywhere reads NaN.
+    points, relative to the larger size of the two (`values_mismatch`).
 
     This tests generic points against a tolerance, not every frequency,
     and is no Cayley-Hamilton proof. A difference whose Markov parameters
@@ -278,10 +300,14 @@ def tf_mismatch(g1, g2):
     size that first shows past index 83.
     """
     (v1, size1), (v2, size2) = _point_values([g1, g2])
-    scale = float(np.max([size1, size2]))
-    if scale == 0.0:
-        return 0.0
-    return float(np.abs(v1 - v2).max(initial=0.0)) / scale
+    return values_mismatch(v1, size1, v2, size2)
+
+
+def values_block_lower(values, size, out_split, in_split, tol):
+    """True iff the (1,2) block of a value stack is at most tol times
+    `size` in every entry; a NaN reads as not block lower."""
+    return bool(np.abs(values[:, :out_split[0], in_split[0]:])
+                .max(initial=0.0) <= tol * size)
 
 
 def is_block_lower_tf(sys, out_split, in_split, tol=1e-8):
@@ -295,11 +321,8 @@ def is_block_lower_tf(sys, out_split, in_split, tol=1e-8):
     the default tol can pass a full-size coupling that first shows past
     index 83, such as 1/s^84 on an integrator chain. A NaN anywhere reads as not block lower.
     """
-    rows, _ = out_split
-    cols, _ = in_split
     ((values, size),) = _point_values([sys])
-    return bool(np.abs(values[:, :rows, cols:]).max(initial=0.0)
-                <= tol * size)
+    return values_block_lower(values, size, out_split, in_split, tol)
 
 
 def _orth_cols(M, floor=1.0):

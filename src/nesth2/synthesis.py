@@ -21,9 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .linalg import (RESIDUAL_TOL, SolverError, _NOT_HURWITZ, _h2_from_schur,
-                     _lyapunov_from_schur, _real_schur, _require_hurwitz,
-                     screen_are, solve_are, triangular_sylvester)
+from .linalg import (RESIDUAL_TOL, SEPARATION_TOL, SolverError, _NOT_HURWITZ,
+                     _check_separation, _h2_from_schur, _lyapunov_from_schur,
+                     _real_schur, _require_hurwitz, screen_are, solve_are,
+                     triangular_sylvester)
 from .plant import (AssumptionError, Partition, TwoPlayerPlant,
                     check_assumptions, cost_cov_matrices)
 from .statespace import StateSpace, lft_lower
@@ -34,11 +35,6 @@ EPS = np.finfo(float).eps
 #: multiple of 1 + ||I - K|| marks I - K as numerically singular
 SINGULAR_TOL = 64 * EPS
 _SINGULAR_SYLVESTER = "A_ctrl2 and -A_filt1 share an eigenvalue"
-#: a block that the estimation-error structure makes zero, or equal to one
-#: of the bundle's Hurwitz matrices, may differ from it by at most this
-#: multiple of the norm of the matrix it is read from; correct designs read
-#: at most 1.4e-16 (400-plant family, stress set, n = 32-96)
-SEPARATION_TOL = 1e-12
 
 
 @dataclass
@@ -443,20 +439,6 @@ def controller_realizations(plant, bundle, K_private, L_common):
         np.zeros((m, k)),
     )
     return primary, alternative
-
-
-def _check_separation(stage, M, zero_blocks, matched_blocks):
-    """Refuse M unless each of `zero_blocks` vanishes and each (block,
-    target) pair of `matched_blocks` agrees, to SEPARATION_TOL * ||M||_F.
-
-    Raises SolverError naming `stage`, with the largest residual against
-    the scale; a NaN residual is refused too.
-    """
-    scale = float(np.linalg.norm(M))
-    res = float(np.max([np.linalg.norm(Z) for Z in zero_blocks]
-                       + [np.linalg.norm(X - Y) for X, Y in matched_blocks]))
-    if not res <= SEPARATION_TOL * scale:
-        raise SolverError(f"{stage}: residual/scale {res:.2e}/{scale:.2e}")
 
 
 def _certify_gap(plant, bundle, A_gap):

@@ -24,9 +24,9 @@ from .linalg import (_NOT_HURWITZ, SolverError, _gramian_traces,
                      is_hurwitz, screen_are, solve_are, solve_lyapunov)
 from .plant import (AssumptionError, TwoPlayerPlant, check_assumptions,
                     cost_cov_matrices)
-from .stabilization import controller_from_q, q_from_controller
-from .statespace import (StateSpace, balance_realization, is_block_lower_tf,
-                         minreal, tf_mismatch)
+from .statespace import (TF_POINTS, StateSpace, balance_realization, minreal,
+                         point_size, point_values, values_block_lower,
+                         values_mismatch)
 
 IDENTITY_TOL = 1e-8
 CHECK_TOL = 1e-7
@@ -373,24 +373,121 @@ def delta_cost(plant, synth, hats):
 # Parameter extraction through the two-port
 
 
-def _q_opt_display(plant, synth, data):
+def _q_opt_halves(plant, synth, data):
+    """Q_opt's two n-state diagonal blocks, (A_ctrl, L_common, K_d - K_cen)
+    and (A_filt, L_d - L_cen, K_private); Q_opt is their sum."""
     b, g = synth.bundle, data.gains
-    A_q = sla.block_diag(b.A_ctrl, b.A_filt)
-    B_q = np.vstack([synth.L_common, g.L_d - b.L_cen])
-    C_q = np.hstack([g.K_d - b.K_cen, synth.K_private])
-    return StateSpace(A_q, B_q, C_q, np.zeros((plant.m, plant.k)))
+    zero = np.zeros((plant.m, plant.k))
+    return (StateSpace(b.A_ctrl, synth.L_common, g.K_d - b.K_cen, zero),
+            StateSpace(b.A_filt, g.L_d - b.L_cen, synth.K_private, zero))
 
 
-def youla_parameters(plant, synth, data):
+def _q_opt_display(plant, synth, data):
+    ctrl, filt = _q_opt_halves(plant, synth, data)
+    return ctrl + filt
+
+
+def _lft_values(P11, P12, P21, P22, K):
+    """Values of the lower LFT P11 + P12 K (I - P22 K)^{-1} P21, from the
+    values of P's four blocks and of K at the same points; one small solve
+    per point, of the size of P22 K."""
+    eye = np.eye(P22.shape[-2])
+    return P11 + P12 @ K @ np.linalg.solve(eye - P22 @ K, P21)
+
+
+def _closure_norm(A, B2, C2, D22, K):
+    """Frobenius norm of the state matrix of the lower LFT of a system with
+    state matrix A, closed-port input map B2, output map C2 and
+    feedthrough D22, around a strictly proper K:
+    [[A, B2 C_K], [B_K C2, A_K + B_K D22 C_K]], read off its four blocks
+    without assembling it. It bounds the matrix's ||.||_2."""
+    if np.any(K.D != 0.0):
+        raise ValueError("the closure bound needs a strictly proper factor")
+    blocks = (A, B2 @ K.C, K.B @ C2, K.A + K.B @ D22 @ K.C)
+    return float(np.sqrt(sum(np.linalg.norm(M) ** 2 for M in blocks)))
+
+
+@dataclass
+class ParameterFrame:
+    """The parameter frame of a design, read once at one point set.
+
+    Every transfer function is read at s_j = alpha z_j for the z_j of
+    TF_POINTS. `halves` are Q_opt's two n-state diagonal blocks
+    (`_q_opt_halves`) and `Q_opt` their sum, the display realization of
+    `_q_opt_display`. `q_opt` and `controller` are the (values, size) pairs
+    of Q_opt and of the design's controller K, as `tf_mismatch` reads them.
+    `q_lft` and `k_round` are the values of the two closures
+    F_u(J_d^-1, K) and F_l(J_d, Q_opt), read pointwise.
+    """
+
+    alpha: float
+    halves: tuple
+    Q_opt: StateSpace
+    q_opt: tuple
+    controller: tuple
+    q_lft: np.ndarray
+    k_round: np.ndarray
+
+
+def parameter_frame(plant, synth, data):
+    """Evaluate the parameter frame of a design once, for every check that
+    reads it: `youla_parameters` and `fixed_point_maps`.
+
+    `data` is `youla_data(plant, synth.bundle)`. Q_opt is read as the sum of
+    its two n-state diagonal blocks; the controller K (2n states), J_d and
+    J_d^-1 (n states each) take one batched solve each. The closures
+    Q_lft = F_u(J_d^-1, K) and K_round = F_l(J_d, Q_opt) are not evaluated
+    as 3n-state realizations: each is read by the LFT formula on the
+    factors' values at each point (`_lft_values`).
+
+    One alpha = max(1, ||A||_F) over the state matrices of every
+    realization read, the closures' assembled ones included, dominates
+    their ||A||_2, so every s_j I - A is invertible with the 4 / alpha
+    bound of `statespace._point_values`, the closures' included, and so is
+    each I - P22 K of the LFT formula. A closure's norm is read off its
+    blocks (`_closure_norm`); K and Q_opt are strictly proper, as the
+    synthesis builds them. A non-finite matrix takes no part in alpha; its
+    values carry the NaN.
+    """
+    halves = _q_opt_halves(plant, synth, data)
+    Q_opt = halves[0] + halves[1]
+    K, J, J_inv = synth.controller, data.J_d, data.J_d_inverse
+    m, k = plant.m, plant.k
+    norms = [np.linalg.norm(g.A) for g in halves + (K, J, J_inv)]
+    norms += [_closure_norm(J_inv.A, J_inv.B[:, :m], J_inv.C[:k],
+                            J_inv.D[:k, :m], K),
+              _closure_norm(J.A, J.B[:, k:], J.C[m:], J.D[m:, k:], Q_opt)]
+    alpha = max([1.0] + [float(x) for x in norms if np.isfinite(x)])
+    pts = alpha * TF_POINTS
+    q_values = halves[0].eval_at(pts) + halves[1].eval_at(pts)
+    q_opt = (q_values, point_size(Q_opt, q_values, alpha))
+    controller = point_values(K, alpha)
+    # J_d^-1 maps [p; w] (m + k) to [q; z] (k + m), closed by p = K q
+    M = J_inv.eval_at(pts)
+    q_lft = _lft_values(M[:, k:, m:], M[:, k:, :m], M[:, :k, m:],
+                        M[:, :k, :m], controller[0])
+    # J_d maps [w; u] (k + m) to [z; y] (m + k), closed by u = Q y
+    P = J.eval_at(pts)
+    k_round = _lft_values(P[:, :m, :k], P[:, :m, k:], P[:, m:, :k],
+                          P[:, m:, k:], q_values)
+    return ParameterFrame(alpha=alpha, halves=halves, Q_opt=Q_opt,
+                          q_opt=q_opt, controller=controller, q_lft=q_lft,
+                          k_round=k_round)
+
+
+def youla_parameters(plant, synth, frame):
     """Optimal parameter and the parameter of the decentralization gap.
 
-    `data` is `youla_data(plant, synth.bundle)`; its nominal gains fix the
+    `frame` is `parameter_frame(plant, synth, data)` for the design's
+    `data = youla_data(plant, synth.bundle)`, whose nominal gains fix the
     parameterization. Q_opt must be block lower and agree with the two-port
-    extraction, and the controller rebuilt from it must agree with the
-    design, each read by `tf_mismatch` at CHECK_TOL: a test at four generic
-    points, not a Cayley-Hamilton proof. Q_opt is stable without a test: its
-    state matrix is block_diag(A_ctrl, A_filt), which `solve_are` certified
-    Hurwitz.
+    extraction Q_lft, and the controller K_round rebuilt from it must agree
+    with the design, each read on the frame's values at CHECK_TOL: a test
+    at four generic points, not a Cayley-Hamilton proof. Q_opt and K keep
+    their floored sizes; each closure, read pointwise, is compared against
+    the larger of its own largest value and the other side's size. Q_opt
+    is stable without a test: its state matrix is block_diag(A_ctrl,
+    A_filt), which `solve_are` certified Hurwitz.
 
     Returns
     -------
@@ -402,19 +499,20 @@ def youla_parameters(plant, synth, data):
         squares to the decentralization cost; `delta_cost` checks that norm.
     """
     b = synth.bundle
-    Q_opt = _q_opt_display(plant, synth, data)
-    out_split = (plant.m1, plant.m2)
-    in_split = (plant.k1, plant.k2)
-    if not is_block_lower_tf(Q_opt, out_split, in_split, tol=CHECK_TOL):
+    q_values, q_size = frame.q_opt
+    if not values_block_lower(q_values, q_size, (plant.m1, plant.m2),
+                              (plant.k1, plant.k2), CHECK_TOL):
         raise SolverError("optimal parameter is not block lower triangular")
 
-    Q_lft = q_from_controller(data, synth.controller)
-    gap = tf_mismatch(Q_opt, Q_lft)
+    gap = values_mismatch(q_values, q_size, frame.q_lft,
+                          np.abs(frame.q_lft).max(initial=0.0))
     if not gap <= CHECK_TOL:
         raise SolverError(f"parameter display disagrees with the two-port "
                           f"extraction: transfer mismatch {gap:.3e}")
-    K_round = controller_from_q(data, Q_opt)
-    gap = tf_mismatch(K_round, synth.controller)
+    k_values, k_size = frame.controller
+    gap = values_mismatch(frame.k_round,
+                          np.abs(frame.k_round).max(initial=0.0),
+                          k_values, k_size)
     if not gap <= CHECK_TOL:
         raise SolverError(f"parameter round trip failed: transfer mismatch "
                           f"{gap:.3e}")
@@ -422,7 +520,7 @@ def youla_parameters(plant, synth, data):
     dK = synth.K_private - b.K_cen
     dL = synth.L_common - b.L_cen
     Q_you = StateSpace(synth.A_gap, dL, dK, np.zeros((plant.m, plant.k)))
-    return Q_opt, Q_you
+    return frame.Q_opt, Q_you
 
 
 # ---------------------------------------------------------------------------
@@ -446,16 +544,19 @@ def _stable_sandwich(left, mid, right):
     right~ adds no further stable content. A second equation of the same
     shape then projects the product with right~.
 
-    Each of mid.A, left.A^T and right.A^T is factored once, in that order.
-    Each real Schur form serves the matrix's Hurwitz test (a SolverError
-    naming the factor) and every Sylvester solve it enters; mid.A enters
-    both. Factors with no states are allowed.
+    Each of mid.A, left.A^T and right.A^T is factored once, in that order,
+    and right.A^T not at all when it equals left.A^T: one real Schur form
+    then serves both adjoint factors. Each real Schur form serves the
+    matrix's Hurwitz test (a SolverError naming the factor) and every
+    Sylvester solve it enters; mid.A enters both. Factors with no states
+    are allowed.
     """
     mid_schur = _hurwitz_schur(mid.A, "closed loop is not Hurwitz")
     left_schur = _hurwitz_schur(
         left.A.T, "adjoint projection requires a stable left factor")
-    right_schur = _hurwitz_schur(
-        right.A.T, "adjoint projection requires a stable right factor")
+    right_schur = left_schur if np.array_equal(right.A, left.A) \
+        else _hurwitz_schur(
+            right.A.T, "adjoint projection requires a stable right factor")
     Z1 = _sylvester_from_schur(left.A.T, left_schur, left.C.T @ mid.C,
                                mid.A, mid_schur)
     mid = StateSpace(mid.A, mid.B,
@@ -480,10 +581,17 @@ def structured_optimality_residual(T, cl):
     have no stable causal content. The upper-right block is unconstrained
     and its entry is reported as zero.
 
+    T12 and T21 share the state matrix A_T of `youla_data`. They are
+    balanced as the one realization (A_T, [B12 B21], [C12; C21]), so their
+    balanced state matrices are equal too, and one real Schur form of the
+    balanced A_T^T serves both adjoint factors of `_stable_sandwich`. The
+    loop is balanced on its own.
+
     Parameters
     ----------
     T : ModelMatchData
-        Model-matching data carrying the input/output partition.
+        Model-matching data carrying the input/output partition; its T12
+        and T21 must share their state matrix (ValueError otherwise).
     cl : StateSpace
         Closed loop w -> z of the plant with the controller to test, for
         instance `SynthesisResult.closed_loop`.
@@ -501,9 +609,16 @@ def structured_optimality_residual(T, cl):
     # Every realization entering a Sylvester or Lyapunov solve is rebalanced,
     # since the residual lives many orders of magnitude below the raw
     # product scales. The sandwich refuses a loop that is not Hurwitz.
-    stable = _stable_sandwich(balance_realization(T.T12),
-                              balance_realization(cl),
-                              balance_realization(T.T21))
+    T12, T21 = T.T12, T.T21
+    if not np.array_equal(T12.A, T21.A):
+        raise ValueError("T12 and T21 must share their state matrix")
+    shared = balance_realization(StateSpace(
+        T12.A, np.hstack([T12.B, T21.B]), np.vstack([T12.C, T21.C])))
+    m, nz = T12.nu, T12.ny
+    stable = _stable_sandwich(
+        StateSpace(shared.A, shared.B[:, :m], shared.C[:nz], T12.D),
+        balance_realization(cl),
+        StateSpace(shared.A, shared.B[:, m:], shared.C[nz:], T21.D))
     out = np.zeros((2, 2))
     rows = (slice(0, m1), slice(m1, None))
     cols = (slice(0, k1), slice(k1, None))
@@ -713,16 +828,20 @@ def vectorization_oracle(T):
 # Fixed points of the partial optimizations
 
 
-def fixed_point_maps(plant, synth, data):
+def fixed_point_maps(plant, frame):
     """The two partial-optimization maps, evaluated at the optimum.
 
     Each player's best response, with the other player's diagonal parameter
     block held fixed, turns out not to depend on the fixed block at all; the
     two displayed systems below are therefore constant maps whose values
     must coincide with the diagonal blocks of the optimal parameter. That
-    coincidence is verified here by `tf_mismatch` at CHECK_TOL, at four
-    generic points rather than by a Cayley-Hamilton count of parameters.
-    `data` is `youla_data(plant, synth.bundle)`, as for `youla_parameters`.
+    coincidence is verified here at CHECK_TOL, at the four generic points
+    of `frame` (`parameter_frame(plant, synth, data)`) rather than by a
+    Cayley-Hamilton count of parameters. g1 and g2 keep their own n-state
+    realizations and are solved at those points on their own. The check is
+    vacuous all the same: g2 and g1 are Q_opt's diagonal blocks less parts
+    that `structured_gains` makes exactly zero, and their values equal
+    Q_opt's to the last bit on the fixture, plant 1000 and n = 16.
 
     Returns
     -------
@@ -730,25 +849,20 @@ def fixed_point_maps(plant, synth, data):
         g1: the best-response value for player 2's diagonal block;
         g2: the best-response value for player 1's diagonal block.
     """
-    b, g = synth.bundle, data.gains
-    m1, k1 = plant.m1, plant.k1
-    g1 = StateSpace(b.A_filt, (g.L_d - b.L_cen)[:, k1:],
-                    synth.K_private[m1:, :],
-                    np.zeros((plant.m2, plant.k2)))
-    g2 = StateSpace(b.A_ctrl, synth.L_common[:, :k1],
-                    (g.K_d - b.K_cen)[:m1, :],
-                    np.zeros((plant.m1, plant.k1)))
-    Q_opt = _q_opt_display(plant, synth, data)
-    blk11 = Q_opt.subsystem(rows=slice(0, m1), cols=slice(0, k1))
-    blk22 = Q_opt.subsystem(rows=slice(m1, None), cols=slice(k1, None))
-    gap = tf_mismatch(g2, blk11)
-    if not gap <= CHECK_TOL:
-        raise SolverError(f"player-1 fixed point fails: transfer mismatch "
-                          f"{gap:.3e}")
-    gap = tf_mismatch(g1, blk22)
-    if not gap <= CHECK_TOL:
-        raise SolverError(f"player-2 fixed point fails: transfer mismatch "
-                          f"{gap:.3e}")
+    block11 = (slice(0, plant.m1), slice(0, plant.k1))
+    block22 = (slice(plant.m1, None), slice(plant.k1, None))
+    ctrl, filt = frame.halves
+    g1 = filt.subsystem(*block22)
+    g2 = ctrl.subsystem(*block11)
+    for g, (rows, cols), who in ((g2, block11, "player-1"),
+                                 (g1, block22, "player-2")):
+        values = frame.q_opt[0][:, rows, cols]
+        size = point_size(frame.Q_opt.subsystem(rows, cols), values,
+                          frame.alpha)
+        gap = values_mismatch(*point_values(g, frame.alpha), values, size)
+        if not gap <= CHECK_TOL:
+            raise SolverError(f"{who} fixed point fails: transfer mismatch "
+                              f"{gap:.3e}")
     return g1, g2
 
 

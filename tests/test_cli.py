@@ -458,13 +458,36 @@ def _count_factorizations(tmp_path, capsys, monkeypatch, command):
 def test_verify_factors_each_state_matrix_once(tmp_path, capsys, monkeypatch):
     # two Schur forms in the coupling solve, three n x n ones of A_ctrl,
     # A_gap and A_filt that every loop check shares, one more of A_ctrl in
-    # the Gramian's solve_lyapunov reference Z, and three in the
-    # structured certificate; a redundant spectrum or factorization shows up
-    # here. A rank test that one SVD of B certifies computes no eigenvalues
-    # at all, and no check re-tests a matrix that synthesis already
-    # certified Hurwitz.
+    # the Gramian's solve_lyapunov reference Z, and two in the structured
+    # certificate, whose T12 and T21 share one factorization of A_T^T; a
+    # redundant spectrum or factorization shows up here. A rank test that
+    # one SVD of B certifies computes no eigenvalues at all, and no check
+    # re-tests a matrix that synthesis already certified Hurwitz: the
+    # nominal gains' loops are certified by separation, and their
+    # stabilizability is not screened again after A2 and A5.
     assert _count_factorizations(tmp_path, capsys, monkeypatch, "verify") \
-        == {"eigvals": 11, "schur": 9}
+        == {"eigvals": 8, "schur": 8}
+
+
+def test_verify_parameter_checks_solve_no_stack_beyond_2n(tmp_path, capsys,
+                                                         monkeypatch):
+    # the parameter frame reads Q_opt from its two n-state blocks, K (2n
+    # states), J_d and J_d^-1 (n each) and the fixed points' g1 and g2 (n
+    # each), and the two closures pointwise by the LFT formula; evaluating
+    # a 3n-state closure would show up here as a stack of 3n
+    plant = random_plant(0, (4, 4), (4, 4), (4, 4))
+    path = _write_plant(tmp_path, plant)
+    sizes = []
+    original = np.linalg.solve
+
+    def recorded(a, b):
+        if np.ndim(a) == 3:
+            sizes.append(np.shape(a)[-1])
+        return original(a, b)
+    monkeypatch.setattr(np.linalg, "solve", recorded)
+    assert main(["verify", path]) == 0
+    capsys.readouterr()
+    assert sizes and max(sizes) == 2 * plant.n
 
 
 def test_analyze_factors_each_state_matrix_once(tmp_path, capsys,

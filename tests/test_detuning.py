@@ -33,9 +33,11 @@ CHECKS = {
     "gramian": lambda p, s, d, h: va.closed_loop_gramian(p, s, h),
     "orthogonality": lambda p, s, d, h: cli._orthogonality(p, s),
     "cost": lambda p, s, d, h: va.delta_cost(p, s, h),
-    "round trip": lambda p, s, d, h: va.youla_parameters(p, s, d),
+    "round trip": lambda p, s, d, h: va.youla_parameters(
+        p, s, va.parameter_frame(p, s, d)),
     "certificate": lambda p, s, d, h: cli._structured(s, d, 1e-6),
-    "fixed points": lambda p, s, d, h: va.fixed_point_maps(p, s, d),
+    "fixed points": lambda p, s, d, h: va.fixed_point_maps(
+        p, va.parameter_frame(p, s, d)),
     "oracle": lambda p, s, d, h: cli._oracle(s, d, 1e-6),
     "Monte Carlo": lambda p, s, d, h: cli._monte_carlo(p, s, h, 7),
 }

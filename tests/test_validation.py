@@ -22,8 +22,8 @@ from nesth2.linalg import (SolverError, h2_norm, is_hurwitz,
 from nesth2.plant import AssumptionError
 from nesth2.stabilization import (controller_from_q, q_from_controller,
                                   youla_data)
-from nesth2.statespace import (StateSpace, lft_lower, minreal, tf_mismatch,
-                               vcat)
+from nesth2.statespace import (TF_POINTS, StateSpace, lft_lower, minreal,
+                               tf_mismatch, vcat)
 from nesth2.synthesis import (centralized_h2, controller_realizations,
                               error_coordinates, optimal_controller)
 from nesth2 import validation as va
@@ -457,7 +457,8 @@ def test_youla_parameters_structure():
     plant = make_random_fixture()
     synth = optimal_controller(plant)
     data = youla_data(plant, synth.bundle)
-    Q_opt, Q_you = va.youla_parameters(plant, synth, data)
+    Q_opt, Q_you = va.youla_parameters(
+        plant, synth, va.parameter_frame(plant, synth, data))
     assert Q_opt.nx == 2 * plant.n
     assert is_hurwitz(Q_opt.A)
     assert np.array_equal(Q_you.A, synth.A_gap)
@@ -621,7 +622,8 @@ def test_oracle_agrees_with_synthesis():
     Q_oracle, n_oracle = va.vectorization_oracle(data)
     n_struct = _closed_norm(plant, synth)
     assert abs(n_oracle - n_struct) < 1e-6 * (1.0 + n_struct)
-    Q_opt, _ = va.youla_parameters(plant, synth, data)
+    Q_opt, _ = va.youla_parameters(
+        plant, synth, va.parameter_frame(plant, synth, data))
     assert tf_mismatch(Q_oracle, Q_opt) < 1e-6
 
 
@@ -662,13 +664,36 @@ def test_fixed_point_maps_agree_with_parameter_blocks():
     plant = make_random_fixture()
     synth = optimal_controller(plant)
     data = youla_data(plant, synth.bundle)
-    g1, g2 = va.fixed_point_maps(plant, synth, data)
+    frame = va.parameter_frame(plant, synth, data)
+    g1, g2 = va.fixed_point_maps(plant, frame)
     assert (g1.ny, g1.nu) == (plant.m2, plant.k2)
     assert (g2.ny, g2.nu) == (plant.m1, plant.k1)
     assert is_hurwitz(g1.A) and is_hurwitz(g2.A)
-    Q_opt, _ = va.youla_parameters(plant, synth, data)
+    Q_opt, _ = va.youla_parameters(plant, synth, frame)
     blk11 = Q_opt.subsystem(rows=slice(0, plant.m1), cols=slice(0, plant.k1))
     assert tf_mismatch(g2, blk11) < 1e-7
+
+
+@pytest.mark.parametrize("make", [
+    make_random_fixture,
+    lambda: random_plant(1000, n_split=(2, 2)),
+    lambda: random_plant(0, (8, 8), (8, 8), (8, 8)),
+], ids=["fixture", "plant-1000", "n16"])
+def test_parameter_frame_reads_the_closures_as_their_realizations(make):
+    # the frame reads Q_lft and K_round by the LFT formula on the factors'
+    # values; the 3n-state realizations of the two-port closures, evaluated
+    # at the same points, stay the reference
+    plant = make()
+    synth = optimal_controller(plant)
+    data = youla_data(plant, synth.bundle)
+    frame = va.parameter_frame(plant, synth, data)
+    for got, closure in (
+            (frame.q_lft, q_from_controller(data, synth.controller)),
+            (frame.k_round, controller_from_q(data, frame.Q_opt))):
+        assert frame.alpha >= np.linalg.norm(closure.A, 2)
+        want = closure.eval_at(frame.alpha * TF_POINTS)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("make", [
