@@ -5,7 +5,8 @@ Riccati equations take the stable invariant subspace of the associated
 matrix sign function (Byers 1987, Linear Algebra Appl. 85) from n = 32 on.
 The sign function costs a few LU inversions, BLAS-3 work, where the
 eigenvectors need a nonsymmetric eigensolver. It is the faster of the two
-from about n = 32 on; `solve_are` gives the measured crossover.
+from about n = 24 on; `solve_are` gives the measured crossover, and why
+the cutoff stays at 32.
 
 Lyapunov and Sylvester equations use the Bartels-Stewart method (Bartels &
 Stewart 1972, CACM Alg. 432): a real Schur form of each coefficient, then
@@ -33,15 +34,24 @@ stabilizability, and the absence of invariant zeros on the imaginary axis,
 which `axis_rank_ok` reduces to a PBH test by compressing out the
 feedthrough. Since [M, B][M, B]^H >= B B^H, the smallest singular value of
 [A - l I, B] is at least sigma_n(B) at every l. So when B has at least n
-columns and sigma_n(B) clears the rank tolerance, one SVD of B certifies
-full rank everywhere, with no eigenvalue computed. That is the case for a
-player whose input (output) block has full rank n, and for a compressed
-pair whose C - D F has full column rank. Otherwise the test takes one SVD
-per real eigenvalue in the region of interest, in real arithmetic, and one
-per conjugate pair: [A - conj(l) I, B] is the conjugate of [A - l I, B] and
-has the same singular values.
+columns and sigma_n(B) clears the rank tolerance, B alone certifies full
+rank everywhere, with no eigenvalue computed. That is the case for a player
+whose input (output) block has full rank n, and for a compressed pair whose
+C - D F has full column rank. A Cholesky factorization of B B^T, shifted by
+the tolerance and a bound on its own rounding, proves that inequality (see
+`_exceeds`); only when it fails does one SVD of B decide. Otherwise the test
+takes one SVD per real eigenvalue in the region of interest, in real
+arithmetic, and one per conjugate pair: [A - conj(l) I, B] is the conjugate
+of [A - l I, B] and has the same singular values.
+
+The same shifted factorization certifies the one-sided questions that
+`check_assumptions` and `solve_are` ask of a matrix in hand: D^T D > 0,
+X > 0, and A + B K Hurwitz through the Lyapunov identity that the Riccati
+equation supplies. A factorization that fails proves nothing, and the
+spectral test of the same matrix then decides, with its own message.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +77,12 @@ _SIGN_MIN_STATES = 32
 # and eigenvalues within 1e-4 of the axis about 20
 _SIGN_MAX_STEPS = 60
 
+_EPS = np.finfo(float).eps
+_POTRF = scipy.linalg.lapack.dpotrf
+_GEQRF = scipy.linalg.lapack.dgeqrf
+_ORMQR = scipy.linalg.lapack.dormqr
+_TRTRS = scipy.linalg.lapack.dtrtrs
+
 
 class SolverError(RuntimeError):
     """A solver's preconditions failed or its result did not verify."""
@@ -82,6 +98,49 @@ def is_hurwitz(A, margin=HURWITZ_MARGIN):
     if A.shape[0] == 0:
         return True
     return bool(np.max(np.linalg.eigvals(A).real) < -margin)
+
+
+def _exceeds(M, gate, formed=0.0):
+    """Whether a Cholesky factorization proves lambda_min(M0) > gate for
+    every symmetric M0 within `formed` of the symmetric M in the 2-norm.
+
+    LAPACK `potrf` factors M - c I, with the floor c = f + 2 (n + 2) eps
+    (|tr M| + f) and f = gate + formed. When it succeeds, the factor R has
+    R^T R = M - c I + dM with |dM| <= gamma_{n+1} |R^T| |R| (Higham 2002,
+    Accuracy and Stability of Numerical Algorithms, Thm 10.3), so
+    ||dM||_2 <= gamma_{n+1} ||R||_F^2, about (n + 1) eps tr M. With the
+    rounding of the shift itself that leaves lambda_min(M) > f + (n + 1)
+    eps tr M, a margin that also covers the backward error of an eigvalsh
+    of M and a relative error of a few eps in a computed gate. A
+    factorization that fails proves nothing; so do an empty M and a floor
+    that is not finite. `potrf` reads one triangle, so M must be exactly
+    symmetric. A NaN or infinite entry there reaches the factor's diagonal,
+    and a factor whose trace is not finite proves nothing either: some
+    `potrf` implementations pass a NaN pivot.
+    """
+    n = M.shape[0]
+    floor = gate + formed
+    floor += 2 * (n + 2) * _EPS * (abs(M.trace()) + floor)
+    if not (n and math.isfinite(floor)):
+        return False
+    # the transpose of a symmetric C-ordered array is its Fortran-ordered
+    # self, which potrf factors in place
+    factor, info = _POTRF((M - floor * np.eye(n)).T, overwrite_a=True,
+                          clean=False)
+    return info == 0 and math.isfinite(factor.trace())
+
+
+def _sigma_n_exceeds(B, tol):
+    """Whether `_exceeds` proves sigma_n(B) > tol for an n x m B, n <= m.
+
+    It factors B B^T, whose rounding is at most gamma_m ||B||_F^2, against
+    the gate (tol + (n + m) eps ||B||_F)^2: the extra term covers the error
+    of an SVD's sigma_n, so the SVD test `sigma_n(B) > tol` passes too.
+    """
+    n, m = B.shape
+    norm_B = np.linalg.norm(B)
+    return _exceeds(B @ B.T, (tol + (n + m) * _EPS * norm_B) ** 2,
+                    (m + 2) * _EPS * norm_B ** 2)
 
 
 def _check_separation(stage, M, zero_blocks, matched_blocks):
@@ -238,18 +297,22 @@ def _pbh_rank_ok(A, B, region):
     for which region(lambda) holds, at RANK_TOL against the data's size.
 
     When B (n x m) has m >= n and sigma_n(B) > RANK_TOL * scale, the answer
-    is True after one SVD of B: [M, B][M, B]^H >= B B^H gives
+    is True with no eigenvalue computed: [M, B][M, B]^H >= B B^H gives
     sigma_n([A - lambda I, B]) >= sigma_n(B) at every lambda, so each test
-    below would pass. Otherwise each eigenvalue is tested. region must be
-    symmetric under conjugation. Only eigenvalues with Im >= 0 are visited,
-    since A and B are real; a real eigenvalue is tested in real arithmetic.
-    Like `np.linalg.eigvals`, a NaN or infinite entry raises LinAlgError,
+    below would pass. A Cholesky factorization of B B^T proves that
+    inequality (`_sigma_n_exceeds`); if it fails, one SVD of B decides it.
+    Otherwise each eigenvalue is tested. region must be symmetric under
+    conjugation. Only eigenvalues with Im >= 0 are visited, since A and B
+    are real; a real eigenvalue is tested in real arithmetic. Like
+    `np.linalg.eigvals`, a NaN or infinite entry raises LinAlgError,
     whether or not the certificate would have read it."""
     if not (np.isfinite(A).all() and np.isfinite(B).all()):
         raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
     n = A.shape[0]
     tol = RANK_TOL * max(1.0, np.linalg.norm(A) + np.linalg.norm(B))
-    if 0 < n <= B.shape[1] and np.linalg.svd(B, compute_uv=False)[n - 1] > tol:
+    if 0 < n <= B.shape[1] and (
+            _sigma_n_exceeds(B, tol)
+            or np.linalg.svd(B, compute_uv=False)[n - 1] > tol):
         return True
     for lam in np.linalg.eigvals(A):
         if lam.imag < 0.0 or not region(lam):
@@ -281,12 +344,16 @@ def axis_rank_ok(A, B, C, D, side="column"):
     compressed out and what is left is a PBH test. It runs at each
     eigenvalue of At within AXIS_TOL * max(1, ||A||_F) of the imaginary
     axis, unless Ct has full column rank above RANK_TOL: then there is no
-    unobservable mode anywhere, and one SVD of Ct settles it (see
+    unobservable mode anywhere, and Ct alone settles it (see
     `_pbh_rank_ok`). That needs at least n more outputs than inputs. A D
     without full column rank (row rank for side="row") gives False, so the
-    check presupposes the weight condition that makes D of full rank. One
-    SVD of D gives both that verdict, at `np.linalg.matrix_rank`'s
-    threshold, and F.
+    check presupposes the weight condition that makes D of full rank.
+
+    With n more outputs than inputs, `_axis_certificate` first tries to
+    prove True from a QR factorization of D and two Cholesky factors, with
+    no SVD or eigenvalue. When it cannot, one SVD of D gives the rank
+    verdict, at `np.linalg.matrix_rank`'s threshold, and F, and the PBH
+    test decides.
     """
     A = _mat(A, "A")
     B = _mat(B, "B")
@@ -296,6 +363,8 @@ def axis_rank_ok(A, B, C, D, side="column"):
         return axis_rank_ok(A.T, C.T, B.T, D.T, side="column")
     if side != "column":
         raise ValueError("side must be 'column' or 'row'")
+    if _axis_certificate(A, B, C, D):
+        return True
     U, s, Vt = np.linalg.svd(D, full_matrices=False)
     rank_tol = s.max(initial=0.0) * max(D.shape) * np.finfo(float).eps
     if np.count_nonzero(s > rank_tol) < D.shape[1]:
@@ -304,6 +373,55 @@ def axis_rank_ok(A, B, C, D, side="column"):
     band = AXIS_TOL * max(1.0, np.linalg.norm(A))
     return _pbh_rank_ok((A - B @ F).T, (C - D @ F).T,
                         lambda lam: abs(lam.real) <= band)
+
+
+def _axis_certificate(A, B, C, D):
+    """Whether Cholesky factors prove that `axis_rank_ok`'s SVD path, on
+    the column side, would return True through its certificate.
+
+    Needs p >= m + n for a p x m D. A Householder QR factorization D = Q R
+    gives F, from the triangular system R F = Q^T C, Ct = C - D F, and
+    s_lo = 1 / (2 ||R^-1||_F), half an estimate of sigma_m(D).
+    `_sigma_n_exceeds` then proves sigma_m(D) > s_lo, which bounds the
+    condition of D, and D of full column rank above
+    `np.linalg.matrix_rank`'s threshold. Any backward stable least-squares
+    residual, this one or the SVD path's, lies within
+
+        err = (p + 1)(m + 1) eps (||C||_F + ||D||_F ||F||_F
+                                  + ||D||_F ||Ct||_F / s_lo)
+
+    of the exact (I - D D^+) C, to first order (Higham 2002, Thms 19.4 and
+    20.3), and the two F within err / s_lo of each other. So the SVD path's
+    tolerance is at most tol = RANK_TOL * max(1, ||A - B F||_F + ||Ct||_F
+    + 2 err (1 + ||B||_F / s_lo)), and proving sigma_n(Ct) > tol + 2 err
+    proves that its sigma_n clears its tolerance. A singular R, or a NaN or
+    infinite entry anywhere, proves nothing, and the SVD path then meets the
+    same data.
+    """
+    p, m = D.shape
+    n = A.shape[0]
+    if not (m and 0 < n <= p - m
+            and all(np.isfinite(M).all() for M in (A, B, C, D))):
+        return False
+    # Householder QR: R is the upper triangle of qr[:m]; the triangular
+    # solves read no other entry
+    qr, tau, _, _ = _GEQRF(D)
+    R_inv, info = _TRTRS(qr[:m], np.eye(m))
+    if info:
+        return False
+    s_lo = 0.5 / np.linalg.norm(R_inv)
+    norm_D = np.linalg.norm(D)
+    if not _sigma_n_exceeds(D.T, max(s_lo, max(p, m) * _EPS * norm_D)):
+        return False
+    QtC, _, _ = _ORMQR("L", "T", qr, tau, C, n)
+    F, _ = _TRTRS(qr[:m], QtC[:m])
+    Ct = C - D @ F
+    norm_Ct = np.linalg.norm(Ct)
+    err = (p + 1) * (m + 1) * _EPS * (
+        np.linalg.norm(C) + norm_D * (np.linalg.norm(F) + norm_Ct / s_lo))
+    tol = RANK_TOL * max(1.0, np.linalg.norm(A - B @ F) + norm_Ct
+                         + 2.0 * err * (1.0 + np.linalg.norm(B) / s_lo))
+    return _sigma_n_exceeds(Ct.T, tol + 2.0 * err)
 
 
 @dataclass
@@ -436,19 +554,35 @@ def solve_are(A, B, C, D):
     strictly-stable eigenvalues (complex arithmetic is fine at this scale,
     `_eig_solution`); from 32 on, from the matrix sign function of H
     (`_sign_solution`). The cutoff is the measured crossover. On one BLAS
-    thread of a 2-core Intel Xeon, one solve, checks included, took 0.77
-    of the eigenvector path's time at n = 32 and 0.56-0.58 at n = 40-64.
-    At n = 12-24 it took 1.05-1.53 times as long, and its 0.88 at n = 28
-    is within run-to-run noise. The result is symmetrized and
-    verified on both paths: residual, positive semidefiniteness and the
-    closed-loop property that A + B K has every eigenvalue left of
-    -HURWITZ_MARGIN are all checked. The spectrum of A + B K is the stable
-    half of H's, whose eigenvalues come in +-lambda pairs, so a Hamiltonian
-    eigenvalue inside the margin band shows up there on either path. The
-    one eigenvalue computation of A + B K gives its largest real part; in
-    [-HURWITZ_MARGIN, 0) the refusal names the margin band, with the
-    eigenvector path's wording, and any other value that is not below
-    -HURWITZ_MARGIN refuses the closed loop as not Hurwitz.
+    thread of a 2-core Intel Xeon, one solve, checks included, took 0.68
+    of the eigenvector path's time at n = 32, 0.56-0.58 at n = 40-48 and
+    0.50-0.52 at n = 64; 0.71-0.78 at n = 28, 0.90-0.92 at n = 24 and
+    0.98-1.00 at n = 20; and 1.25-1.50 times as long at n = 12-16 (least
+    of 400 or 100 solves of the control and filter equations of
+    `random_plant(0)` with square splits, two runs). The cutoff stays at
+    32 although the sign path is the faster from about n = 24: moving it
+    would change the path that the benchmark's n = 24 stress plants take.
+
+    The result is symmetrized and verified on both paths: residual,
+    positive semidefiniteness and the closed-loop property that A + B K has
+    every eigenvalue left of -HURWITZ_MARGIN are all checked. Cholesky
+    factors certify what they can (see `_exceeds`): D^T D > 0; X > 0, which
+    passes the semidefiniteness gate; and then W = -((A + B K)^T X + X (A +
+    B K)) >= 2 HURWITZ_MARGIN ||X||_F I, which proves the margin
+    (`_lyapunov_certifies`). For a Riccati solution W = (C + D K)^T (C + D
+    K), so that certificate holds when X is definite and C + D K has full
+    column rank. Each certificate proves, for the exact matrix, the
+    inequality that the spectral test checks. Where a factorization fails,
+    the spectral test of the same matrix decides, with its own message:
+    eigvalsh of D^T D, eigvalsh of X, eigvals of A + B K. The spectrum of
+    A + B K is the stable half of H's, whose eigenvalues come in +-lambda
+    pairs, so a Hamiltonian eigenvalue inside the margin band shows up
+    there on either path. The eigenvalue computation of A + B K gives its
+    largest real part; in [-HURWITZ_MARGIN, 0) the refusal names the margin
+    band, with the eigenvector path's wording, and any other value that is
+    not below -HURWITZ_MARGIN refuses the closed loop as not Hurwitz. With
+    zero states, once D^T D is found definite, X is empty, K is m x 0 and
+    the residual is 0.
 
     Raises SolverError if D^T D is not positive definite, a Hamiltonian
     eigenvalue falls in the +-HURWITZ_MARGIN band (tested on H's spectrum
@@ -467,8 +601,12 @@ def solve_are(A, B, C, D):
     n = A.shape[0]
     m = B.shape[1]
     R = D.T @ D
-    if np.linalg.eigvalsh(0.5 * (R + R.T)).min() <= 0.0:
+    R_sym = 0.5 * (R + R.T)
+    if not _exceeds(R_sym, 0.0) and np.linalg.eigvalsh(R_sym).min() <= 0.0:
         raise SolverError("control weight D^T D is not positive definite")
+    if n == 0:
+        return AreSolution(X=np.zeros((0, 0)), K=np.zeros((m, 0)),
+                           residual=0.0)
     S = C.T @ D
     Qm = C.T @ C
     Rinv = np.linalg.inv(R)
@@ -484,14 +622,37 @@ def solve_are(A, B, C, D):
     scale = 1.0 + 2.0 * np.linalg.norm(A.T @ X) + np.linalg.norm(Qm) + np.linalg.norm(quad)
     if not res <= RESIDUAL_TOL * scale:
         raise SolverError(f"Riccati residual {res:.2e} exceeds tolerance")
-    if np.linalg.eigvalsh(X).min() < -1e-8 * (1.0 + np.linalg.norm(X)):
+    definite = _exceeds(X, 0.0)
+    if not definite and (np.linalg.eigvalsh(X).min()
+                         < -1e-8 * (1.0 + np.linalg.norm(X))):
         raise SolverError("Riccati solution is not positive semidefinite")
-    top = np.max(np.linalg.eigvals(A + B @ K).real, initial=-np.inf)
-    if -HURWITZ_MARGIN <= top < 0.0:
-        raise SolverError(_MARGIN_BAND)
-    if not top < -HURWITZ_MARGIN:
-        raise SolverError("closed loop A + B K is not Hurwitz")
+    A_cl = A + B @ K
+    if not (definite and _lyapunov_certifies(A_cl, X)):
+        top = np.max(np.linalg.eigvals(A_cl).real, initial=-np.inf)
+        if -HURWITZ_MARGIN <= top < 0.0:
+            raise SolverError(_MARGIN_BAND)
+        if not top < -HURWITZ_MARGIN:
+            raise SolverError("closed loop A + B K is not Hurwitz")
     return AreSolution(X=X, K=K, residual=float(res))
+
+
+def _lyapunov_certifies(A, X):
+    """Whether, for a symmetric X > 0, `_exceeds` proves every eigenvalue
+    of A has Re < -HURWITZ_MARGIN.
+
+    For A v = lambda v, v^H W v = -2 Re(lambda) v^H X v with W = -(A^T X
+    + X A). So W >= w I with w > 0 gives -2 Re(lambda) >= w / lambda_max(X)
+    >= w / ||X||_F, and the gate w = 2 HURWITZ_MARGIN ||X||_F proves the
+    margin. The product X A is formed to within gamma_n ||X||_F ||A||_F,
+    so W to within 2 (n + 2) eps ||X||_F ||A||_F. For a Riccati solution,
+    W = (C + D K)^T (C + D K) (Zhou, Doyle & Glover 1996, ch. 13), which is
+    definite when C + D K has full column rank.
+    """
+    n = A.shape[0]
+    norm_X = np.linalg.norm(X)
+    G = X @ A
+    return _exceeds(-(G + G.T), 2.0 * HURWITZ_MARGIN * norm_X,
+                    2 * (n + 2) * _EPS * norm_X * np.linalg.norm(A))
 
 
 _NOT_HURWITZ = "Gramian of a non-Hurwitz system is undefined"

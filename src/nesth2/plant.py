@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .statespace import StateSpace, _mat
-from .linalg import axis_rank_ok
+from .linalg import _exceeds, axis_rank_ok
 from .stabilization import (StabilizabilityDiagnostics,
                             exists_triangular_stabilizing)
 
@@ -314,6 +314,12 @@ class AssumptionReport:
         raise KeyError(label)
 
 
+def _positive_definite(M):
+    """lambda_min(M) > 0 for a Gram matrix M: proved by a Cholesky
+    factorization (`linalg._exceeds`), or else read off eigvalsh."""
+    return _exceeds(M, 0.0) or np.linalg.eigvalsh(M).min() > 0.0
+
+
 def check_assumptions(plant):
     """Evaluate the six synthesis preconditions; failures are reported, not raised."""
     cc = cost_cov_matrices(plant)
@@ -323,14 +329,14 @@ def check_assumptions(plant):
     def record(label, passed, description):
         checks.append(AssumptionResult(label, bool(passed), description))
 
-    record("A1", np.linalg.eigvalsh(cc.R).min() > 0.0,
+    record("A1", _positive_definite(cc.R),
            "control weight D12'D12 is positive definite")
     record("A2", diag.player1_stabilizable and diag.player2_stabilizable,
            "each player's subsystem is stabilizable through its own input")
     record("A3", axis_rank_ok(plant.A, plant.B2, plant.C1, plant.D12,
                               side="column"),
            "no control-side invariant zero on the imaginary axis")
-    record("A4", np.linalg.eigvalsh(cc.V).min() > 0.0,
+    record("A4", _positive_definite(cc.V),
            "measurement noise covariance D21 D21' is positive definite")
     record("A5", diag.player1_detectable and diag.player2_detectable,
            "each player's subsystem is detectable from its own measurement")

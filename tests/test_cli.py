@@ -460,13 +460,16 @@ def test_verify_factors_each_state_matrix_once(tmp_path, capsys, monkeypatch):
     # A_gap and A_filt that every loop check shares, one more of A_ctrl in
     # the Gramian's solve_lyapunov reference Z, and two in the structured
     # certificate, whose T12 and T21 share one factorization of A_T^T; a
-    # redundant spectrum or factorization shows up here. A rank test that
-    # one SVD of B certifies computes no eigenvalues at all, and no check
-    # re-tests a matrix that synthesis already certified Hurwitz: the
-    # nominal gains' loops are certified by separation, and their
-    # stabilizability is not screened again after A2 and A5.
+    # redundant spectrum or factorization shows up here. The two eigvals
+    # are player 1's PBH tests in A2 and A5, whose single input (output)
+    # cannot certify two states. A rank test that B certifies computes no
+    # eigenvalues at all, each Riccati solution's closed loop is certified
+    # Hurwitz by its Lyapunov identity, and no check re-tests a matrix that
+    # synthesis already certified Hurwitz: the nominal gains' loops are
+    # certified by separation, and their stabilizability is not screened
+    # again after A2 and A5.
     assert _count_factorizations(tmp_path, capsys, monkeypatch, "verify") \
-        == {"eigvals": 8, "schur": 8}
+        == {"eigvals": 2, "schur": 8}
 
 
 def test_verify_parameter_checks_solve_no_stack_beyond_2n(tmp_path, capsys,
@@ -495,9 +498,12 @@ def test_analyze_factors_each_state_matrix_once(tmp_path, capsys,
     # beyond the coupling solve's two, the loop factors' Schur forms of
     # A_ctrl, A_gap and A_filt, which the design norm, the gap Lyapunov
     # pair, the Gramian and both players' orthogonality products share, and
-    # the n x n one of the Gramian's solve_lyapunov reference Z
+    # the n x n one of the Gramian's solve_lyapunov reference Z. The two
+    # eigvals are player 1's PBH tests in the synthesis' assumption check;
+    # every Riccati solution's closed loop is certified Hurwitz by its
+    # Lyapunov identity
     assert _count_factorizations(tmp_path, capsys, monkeypatch, "analyze") \
-        == {"eigvals": 6, "schur": 6}
+        == {"eigvals": 2, "schur": 6}
 
 
 def test_a_failed_identity_chain_skips_no_check(tmp_path, capsys,

@@ -584,6 +584,117 @@ def test_are_names_the_margin_band_on_both_paths(n):
         solve_are(A, B, C, D)
 
 
+def _count_spectra(monkeypatch):
+    counts = dict.fromkeys(("eigvals", "eigvalsh", "svd"), 0)
+    for name in counts:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+def test_are_certifies_a_definite_solution_with_no_spectrum(monkeypatch):
+    # X > 0 and (C + D K)^T (C + D K) > 0: Cholesky factors settle the
+    # control weight, the PSD gate and the closed loop
+    rng = np.random.default_rng(21)
+    data = _regulator(rng.standard_normal((6, 6)), rng.standard_normal((6, 2)))
+    counts = _count_spectra(monkeypatch)
+    sol = solve_are(*data)
+    assert counts == {"eigvals": 0, "eigvalsh": 0, "svd": 0}
+    assert is_hurwitz(data[0] + data[1] @ sol.K)
+
+
+def test_are_with_a_singular_solution_takes_the_spectral_tests(monkeypatch):
+    # a stable mode that C does not weight leaves X singular, so no Cholesky
+    # factor certifies X > 0: eigvalsh decides the PSD gate and eigvals the
+    # closed loop, which keeps the unweighted mode at -1
+    rng = np.random.default_rng(22)
+    A2 = rng.standard_normal((4, 4))
+    B2 = rng.standard_normal((4, 2))
+    A, B, C, D = _regulator(scipy.linalg.block_diag(-1.0, A2),
+                            np.vstack([rng.standard_normal((1, 2)), B2]))
+    C[:, 0] = 0.0
+    counts = _count_spectra(monkeypatch)
+    sol = solve_are(A, B, C, D)
+    assert counts == {"eigvals": 1, "eigvalsh": 1, "svd": 0}
+    assert np.linalg.norm(sol.X[0]) < 1e-12
+    X_ref = scipy.linalg.solve_continuous_are(A, B, C.T @ C, D.T @ D)
+    assert np.linalg.norm(sol.X - X_ref) < 1e-9 * np.linalg.norm(X_ref)
+
+
+def test_are_with_a_singular_lyapunov_form_takes_eigvals(monkeypatch):
+    # one output for two states, with both plant zeros at (1 +- i sqrt(3))
+    # / 2 in the right half plane: X = 2 I > 0, but W = (C + D K)^T (C + D
+    # K) has rank one, so the Lyapunov certificate fails and eigvals decides
+    A = np.array([[0.0, 1.0], [0.0, 0.0]])
+    B = np.array([[0.0], [1.0]])
+    C = np.array([[1.0, -1.0]])
+    D = np.array([[1.0]])
+    counts = _count_spectra(monkeypatch)
+    sol = solve_are(A, B, C, D)
+    assert counts == {"eigvals": 1, "eigvalsh": 0, "svd": 0}
+    assert np.allclose(sol.X, 2.0 * np.eye(2))
+    assert is_hurwitz(A + B @ sol.K)
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_are_with_zero_states_returns_empty_factors(m):
+    D = np.vstack([np.eye(m), np.ones((1, m))])
+    sol = solve_are(np.zeros((0, 0)), np.zeros((0, m)), np.zeros((m + 1, 0)),
+                    D)
+    assert sol.X.shape == (0, 0)
+    assert sol.K.shape == (m, 0)
+    assert sol.residual == 0.0
+    # the control weight is still required definite
+    with pytest.raises(SolverError, match="control weight"):
+        solve_are(np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((2, 0)),
+                  np.ones((2, 2)))
+
+
+def test_cholesky_certificate_is_one_sided():
+    # it proves lambda_min(M) > gate with room for rounding, and proves
+    # nothing at the gate, for an indefinite, empty or non-finite M
+    M = np.diag([1.0, 2.0, 3.0])
+    assert linalg._exceeds(M, 0.99)
+    assert not linalg._exceeds(M, 1.0)
+    assert not linalg._exceeds(M, 0.5, formed=0.5)
+    assert not linalg._exceeds(np.diag([1.0, -1e-300]), 0.0)
+    assert not linalg._exceeds(np.zeros((0, 0)), 0.0)
+    for bad in (np.nan, np.inf):
+        assert not linalg._exceeds(np.diag([bad, 1.0]), 0.0)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_rank_certificates_never_contradict_the_svd(seed):
+    # sigma_n(B) and sigma_n(C - D F) placed around their tolerances: where
+    # a Cholesky factor proves the verdict, the SVD path returns it too
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 6))
+    ratio = 10.0 ** rng.uniform(-1.0, 8.0)
+    A = rng.standard_normal((n, n))
+    B = _with_sigma_n(A, rng.standard_normal((n, n + 2)), ratio)
+    tol = RANK_TOL * max(1.0, np.linalg.norm(A) + np.linalg.norm(B))
+    if linalg._sigma_n_exceeds(B, tol):
+        assert np.linalg.svd(B, compute_uv=False)[n - 1] > tol
+    m = int(rng.integers(1, 4))
+    D = rng.standard_normal((n + m + 1, m))
+    U = scipy.linalg.null_space(D.T)
+    C = D @ rng.standard_normal((m, n)) + _with_sigma_n(
+        A, U @ rng.standard_normal((U.shape[1], n)), ratio)
+    B2 = rng.standard_normal((n, m))
+    if linalg._axis_certificate(A, B2, C, D):
+        s = np.linalg.svd(D, compute_uv=False)
+        assert s[-1] > s[0] * max(D.shape) * np.finfo(float).eps
+        F = np.linalg.pinv(D) @ C
+        Ct = C - D @ F
+        tol = RANK_TOL * max(1.0, np.linalg.norm(A - B2 @ F)
+                             + np.linalg.norm(Ct))
+        assert np.linalg.svd(Ct, compute_uv=False)[n - 1] > tol
+
+
 def test_are_sign_path_refuses_at_the_step_cap(monkeypatch):
     rng = np.random.default_rng(12)
     n = linalg._SIGN_MIN_STATES

@@ -22,7 +22,7 @@ from nesth2.fixtures import (
     make_random_fixture,
     random_plant,
 )
-from nesth2.linalg import is_hurwitz
+from nesth2.linalg import SolverError, is_hurwitz, solve_are
 
 
 def test_partition_rejects_zero_splits():
@@ -171,13 +171,15 @@ def test_minimality_is_warning_not_failure():
     assert report.passed  # A1-A6 do not require minimality
 
 
-def test_assumptions_of_a_fully_actuated_plant_take_one_svd_per_rank_test(
+def test_assumptions_of_a_fully_actuated_plant_take_no_spectral_decomposition(
         monkeypatch):
     # each player has as many inputs and outputs as states, and each axis
-    # test has as many spare outputs as states: one SVD of B settles each
-    # PBH test, and one of D plus one of C - D F each axis test
+    # test has as many spare outputs as states: Cholesky factors certify
+    # A1 and A4, each PBH test through B B^T, and each axis test through a
+    # QR factorization of D and the projected C, so no eigenvalue, SVD or
+    # least-squares solve runs
     plant = random_plant(0, (8, 8), (8, 8), (8, 8))
-    counts = dict.fromkeys(("eigvals", "svd", "lstsq"), 0)
+    counts = dict.fromkeys(("eigvals", "eigvalsh", "svd", "lstsq"), 0)
     for name in counts:
         original = getattr(np.linalg, name)
 
@@ -186,7 +188,33 @@ def test_assumptions_of_a_fully_actuated_plant_take_one_svd_per_rank_test(
             return _original(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
     assert check_assumptions(plant).passed
-    assert counts == {"eigvals": 0, "svd": 8, "lstsq": 0}
+    assert counts == {"eigvals": 0, "eigvalsh": 0, "svd": 0, "lstsq": 0}
+
+
+def test_rank_deficient_control_weight_fails_on_the_spectral_fallback(
+        monkeypatch):
+    # a zero column of D12 leaves no Cholesky certificate to find: eigvalsh
+    # decides A1 and an SVD of D12 decides A3, and solve_are refuses with
+    # the spectral test's message
+    base = make_random_fixture()
+    D12 = base.D12.copy()
+    D12[:, 1] = 0.0
+    plant = TwoPlayerPlant(base.A, base.B1, base.B2, base.C1, base.C2, D12,
+                           base.D21, base.partition)
+    counts = dict.fromkeys(("eigvalsh", "svd"), 0)
+    for name in counts:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    report = check_assumptions(plant)
+    assert {"A1", "A3"} <= set(report.failures)
+    assert counts["eigvalsh"] >= 1 and counts["svd"] >= 1
+    with pytest.raises(SolverError, match="control weight D\\^T D is not "
+                                          "positive definite"):
+        solve_are(plant.A, plant.B2, plant.C1, plant.D12)
 
 
 def test_random_plant_deterministic_and_admissible():

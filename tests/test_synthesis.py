@@ -375,14 +375,34 @@ def test_synthesis_leaves_the_loop_factors_unbuilt(monkeypatch):
     # the checks' shared factorization of the loop is built on first use:
     # synthesis alone takes the coupling solve's two Schur forms, and
     # building the loop factors eagerly would add three. The plant is drawn
-    # before counting, so its draw's spectra are not counted
+    # before counting, so its draw's spectra are not counted. The two
+    # eigvals are player 1's PBH tests, whose single input (output) cannot
+    # certify two states; the four Riccati closed loops are certified
+    # Hurwitz with none
     plant = make_random_fixture()
     counts = _count_factorizations(monkeypatch)
     synth = optimal_controller(plant)
-    assert counts == {"eigvals": 6, "schur": 2}
+    assert counts == {"eigvals": 2, "schur": 2}
     assert "loop_factors" not in vars(synth)
     assert synth.loop_factors is synth.loop_factors
-    assert counts == {"eigvals": 6, "schur": 5}
+    assert counts == {"eigvals": 2, "schur": 5}
+
+
+def test_synthesis_certifies_every_verdict_by_cholesky_factors(monkeypatch):
+    # a plant with as many inputs and outputs per player as states: the
+    # assumption checks and the four Riccati gates are all certified by
+    # Cholesky factors, so no spectral test runs
+    plant = random_plant(0, (16, 16), (16, 16), (16, 16))
+    counts = dict.fromkeys(("eigvals", "eigvalsh", "svd"), 0)
+    for name in counts:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    optimal_controller(plant)
+    assert counts == {"eigvals": 0, "eigvalsh": 0, "svd": 0}
 
 
 def test_loop_factors_are_a_schur_form_of_the_loop():
