@@ -9,10 +9,10 @@ bodies stays meaningful.
 """
 
 import argparse
-import functools
 import json
 import sys
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -192,55 +192,24 @@ def cmd_synthesize(plant, args):
     return rep, EXIT_PASS if rep.passed else EXIT_NUMERICAL
 
 
-def _attempt(rep, label, fn):
-    """Run one check: its value, or a FAIL line and None if it raised."""
-    try:
-        value = fn()
-    except (SolverError, np.linalg.LinAlgError) as exc:
-        rep.check(label, False, exc)
-        return None
-    rep.check(label, True)
-    return value
+@dataclass(frozen=True)
+class Check:
+    """One pass/FAIL line of a command. `run(plant, synth, read, args)`
+    returns the values the line reports, `reports` naming the leading ones,
+    or raises SolverError or LinAlgError for a FAIL line with its text.
+    `read(key)` gives a shared input: "hats" (the gap Lyapunov pair),
+    "frame" (the parameter frame) or "data" (the nominal gains, from the
+    row that `gives` them). No line prints when `wanted(args)` is false."""
+
+    name: str
+    label: str
+    run: object
+    reports: tuple = ()
+    gives: str = None
+    wanted: object = None
 
 
-def _needed(value, reason):
-    """The value an earlier stage produced, or a SolverError that marks the
-    dependent check as skipped for `reason`."""
-    if value is None:
-        raise SolverError(f"skipped: {reason}")
-    return value
-
-
-def _gap_pair(plant, synth):
-    """The design's gap Lyapunov pair, solved once here for every check
-    that reads it. Returns a callable that gives the pair, or, when it
-    could not be solved, raises a SolverError that marks the reading check
-    as skipped. A failed identity-chain verdict skips nothing."""
-    try:
-        hats, reason = va.hat_pair(plant, synth), None
-    except (SolverError, np.linalg.LinAlgError) as exc:
-        hats, reason = None, f"gap Lyapunov pair unsolved: {exc}"
-    return lambda: _needed(hats, reason)
-
-
-def _parameter_frame(plant, synth, data):
-    """The design's parameter frame, evaluated once here for both checks
-    that read it. Returns a callable that gives the frame, or raises what
-    its evaluation raised, so each reading check fails as it would have
-    failed evaluating the frame itself; with no nominal gains it raises
-    the SolverError that marks the reading check as skipped."""
-    if data is None:
-        return lambda: _needed(None, "nominal gains failed")
-    try:
-        frame = va.parameter_frame(plant, synth, data)
-    except (SolverError, np.linalg.LinAlgError) as exc:
-        def fail(exc=exc):
-            raise exc
-        return fail
-    return lambda: frame
-
-
-def _orthogonality(plant, synth):
+def _orthogonality(plant, synth, read, args):
     r1, r2 = va.orthogonality_residuals(plant, synth)
     if not (r1 <= ORTHOGONALITY_TOL and r2 <= ORTHOGONALITY_TOL):
         raise SolverError(f"residuals {r1:.3e}, {r2:.3e} above "
@@ -248,37 +217,139 @@ def _orthogonality(plant, synth):
     return r1, r2
 
 
-def _structured(synth, data, tol):
+def _structured(plant, synth, read, args):
     """Worst constrained block of the structured certificate, gated at tol."""
-    res = va.structured_optimality_residual(data, synth.closed_loop)
+    res = va.structured_optimality_residual(read("data"), synth.closed_loop)
     worst = float(np.max([res[0, 0], res[1, 0], res[1, 1]]))
-    if not worst <= tol:
+    if not worst <= args.tol:
         raise SolverError(f"constrained blocks carry causal content "
                           f"{worst:.3e}")
-    return worst
+    return (worst,)
 
 
-def _oracle(synth, data, tol):
+def _oracle(plant, synth, read, args):
     """Oracle norm and its relative gap to the design norm, gated at tol."""
+    data = read("data")
     n_struct = synth.loop_factors.h2_norm
     _, n_oracle = va.vectorization_oracle(data)
     rel = abs(n_oracle - n_struct) / (1.0 + n_struct)
-    if not rel <= tol:
+    if not rel <= args.tol:
         raise SolverError(f"oracle norm {n_oracle:.9e} disagrees "
                           f"with the design norm {n_struct:.9e}")
     return n_oracle, rel
 
 
-def _monte_carlo(plant, synth, hats, seed):
+def _monte_carlo(plant, synth, read, args):
     """Relative error of the sampled error covariance against Y_common,
     gated at MONTE_CARLO_REL_TOL."""
-    target = hats.Y_common
-    sample = va.simulated_error_covariance(plant, synth, seed=seed)
+    target = read("hats").Y_common
+    sample = va.simulated_error_covariance(plant, synth, seed=args.seed)
     rel = np.linalg.norm(sample - target) \
         / max(np.linalg.norm(target), 1e-12)
     if not rel <= MONTE_CARLO_REL_TOL:
         raise SolverError(f"sample covariance off by {rel:.3f} relative")
-    return rel
+    return (rel,)
+
+
+def _cost(plant, synth, read, args):
+    return va.delta_cost(plant, synth, read("hats"))
+
+
+def _gramian(plant, synth, read, args):
+    return (va.closed_loop_gramian(plant, synth, read("hats")).offdiag,)
+
+
+_RESIDUALS = ("orthogonality residual player 1",
+              "orthogonality residual player 2")
+
+# Rows look va's functions and youla_data up when they run, never at
+# import: tests patch those names, and the benchmark's layer trace swaps
+# them in each module namespace.
+VERIFY_CHECKS = (
+    Check("chain", "gap Lyapunov identity chain",
+          lambda p, s, read, args: va.identity_chain(p, s, read("hats"))),
+    Check("gramian", "closed-loop Gramian block diagonal", _gramian),
+    Check("orthogonality", "error/innovations orthogonality",
+          _orthogonality, _RESIDUALS),
+    Check("cost", "decentralization cost certificates", _cost, ("delta",)),
+    Check("nominal gains", "nominal gains for the parameterization",
+          lambda p, s, read, args: youla_data(p, s.bundle), gives="data"),
+    Check("round trip", "parameter extraction round trip",
+          lambda p, s, read, args: va.youla_parameters(p, s, read("frame"))),
+    Check("certificate", "structured optimality certificate", _structured,
+          ("structured residual",)),
+    Check("fixed points", "partial-optimization fixed points",
+          lambda p, s, read, args: va.fixed_point_maps(p, read("frame"))),
+    Check("oracle", "vectorization oracle agreement", _oracle,
+          ("oracle norm", "oracle relative gap"),
+          wanted=lambda args: args.oracle),
+    Check("Monte Carlo", "Monte Carlo covariance cross-check", _monte_carlo,
+          ("Monte Carlo relative error",),
+          wanted=lambda args: args.seed is not None),
+)
+
+ANALYZE_CHECKS = (
+    Check("cost", "three delta formulas agree", _cost,
+          ("delta (Y-weighted trace)", "delta (X-weighted trace)",
+           "delta (closed-loop gap)")),
+    Check("gramian", "closed-loop Gramian block diagonal", _gramian,
+          ("Gramian off-diagonal residual",)),
+    Check("orthogonality", "orthogonality residuals under tolerance",
+          _orthogonality, _RESIDUALS),
+)
+
+class _Inputs:
+    """The shared inputs of one run, each made on its first read. `read` is
+    a method, so a run leaves no reference cycle to keep its design alive."""
+
+    #: how the first read makes each input that no row gives, and the reason
+    #: that skips its readers if that raised (None: they fail with the error)
+    MAKE = {
+        "hats": (lambda p, s, read: va.hat_pair(p, s),
+                 "gap Lyapunov pair unsolved"),
+        "frame": (lambda p, s, read: va.parameter_frame(p, s, read("data")),
+                  None),
+    }
+
+    def __init__(self, plant, synth):
+        self.plant, self.synth = plant, synth
+        self.made, self.failed = {}, {}
+
+    def read(self, key):
+        if key in self.failed:
+            raise self.failed[key]
+        if key not in self.made:
+            make, skip = self.MAKE[key]
+            try:
+                self.made[key] = make(self.plant, self.synth, self.read)
+            except (SolverError, np.linalg.LinAlgError) as exc:
+                self.failed[key] = SolverError(f"skipped: {skip}: {exc}") \
+                    if skip else exc
+                raise self.failed[key]
+        return self.made[key]
+
+
+def _run_checks(rep, checks, plant, synth, args):
+    """One line of `rep` per row of `checks` that the options want, in
+    order, and the exit code; a failed identity chain skips nothing."""
+    inputs = _Inputs(plant, synth)
+    for row in checks:
+        if row.wanted is not None and not row.wanted(args):
+            continue
+        try:
+            got = row.run(plant, synth, inputs.read, args)
+        except (SolverError, np.linalg.LinAlgError) as exc:
+            rep.check(row.label, False, exc)
+            if row.gives:
+                inputs.failed[row.gives] = SolverError(
+                    f"skipped: {row.name} failed")
+            continue
+        rep.check(row.label, True)
+        if row.gives:
+            inputs.made[row.gives] = got
+        for key, value in zip(row.reports, got if row.reports else ()):
+            rep.number(key, value)
+    return rep, EXIT_PASS if rep.passed else EXIT_NUMERICAL
 
 
 def cmd_analyze(plant, args):
@@ -286,76 +357,12 @@ def cmd_analyze(plant, args):
     synth = optimal_controller(plant)
     rep.number("centralized norm", synth.centralized_norm)
     rep.number("structured norm", synth.loop_factors.h2_norm)
-    hats = _gap_pair(plant, synth)
-    deltas = _attempt(rep, "three delta formulas agree",
-                      lambda: va.delta_cost(plant, synth, hats()))
-    if deltas is not None:
-        rep.number("delta (Y-weighted trace)", deltas[0])
-        rep.number("delta (X-weighted trace)", deltas[1])
-        rep.number("delta (closed-loop gap)", deltas[2])
-    triple = _attempt(rep, "closed-loop Gramian block diagonal",
-                      lambda: va.closed_loop_gramian(plant, synth, hats()))
-    if triple is not None:
-        rep.number("Gramian off-diagonal residual", triple.offdiag)
-    pair = _attempt(rep, "orthogonality residuals under tolerance",
-                    lambda: _orthogonality(plant, synth))
-    if pair is not None:
-        rep.number("orthogonality residual player 1", pair[0])
-        rep.number("orthogonality residual player 2", pair[1])
-    return rep, EXIT_PASS if rep.passed else EXIT_NUMERICAL
+    return _run_checks(rep, ANALYZE_CHECKS, plant, synth, args)
 
 
 def cmd_verify(plant, args):
-    rep = RunReport("verify", plant)
-    synth = optimal_controller(plant)
-
-    attempt = functools.partial(_attempt, rep)
-    hats = _gap_pair(plant, synth)
-    attempt("gap Lyapunov identity chain",
-            lambda: va.identity_chain(plant, synth, hats()))
-    attempt("closed-loop Gramian block diagonal",
-            lambda: va.closed_loop_gramian(plant, synth, hats()))
-    pair = attempt("error/innovations orthogonality",
-                   lambda: _orthogonality(plant, synth))
-    if pair is not None:
-        rep.number("orthogonality residual player 1", pair[0])
-        rep.number("orthogonality residual player 2", pair[1])
-
-    deltas = attempt("decentralization cost certificates",
-                     lambda: va.delta_cost(plant, synth, hats()))
-    if deltas is not None:
-        rep.number("delta", deltas[0])
-
-    data = attempt("nominal gains for the parameterization",
-                   lambda: youla_data(plant, synth.bundle))
-
-    def checked_data():
-        return _needed(data, "nominal gains failed")
-
-    frame = _parameter_frame(plant, synth, data)
-    attempt("parameter extraction round trip",
-            lambda: va.youla_parameters(plant, synth, frame()))
-    worst = attempt("structured optimality certificate",
-                    lambda: _structured(synth, checked_data(), args.tol))
-    if worst is not None:
-        rep.number("structured residual", worst)
-    attempt("partial-optimization fixed points",
-            lambda: va.fixed_point_maps(plant, frame()))
-
-    if args.oracle:
-        got = attempt("vectorization oracle agreement",
-                      lambda: _oracle(synth, checked_data(), args.tol))
-        if got is not None:
-            rep.number("oracle norm", got[0])
-            rep.number("oracle relative gap", got[1])
-
-    if args.seed is not None:
-        rel = attempt("Monte Carlo covariance cross-check",
-                      lambda: _monte_carlo(plant, synth, hats(), args.seed))
-        if rel is not None:
-            rep.number("Monte Carlo relative error", rel)
-
-    return rep, EXIT_PASS if rep.passed else EXIT_NUMERICAL
+    return _run_checks(RunReport("verify", plant), VERIFY_CHECKS, plant,
+                       optimal_controller(plant), args)
 
 
 _COMMANDS = {

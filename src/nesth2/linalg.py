@@ -353,7 +353,8 @@ def axis_rank_ok(A, B, C, D, side="column"):
     prove True from a QR factorization of D and two Cholesky factors, with
     no SVD or eigenvalue. When it cannot, one SVD of D gives the rank
     verdict, at `np.linalg.matrix_rank`'s threshold, and F, and the PBH
-    test decides.
+    test decides. A NaN or infinite entry in any argument raises
+    LinAlgError.
     """
     A = _mat(A, "A")
     B = _mat(B, "B")
@@ -361,6 +362,8 @@ def axis_rank_ok(A, B, C, D, side="column"):
     D = _mat(D, "D")
     if side == "row":
         return axis_rank_ok(A.T, C.T, B.T, D.T, side="column")
+    if not all(np.isfinite(M).all() for M in (A, B, C, D)):
+        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
     if side != "column":
         raise ValueError("side must be 'column' or 'row'")
     if _axis_certificate(A, B, C, D):
@@ -394,14 +397,12 @@ def _axis_certificate(A, B, C, D):
     20.3), and the two F within err / s_lo of each other. So the SVD path's
     tolerance is at most tol = RANK_TOL * max(1, ||A - B F||_F + ||Ct||_F
     + 2 err (1 + ||B||_F / s_lo)), and proving sigma_n(Ct) > tol + 2 err
-    proves that its sigma_n clears its tolerance. A singular R, or a NaN or
-    infinite entry anywhere, proves nothing, and the SVD path then meets the
-    same data.
+    proves that its sigma_n clears its tolerance. A singular R proves
+    nothing, and the SVD path then meets the same data.
     """
     p, m = D.shape
     n = A.shape[0]
-    if not (m and 0 < n <= p - m
-            and all(np.isfinite(M).all() for M in (A, B, C, D))):
+    if not (m and 0 < n <= p - m):
         return False
     # Householder QR: R is the upper triangle of qr[:m]; the triangular
     # solves read no other entry

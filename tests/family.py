@@ -1,4 +1,5 @@
-"""Run `synthesize` and `verify --oracle` over the 400-plant family.
+"""Run `synthesize`, `analyze`, `verify --oracle` and `verify --seed 7` over
+the 400-plant family.
 
 The family is `random_plant(1000 + 97 i, n_split=(2, 2))` for i < 400.
 Every exit code and standard output is written to a JSON file keyed by
@@ -9,8 +10,9 @@ file; run it from the repository root with the package on the path:
 
     PYTHONPATH=src python tests/family.py new.json --compare old.json
 
-A run takes about ten seconds on one core. Point PYTHONPATH at another
-checkout's `src` to record that checkout's run for comparison.
+A run takes about 12 s with one BLAS thread. Point PYTHONPATH at another
+checkout's `src` to record that checkout's run for comparison, with the same
+BLAS thread count: the count moves the last digits of the report.
 """
 
 import argparse
@@ -26,8 +28,9 @@ from nesth2.fixtures import random_plant
 from nesth2.plant import save_plant
 
 SEEDS = tuple(1000 + 97 * i for i in range(400))
-COMMANDS = {"synthesize": ["synthesize"], "verify --oracle": ["verify",
-                                                              "--oracle"]}
+COMMANDS = {"synthesize": ["synthesize"], "analyze": ["analyze"],
+            "verify --oracle": ["verify", "--oracle"],
+            "verify --seed 7": ["verify", "--seed", "7"]}
 
 
 def _run(argv):

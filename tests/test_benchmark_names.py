@@ -125,6 +125,30 @@ def test_every_imported_name_resolves():
     assert sorted(name for name in reads if _lookup(name) is _MISSING) == []
 
 
+def test_verify_reaches_every_traced_validation_function(tmp_path, capsys,
+                                                         monkeypatch):
+    # the trace swaps each traced name in the module namespaces, so a check
+    # that held a function object bound at import would bypass its wrapper
+    # and leave that layer's span empty
+    from nesth2 import cli, validation
+    from nesth2.fixtures import make_random_fixture
+    from nesth2.plant import save_plant
+
+    counts = dict.fromkeys(_traced()["validation"], 0)
+    for name in counts:
+        original = getattr(validation, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(validation, name, counted)
+    path = str(tmp_path / "plant.json")
+    save_plant(make_random_fixture(), path)
+    assert cli.main(["verify", path, "--oracle", "--seed", "7"]) == 0
+    capsys.readouterr()
+    assert [name for name, count in counts.items() if count < 1] == []
+
+
 def test_work_counters_read_parameters_that_exist():
     # a renamed parameter would otherwise surface only as a KeyError in a
     # traced benchmark run

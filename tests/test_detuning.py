@@ -1,13 +1,14 @@
 """The detuning matrix: which `verify` check tells which wrong design from
 the optimum.
 
-Every check function is called directly, with the gate `verify` applies,
-so the CLI's skip chain hides nothing. The designs come from `detuning`:
-the two coupled gain blocks K_private[m1:, :n1] ("K") and
-L_common[n1:, :k1] ("L") scaled by 1 + 1e-6, 1 + 1e-4 and the coarse
-1 + 1e-1 (the norm-based oracle reads the detuning only to second order);
-player 2's rows of the controller's C scaled by 1 + 1e-4 ("C"); and one
-corrupted two-port. They are built on the random fixture and on plant
+The matrix iterates `cli.VERIFY_CHECKS` at `verify`'s default gates, the
+options of `verify p --oracle --seed 7`, and runs each row directly on the
+design's own nominal gains, so the CLI's skip chain hides nothing. The
+designs come from `detuning`: the two coupled gain blocks
+K_private[m1:, :n1] ("K") and L_common[n1:, :k1] ("L") scaled by
+1 + 1e-6, 1 + 1e-4 and the coarse 1 + 1e-1 (the norm-based oracle reads
+the detuning only to second order); player 2's rows of the controller's C
+scaled by 1 + 1e-4 ("C"); and one corrupted two-port. They are built on the random fixture and on plant
 1000, plus the 1 + 1e-6 "C" design of plant 14580, whose structured
 certificate used to abort instead of failing.
 """
@@ -18,7 +19,6 @@ import numpy as np
 import pytest
 
 from nesth2 import cli
-from nesth2 import validation as va
 from nesth2.fixtures import make_random_fixture, random_plant
 from nesth2.linalg import SolverError
 from nesth2.stabilization import youla_data
@@ -26,21 +26,10 @@ from nesth2.synthesis import optimal_controller
 
 from detuning import corrupted_two_port, detuned_controller, detuned_gains
 
-#: the verify checks, each with the gate of its verify line; the nominal
-#: gains are left out, since they depend on the plant alone
-CHECKS = {
-    "chain": lambda p, s, d, h: va.identity_chain(p, s, h),
-    "gramian": lambda p, s, d, h: va.closed_loop_gramian(p, s, h),
-    "orthogonality": lambda p, s, d, h: cli._orthogonality(p, s),
-    "cost": lambda p, s, d, h: va.delta_cost(p, s, h),
-    "round trip": lambda p, s, d, h: va.youla_parameters(
-        p, s, va.parameter_frame(p, s, d)),
-    "certificate": lambda p, s, d, h: cli._structured(s, d, 1e-6),
-    "fixed points": lambda p, s, d, h: va.fixed_point_maps(
-        p, va.parameter_frame(p, s, d)),
-    "oracle": lambda p, s, d, h: cli._oracle(s, d, 1e-6),
-    "Monte Carlo": lambda p, s, d, h: cli._monte_carlo(p, s, h, 7),
-}
+#: the verify rows; the nominal gains are left out, since they depend on the
+#: plant alone
+CHECKS = {row.name: row.run for row in cli.VERIFY_CHECKS if not row.gives}
+ARGS = cli._PARSER.parse_args(["verify", "p", "--oracle", "--seed", "7"])
 
 #: checks that no design fails, with the open ROADMAP item that closes each
 KNOWN_GAPS = {
@@ -114,11 +103,12 @@ def _failures():
     failures = {}
     for name, plant in plants:
         for design, synth, data in _designs(name, plant):
-            hats = va.hat_pair(plant, synth)
+            inputs = cli._Inputs(plant, synth)
+            inputs.made["data"] = data
             failed = set()
             for check, run in CHECKS.items():
                 try:
-                    run(plant, synth, data, hats)
+                    run(plant, synth, inputs.read, ARGS)
                 except (SolverError, np.linalg.LinAlgError):
                     failed.add(check)
             failures[name, design] = failed

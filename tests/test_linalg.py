@@ -444,6 +444,24 @@ def test_axis_rank_needs_full_rank_feedthrough():
         assert axis_rank_ok(-np.eye(2), np.eye(2), np.eye(3, 2), D) is expected
 
 
+@pytest.mark.parametrize("side", ["column", "row"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["A", "B", "C", "D"])
+def test_axis_rank_refuses_non_finite_data(name, bad, side):
+    # D alike with A, B and C: a NaN in D used to surface as the SVD's
+    # "did not converge", and an infinite one gave False with no error
+    args = {"A": -np.eye(2), "B": np.ones((2, 1)), "C": np.eye(3, 2),
+            "D": np.array([[0.0], [0.0], [1.0]])}
+    assert axis_rank_ok(**args)
+    if side == "row":
+        args = {"A": args["A"].T, "B": args["C"].T, "C": args["B"].T,
+                "D": args["D"].T}
+    args[name] = args[name].copy()
+    args[name][0, 0] = bad
+    with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs"):
+        axis_rank_ok(**args, side=side)
+
+
 # ---------------------------------------------------------------- riccati
 
 def test_are_scalar_frozen_values():
