@@ -1,12 +1,15 @@
 """Dense solvers for the small matrix equations behind H2 synthesis.
 
-Riccati equations take the stable invariant subspace of the associated
-2n x 2n Hamiltonian: from its eigenvectors below n = 32 states, and from its
-matrix sign function (Byers 1987, Linear Algebra Appl. 85) from n = 32 on.
-The sign function costs a few LU inversions, BLAS-3 work, where the
-eigenvectors need a nonsymmetric eigensolver. It is the faster of the two
-from about n = 24 on; `solve_are` gives the measured crossover, and why
-the cutoff stays at 32.
+Riccati equations are solved for the stable invariant subspace of the
+associated 2n x 2n Hamiltonian: below n = 32 states from its eigenvectors,
+and from n = 32 on by structure-preserving doubling (Chu, Fan & Lin 2005,
+Linear Algebra Appl. 396; Huang, Li & Lin 2018, Structure-Preserving
+Doubling Algorithms for Nonlinear Matrix Equations, SIAM), which iterates
+on three n x n matrices and never forms the Hamiltonian. A doubling step
+costs one n x n LU factorization and a few products, BLAS-3 work, where
+the eigenvectors need a nonsymmetric eigensolver of the 2n x 2n matrix.
+Doubling is the faster of the two from about n = 20 on; `solve_are` gives
+the measured crossover, and why the cutoff stays at 32.
 
 Lyapunov and Sylvester equations use the Bartels-Stewart method (Bartels &
 Stewart 1972, CACM Alg. 432): a real Schur form of each coefficient, then
@@ -70,14 +73,16 @@ H2_CONSISTENCY_TOL = 1e-6
 #: at most 1.4e-16 (400-plant family, stress set, n = 32-96)
 SEPARATION_TOL = 1e-12
 
-# Riccati equations with at least this many states take the matrix sign
-# function of the Hamiltonian, smaller ones its eigenvectors (see solve_are)
+# Riccati equations with at least this many states are solved by doubling,
+# smaller ones from the Hamiltonian's eigenvectors (see solve_are)
 _SIGN_MIN_STATES = 32
-# Newton steps the sign iteration may take; the benchmark's plants need 7-8,
-# and eigenvalues within 1e-4 of the axis about 20
-_SIGN_MAX_STEPS = 60
+# doubling steps allowed; the benchmark's n >= 32 equations take 8-10
+_DOUBLING_MAX_STEPS = 60
 
 _EPS = np.finfo(float).eps
+_SQRT_EPS = math.sqrt(_EPS)
+_GETRF = scipy.linalg.lapack.dgetrf
+_GETRI = scipy.linalg.lapack.dgetri
 _POTRF = scipy.linalg.lapack.dpotrf
 _GEQRF = scipy.linalg.lapack.dgeqrf
 _ORMQR = scipy.linalg.lapack.dormqr
@@ -459,13 +464,15 @@ def screen_axis_rank(A, B, C, D):
                           "[A - iwI, B; C, D] loses column rank on the axis")
 
 
-def _eig_solution(H, n):
-    """X from the eigenvectors of the n stable eigenvalues of H.
+def _eig_solution(At, G, Qt):
+    """X from the eigenvectors of the n stable eigenvalues of the
+    Hamiltonian H = [[At, -G], [-Qt, -At^T]].
 
     Raises SolverError if an eigenvalue of H falls in the +-HURWITZ_MARGIN
     band, the stable eigenvalues do not number n, or their basis is singular.
     """
-    w, V = np.linalg.eig(H)
+    n = At.shape[0]
+    w, V = np.linalg.eig(np.block([[At, -G], [-Qt, -At.T]]))
     if np.any(np.abs(w.real) <= HURWITZ_MARGIN):
         raise SolverError(_MARGIN_BAND)
     sel = w.real < -HURWITZ_MARGIN
@@ -480,64 +487,94 @@ def _eig_solution(H, n):
         raise SolverError(f"stable-subspace basis is singular: {exc}") from exc
 
 
-def _sign_solution(H, n):
-    """X from the matrix sign function Z = sign(H) (Byers 1987).
+def _inverse(M, what):
+    """M^-1 from its LU factors (`getrf`, then `getri`), or SolverError
+    naming `what` when an exact zero pivot shows M singular."""
+    lu, piv, info = _GETRF(M)
+    if info > 0:
+        raise SolverError(f"{what} is singular")
+    return _GETRI(lu, piv)[0]
 
-    Newton's iteration Z <- (mu Z + (mu Z)^{-1}) / 2 starts from H and takes
-    one LU factorization (`getrf`) and one inversion from it (`getri`) per
-    step. Determinantal scaling mu = |det Z|^(-1/(2n)), read off the diagonal
-    of the LU factor, runs until the relative 1-norm step falls below 1e-2.
-    The iteration stops at a relative step of at most 1e-13, or when an
-    unscaled step fails to halve the one before it: quadratic convergence
-    has then reached the rounding floor. The stable invariant subspace of H
-    is the null space of Z + I, so [I; X] spans it exactly when
-    [Z12; Z22 + I] X = -[Z11 + I; Z21], which is solved by QR.
+
+def _doubling_solution(At, G, Qt):
+    """X of At^T X + X At - X G X + Qt = 0 by structure-preserving
+    doubling (Chu, Fan & Lin 2005, Linear Algebra Appl. 396; Huang, Li &
+    Lin 2018, Structure-Preserving Doubling Algorithms for Nonlinear Matrix
+    Equations, SIAM).
+
+    The start is the Cayley transform of the Hamiltonian with the shift
+    g = ||At||_F / sqrt(n), through A_g = At - g I and W = A_g^T + Qt A_g^-1
+    G (and V = W^T = A_g + G A_g^-T Qt, so one factorization serves both):
+
+        E = I + 2 g V^-1,  G = 2 g A_g^-1 G W^-1,  H = 2 g W^-1 Qt A_g^-1.
+
+    Each step inverts I + G H once and applies it to E and G, giving Y1 and
+    Y2; then E <- E Y1, G <- G + E Y2 E^T and H <- H + E^T H Y1, with G and
+    H kept symmetric. H converges quadratically to X, and E = (I + G X)
+    S^(2^k) to 0, with the iterate G and S = (Ac + g I)(Ac - g I)^-1 the
+    Cayley transform of the closed loop Ac = At - G X (the equation's G).
+    While G, H >= 0, I + G H has every eigenvalue at least 1, so a step
+    cannot break down. Every n x n matrix is inverted from its LU factors
+    (`getrf`, `getri`) and applied by a product: with OpenBLAS, `getrs`
+    on the 2n right-hand sides [E, G] took about twice as long.
+
+    H has settled when its relative 1-norm step is at most 1e-14, or at
+    most 1e-8 and not half the one before. X is returned once E has
+    decayed too, to a Frobenius norm of at most sqrt(eps): H can settle
+    while E has not, either early, while H still moves in small steps along
+    slow modes, or for good, on a stable mode that X does not weight. Both
+    end once E decays. On an eigenvalue on the axis E keeps its size, and
+    the iteration runs to the cap.
 
     Raises LinAlgError for a NaN or infinite entry, as `np.linalg.eig`
-    does. Raises SolverError if an iterate is singular: H then has an
-    eigenvalue on the imaginary axis (at 0 if H itself is singular; the
-    Newton map keeps the axis and sends +-i to 0). Also if the iteration
-    takes more than _SIGN_MAX_STEPS steps, the trace of Z shows that the
-    stable eigenvalues do not number n, or their basis is singular.
+    does. Raises SolverError if a Cayley factor (A_g or W) or a step
+    matrix is singular, an iterate is not finite (E grows on an unstable
+    mode that no input reaches), or after _DOUBLING_MAX_STEPS steps: named
+    as an eigenvalue on or near the axis if H had settled and E had not
+    decayed, and as no convergence otherwise.
     """
-    if not np.isfinite(H).all():
+    if not (np.isfinite(At).all() and np.isfinite(G).all()
+            and np.isfinite(Qt).all()):
         raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
-    getrf, getri = scipy.linalg.get_lapack_funcs(("getrf", "getri"), (H,))
-    Z = H
-    scaled = True
-    last = np.inf
-    for _ in range(_SIGN_MAX_STEPS):
-        lu, piv, info = getrf(Z)
-        if info > 0:
-            raise SolverError("Hamiltonian sign iterate is singular; "
-                              "H has an eigenvalue on the imaginary axis")
-        Z_inv, _ = getri(lu, piv)
-        mu = 1.0
-        if scaled:
-            mu = np.exp(-np.sum(np.log(np.abs(np.diag(lu)))) / (2 * n))
-        Z_next = 0.5 * (mu * Z + Z_inv / mu)
-        step = np.linalg.norm(Z_next - Z, 1) / np.linalg.norm(Z_next, 1)
-        Z = Z_next
-        if step <= 1e-13 or (not scaled and step > 0.5 * last):
-            break
-        scaled = scaled and step >= 1e-2
-        last = step
-    else:
-        raise SolverError(f"Hamiltonian sign iteration did not converge in "
-                          f"{_SIGN_MAX_STEPS} steps")
-    # trace Z counts unstable minus stable eigenvalues; round(trace) == 0
-    # exactly when |trace| <= 0.5, a form that also refuses a NaN
-    trace = np.trace(Z)
-    if not abs(trace) <= 0.5:
-        raise SolverError(f"Hamiltonian sign has trace {trace:.3g}; its "
-                          f"stable eigenvalues do not number {n}")
+    n = At.shape[0]
     eye = np.eye(n)
-    Q, R = np.linalg.qr(np.vstack([Z[:n, n:], Z[n:, n:] + eye]))
-    rhs = -np.vstack([Z[:n, :n] + eye, Z[n:, :n]])
-    try:
-        return scipy.linalg.solve_triangular(R, Q.T @ rhs, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"stable-subspace basis is singular: {exc}") from exc
+    g = np.linalg.norm(At) / math.sqrt(n)
+    A_inv = _inverse(At - g * eye, "doubling Cayley factor A - g I")
+    AiG = A_inv @ G
+    QtAi = Qt @ A_inv
+    W_inv = _inverse(At.T - g * eye + Qt @ AiG, "doubling Cayley factor W")
+    E = eye + 2.0 * g * W_inv.T
+    G = AiG @ W_inv
+    G = g * (G + G.T)
+    H = W_inv @ QtAi
+    H = g * (H + H.T)
+    last = np.inf
+    # growth is caught below, as a non-finite norm
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_DOUBLING_MAX_STEPS):
+            M_inv = _inverse(eye + G @ H, "doubling step matrix I + G H")
+            Y1 = M_inv @ E
+            dG = E @ (M_inv @ G) @ E.T
+            G = G + 0.5 * (dG + dG.T)
+            dH = E.T @ H @ Y1
+            dH = 0.5 * (dH + dH.T)
+            H = H + dH
+            E = E @ Y1
+            step = np.linalg.norm(dH, 1) / (np.linalg.norm(H, 1) or 1.0)
+            norm_E = np.linalg.norm(E)
+            if not (math.isfinite(step) and math.isfinite(norm_E)
+                    and math.isfinite(np.linalg.norm(G))):
+                raise SolverError("doubling iterate is not finite")
+            settled = step <= 1e-14 or 1e-8 >= step > 0.5 * last
+            if settled and norm_E <= _SQRT_EPS:
+                return H
+            last = step
+    if step <= 1e-8:
+        raise SolverError(
+            f"doubling factor E did not decay in {_DOUBLING_MAX_STEPS} "
+            f"steps; H has an eigenvalue on or near the imaginary axis")
+    raise SolverError(
+        f"doubling did not converge in {_DOUBLING_MAX_STEPS} steps")
 
 
 def solve_are(A, B, C, D):
@@ -549,20 +586,25 @@ def solve_are(A, B, C, D):
     returning AreSolution(X, K, residual) with K = -(D^T D)^{-1}(B^T X + D^T C)
     and A + B K Hurwitz.
 
-    Method: absorb the cross term, form the 2n x 2n Hamiltonian H and find
-    the basis [I; X] of its stable invariant subspace. Below
-    _SIGN_MIN_STATES = 32 states, X comes from the eigenvectors of the n
-    strictly-stable eigenvalues (complex arithmetic is fine at this scale,
-    `_eig_solution`); from 32 on, from the matrix sign function of H
-    (`_sign_solution`). The cutoff is the measured crossover. On one BLAS
-    thread of a 2-core Intel Xeon, one solve, checks included, took 0.68
-    of the eigenvector path's time at n = 32, 0.56-0.58 at n = 40-48 and
-    0.50-0.52 at n = 64; 0.71-0.78 at n = 28, 0.90-0.92 at n = 24 and
-    0.98-1.00 at n = 20; and 1.25-1.50 times as long at n = 12-16 (least
-    of 400 or 100 solves of the control and filter equations of
-    `random_plant(0)` with square splits, two runs). The cutoff stays at
-    32 although the sign path is the faster from about n = 24: moving it
-    would change the path that the benchmark's n = 24 stress plants take.
+    Method: absorb the cross term, which leaves At = A - B R^-1 S^T, G =
+    B R^-1 B^T and Qt = C^T C - S R^-1 S^T (R = D^T D, S = C^T D), and find
+    the stabilizing X of At^T X + X At - X G X + Qt = 0, whose graph [I; X]
+    spans the stable invariant subspace of the Hamiltonian H = [[At, -G],
+    [-Qt, -At^T]]. Below _SIGN_MIN_STATES = 32 states, X comes from the
+    eigenvectors of the n strictly-stable eigenvalues of H (complex
+    arithmetic is fine at this scale, `_eig_solution`); from 32 on, from
+    structure-preserving doubling on the n x n blocks (`_doubling_solution`),
+    which never forms H. On one BLAS thread of a 2-core Intel Xeon, one
+    solve, checks included, took 0.42-0.44 of the eigenvector path's time
+    at n = 32, 0.27-0.29 at n = 48 and 0.23-0.25 at n = 64; 0.48-0.53 at
+    n = 28, 0.60-0.67 at n = 24, 0.66-0.75 at n = 20 and 0.80-1.01 at
+    n = 16 (least of 30 to 100 solves of the control and filter equations
+    of `random_plant(s)`, s = 0-2, with square splits; two runs). The
+    cutoff stays at 32 although doubling is the faster from about n = 20:
+    below 32 it changes which of the benchmark's stress plants are refused.
+    With the cutoff at 24, the n = 24 stress plant of seed 1, synthesized
+    at 32, fails its Riccati residual gate (5.7e-1) and no stress plant is
+    rescued, so the set's refusals go from 14 to 15.
 
     The result is symmetrized and verified on both paths: residual,
     positive semidefiniteness and the closed-loop property that A + B K has
@@ -588,8 +630,8 @@ def solve_are(A, B, C, D):
     Raises SolverError if D^T D is not positive definite, a Hamiltonian
     eigenvalue falls in the +-HURWITZ_MARGIN band (tested on H's spectrum
     on the eigenvector path, on that of A + B K on both), the stable
-    eigenvalues do not number n, the
-    sign iteration does not converge, or any verification fails. Data
+    eigenvalues do not number n, the doubling refuses the equation (see
+    `_doubling_solution`), or any verification fails. Data
     without a stabilizing solution ends in one of those. A NaN or infinite
     entry raises LinAlgError. The structural preconditions (stabilizable
     (A, B), no axis zero) are not re-checked here: `check_assumptions` covers
@@ -613,9 +655,8 @@ def solve_are(A, B, C, D):
     Rinv = np.linalg.inv(R)
     At = A - B @ Rinv @ S.T
     Qt = Qm - S @ Rinv @ S.T
-    H = np.block([[At, -B @ Rinv @ B.T], [-Qt, -At.T]])
-    solution = _sign_solution if n >= _SIGN_MIN_STATES else _eig_solution
-    X = solution(H, n)
+    solution = _doubling_solution if n >= _SIGN_MIN_STATES else _eig_solution
+    X = solution(At, B @ Rinv @ B.T, Qt)
     X = 0.5 * (X + X.T)
     K = -Rinv @ (B.T @ X + D.T @ C)
     quad = (X @ B + S) @ Rinv @ (B.T @ X + S.T)

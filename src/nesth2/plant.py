@@ -322,21 +322,20 @@ def _positive_definite(M):
 
 def check_assumptions(plant):
     """Evaluate the six synthesis preconditions; failures are reported, not raised."""
-    cc = cost_cov_matrices(plant)
     diag = exists_triangular_stabilizing(plant)
     checks = []
 
     def record(label, passed, description):
         checks.append(AssumptionResult(label, bool(passed), description))
 
-    record("A1", _positive_definite(cc.R),
+    record("A1", _positive_definite(plant.D12.T @ plant.D12),
            "control weight D12'D12 is positive definite")
     record("A2", diag.player1_stabilizable and diag.player2_stabilizable,
            "each player's subsystem is stabilizable through its own input")
     record("A3", axis_rank_ok(plant.A, plant.B2, plant.C1, plant.D12,
                               side="column"),
            "no control-side invariant zero on the imaginary axis")
-    record("A4", _positive_definite(cc.V),
+    record("A4", _positive_definite(plant.D21 @ plant.D21.T),
            "measurement noise covariance D21 D21' is positive definite")
     record("A5", diag.player1_detectable and diag.player2_detectable,
            "each player's subsystem is detectable from its own measurement")

@@ -3,10 +3,12 @@ the 400-plant family.
 
 The family is `random_plant(1000 + 97 i, n_split=(2, 2))` for i < 400.
 Every exit code and standard output is written to a JSON file keyed by
-plant seed and command. With `--compare OLD.json` the run is then compared
-with an earlier one: each changed exit code is listed, and so is each report
-line whose value moved, old value against new. Pytest does not collect this
-file; run it from the repository root with the package on the path:
+plant seed and command, beside the BLAS thread settings of the run. With
+`--compare OLD.json` the run is then compared with an earlier one: each
+changed exit code is listed, and so is each report line whose value moved,
+old value against new. A warning line comes first when the two runs' thread
+settings differ. Pytest does not collect this file; run it from the
+repository root with the package on the path:
 
     PYTHONPATH=src python tests/family.py new.json --compare old.json
 
@@ -31,6 +33,9 @@ SEEDS = tuple(1000 + 97 * i for i in range(400))
 COMMANDS = {"synthesize": ["synthesize"], "analyze": ["analyze"],
             "verify --oracle": ["verify", "--oracle"],
             "verify --seed 7": ["verify", "--seed", "7"]}
+#: the variables that set the BLAS and OpenMP thread counts, as the
+#: benchmark pins them
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _run(argv):
@@ -86,16 +91,25 @@ def main(argv=None):
     parser.add_argument("--compare", metavar="OLD.json",
                         help="an earlier run to compare this one with")
     args = parser.parse_args(argv)
+    threads = {var: os.environ.get(var) for var in THREAD_VARS}
     results = run_family()
     with open(args.out, "w") as fh:
-        json.dump(results, fh, indent=1)
+        json.dump({"threads": threads, "plants": results}, fh, indent=1)
     for name in COMMANDS:
         failed = [seed for seed in results if results[seed][name]["exit"]]
         print(f"{name}: {len(results) - len(failed)} of {len(results)} exit "
               f"0; nonzero: {' '.join(failed) or 'none'}")
     if args.compare:
         with open(args.compare) as fh:
-            changes = compare(json.load(fh), results)
+            old = json.load(fh)
+        # a run recorded before the thread settings were kept is the bare
+        # plant table
+        old_threads = old.get("threads")
+        if old_threads != threads:
+            print(f"warning: BLAS thread settings differ: "
+                  f"{old_threads or 'not recorded'} in {args.compare}, "
+                  f"{threads} here")
+        changes = compare(old.get("plants", old), results)
         print(f"{len(changes)} changes against {args.compare}")
         for line in changes:
             print(line)

@@ -508,7 +508,7 @@ def test_are_sqrt2_and_sqrt5():
 
 def test_are_matches_scipy_with_cross_term():
     rng = np.random.default_rng(102)
-    # the last three take the sign-function path
+    # the last three take the doubling path
     for n, m, p in ((3, 1, 4), (4, 2, 6), (5, 2, 7),
                     (32, 3, 35), (48, 4, 52), (64, 5, 69)):
         A = rng.standard_normal((n, n))
@@ -552,33 +552,43 @@ def test_are_path_follows_the_cutoff(monkeypatch, n, eig_calls):
     assert len(calls) == eig_calls
 
 
-def _sign_refusal_cases():
-    # every case has 32 states, so it takes the sign path
+def _doubling_refusal_cases():
+    # every case has 32 states, so it takes the doubling path
     n = linalg._SIGN_MIN_STATES
     rng = np.random.default_rng(11)
     A2 = _stable_matrix(rng, n - 1)
     B2 = rng.standard_normal((n - 1, 2))
     _, _, C2, D2 = _regulator(A2, B2)
     # the scalar solve_are(1, 1, 1, 1) case, whose Hamiltonian has a double
-    # eigenvalue at 0, as one block of a block-diagonal problem
+    # eigenvalue at 0, as one block of a block-diagonal problem: H settles
+    # in a few steps, but E keeps modulus 1 on that block up to the cap
     axis = (scipy.linalg.block_diag(1.0, A2), scipy.linalg.block_diag(1.0, B2),
             scipy.linalg.block_diag(1.0, C2), scipy.linalg.block_diag(1.0, D2))
-    # an unstable mode that no input reaches: its stable direction has no
-    # component in x, so [I; X] cannot span the stable subspace
+    # an unstable mode that no input reaches: E grows on it by squaring
+    # until it overflows
     unstab = _regulator(scipy.linalg.block_diag(1.0, A2),
                         np.vstack([np.zeros((1, 2)), B2]))
+    # A = 0 and B = 0: the shift ||A||_F / sqrt(n) is 0, so the Cayley
+    # factor A - g I is the zero matrix
+    cayley = _regulator(np.zeros((n, n)), np.zeros((n, 2)))
     A_nan = rng.standard_normal((n, n))
     A_nan[3, 5] = np.nan
     nan = _regulator(A_nan, rng.standard_normal((n, 2)))
     return [
-        pytest.param(axis, SolverError, "imaginary axis", id="axis"),
-        pytest.param(unstab, SolverError, "stable-subspace basis is singular",
+        pytest.param(axis, SolverError,
+                     f"E did not decay in {linalg._DOUBLING_MAX_STEPS} steps; "
+                     "H has an eigenvalue on or near the imaginary axis",
+                     id="axis"),
+        pytest.param(unstab, SolverError, "doubling iterate is not finite",
                      id="unstabilizable"),
+        pytest.param(cayley, SolverError,
+                     "doubling Cayley factor A - g I is singular",
+                     id="cayley"),
         pytest.param(nan, np.linalg.LinAlgError, "infs or NaNs", id="nan"),
     ]
 
 
-@pytest.mark.parametrize("data, error, match", _sign_refusal_cases())
+@pytest.mark.parametrize("data, error, match", _doubling_refusal_cases())
 def test_are_sign_path_refuses(data, error, match):
     with pytest.raises(error, match=match):
         solve_are(*data)
@@ -589,8 +599,9 @@ def test_are_sign_path_refuses(data, error, match):
 def test_are_names_the_margin_band_on_both_paths(n):
     # one uncontrolled, unweighted mode at -1e-10 puts a Hamiltonian pair at
     # +-1e-10, inside the margin band. The eigenvector path (31 states) sees
-    # it in H's spectrum; the sign path (32) converges through it and meets
-    # the mode again as the largest real part of A + B K
+    # it in H's spectrum; the doubling path (32) runs until E has decayed on
+    # it too, about 40 steps, and meets the mode again as the largest real
+    # part of A + B K
     rng = np.random.default_rng(13)
     A2 = _stable_matrix(rng, n - 1)
     B2 = rng.standard_normal((n - 1, 2))
@@ -713,42 +724,75 @@ def test_rank_certificates_never_contradict_the_svd(seed):
         assert np.linalg.svd(Ct, compute_uv=False)[n - 1] > tol
 
 
+def _count_getrf(monkeypatch):
+    """The matrices `solve_are`'s doubling factors: two Cayley factors, then
+    one step matrix per step."""
+    factored = []
+    original = linalg._GETRF
+    monkeypatch.setattr(linalg, "_GETRF",
+                        lambda M: factored.append(M.shape) or original(M))
+    return factored
+
+
 def test_are_sign_path_refuses_at_the_step_cap(monkeypatch):
+    # the doubling settles this problem in 8 steps; capped at 2 it refuses
     rng = np.random.default_rng(12)
     n = linalg._SIGN_MIN_STATES
     data = _regulator(rng.standard_normal((n, n)) / np.sqrt(n),
                       rng.standard_normal((n, n // 4)))
+    factored = _count_getrf(monkeypatch)
     solve_are(*data)
-    monkeypatch.setattr(linalg, "_SIGN_MAX_STEPS", 2)
-    with pytest.raises(SolverError, match="did not converge in 2 steps"):
+    assert len(factored) - 2 == 8
+    monkeypatch.setattr(linalg, "_DOUBLING_MAX_STEPS", 2)
+    with pytest.raises(SolverError, match="doubling did not converge in 2 "
+                                          "steps"):
         solve_are(*data)
 
 
 def test_are_sign_path_stops_at_its_rounding_floor(monkeypatch):
     # A = -1e-5 I clusters 30 of the Hamiltonian's eigenvalue pairs at
-    # +-1e-5. The sign iteration's steps level off near 2e-12, above its
-    # 1e-13 tolerance, so only the stagnation stop ends it in time.
+    # +-1e-5, and the shift ||A||_F / sqrt(n) = 1e-5 sends those modes to 0.
+    # The two controlled modes lie far from the shift, so H's first steps
+    # are near 2e-9 and double: the second step already passes the
+    # stagnation stop (at most 1e-8 and not half the one before). E has not
+    # decayed then, so the doubling runs on until it has, about 20 steps,
+    # and agrees with the eigenvector path
     n, m = linalg._SIGN_MIN_STATES, 2
     B = np.random.default_rng(0).standard_normal((n, m))
     A, B, C, D = _regulator(-1e-5 * np.eye(n), B)
     C = 0.1 * C
-    iterates = []
-    original = scipy.linalg.get_lapack_funcs
-
-    def recording(names, arrays):
-        getrf, getri = original(names, arrays)
-        return (lambda Z: iterates.append(Z.copy()) or getrf(Z)), getri
-    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", recording)
+    factored = _count_getrf(monkeypatch)
     sol = solve_are(A, B, C, D)
     monkeypatch.undo()
-    assert len(iterates) < linalg._SIGN_MAX_STEPS
-    # the step that ended the iteration, from the last factored iterate
-    Z = iterates[-1]
-    Z_next = 0.5 * (Z + np.linalg.inv(Z))
-    assert np.linalg.norm(Z_next - Z, 1) > 1e-13 * np.linalg.norm(Z_next, 1)
+    assert 10 < len(factored) - 2 < linalg._DOUBLING_MAX_STEPS
     monkeypatch.setattr(linalg, "_SIGN_MIN_STATES", n + 1)
     X_eig = solve_are(A, B, C, D).X
     assert np.linalg.norm(sol.X - X_eig) < 1e-6 * np.linalg.norm(X_eig)
+
+
+@pytest.mark.parametrize("n", [linalg._SIGN_MIN_STATES, 64])
+def test_are_factors_nothing_larger_than_n_states(monkeypatch, n):
+    # the doubling works on n x n blocks: the 2n x 2n Hamiltonian is never
+    # formed, so every factorization, certificate and spectrum that
+    # solve_are takes is at most n x n
+    rng = np.random.default_rng(n)
+    data = _regulator(rng.standard_normal((n, n)) / np.sqrt(n),
+                      rng.standard_normal((n, n // 4)))
+    sizes = []
+    for home, name in ((linalg, "_GETRF"), (linalg, "_POTRF"),
+                       (np.linalg, "eig"), (np.linalg, "eigvals"),
+                       (np.linalg, "eigvalsh"), (np.linalg, "inv"),
+                       (np.linalg, "qr"), (np.linalg, "solve"),
+                       (np.linalg, "svd"), (scipy.linalg, "schur"),
+                       (scipy.linalg, "qr"), (scipy.linalg, "lu_factor")):
+        original = getattr(home, name)
+
+        def counted(a, *args, _original=original, **kwargs):
+            sizes.append(max(np.shape(a)))
+            return _original(a, *args, **kwargs)
+        monkeypatch.setattr(home, name, counted)
+    solve_are(*data)
+    assert sizes and max(sizes) == n
 
 
 # ---------------------------------------------------------------- gramians / h2
