@@ -78,6 +78,12 @@ SEPARATION_TOL = 1e-12
 _SIGN_MIN_STATES = 32
 # doubling steps allowed; the benchmark's n >= 32 equations take 8-10
 _DOUBLING_MAX_STEPS = 60
+# a doubling shift is refused when a Cayley factor's reciprocal 1-norm
+# condition number falls below this. With the shift moved toward an
+# eigenvalue of At, the relative Riccati residual grew to about 1e-16 /
+# rcond (up to 1e-9 at 1e-6, 1e-7 at 1e-8, against the 1e-8 gate); the
+# benchmark's n >= 32 equations read 4e-5 to 2e-2
+_CAYLEY_RCOND = 1e-6
 
 _EPS = np.finfo(float).eps
 _SQRT_EPS = math.sqrt(_EPS)
@@ -496,14 +502,63 @@ def _inverse(M, what):
     return _GETRI(lu, piv)[0]
 
 
+def _conditioned_inverse(M):
+    """M^-1 from its LU factors, or None when a zero pivot, or a reciprocal
+    1-norm condition number 1 / (||M||_1 ||M^-1||_1) below _CAYLEY_RCOND,
+    shows M singular or too near it. The condition number is read from the
+    inverse, which is formed anyway: two 1-norms cost about half of a
+    `gecon` estimate."""
+    lu, piv, info = _GETRF(M)
+    if info > 0:
+        return None
+    M_inv = _GETRI(lu, piv)[0]
+    if not (np.linalg.norm(M, 1) * np.linalg.norm(M_inv, 1) * _CAYLEY_RCOND
+            <= 1.0):
+        return None
+    return M_inv
+
+
+def _cayley_factors(At, G, Qt):
+    """The doubling's shift g > 0 with A_g^-1 G, Qt A_g^-1 and W^-1, for
+    the first shift whose Cayley factors A_g = At - g I and W = A_g^T + Qt
+    A_g^-1 G are both well conditioned (`_conditioned_inverse`).
+
+    The shifts tried are g0 = ||At||_F / sqrt(n), then s = g0 +
+    sqrt(||G||_F ||Qt||_F / n), s phi and s / phi, with phi the golden
+    ratio. s carries the Hamiltonian's scale where At alone does not: for
+    At = 0, G = Qt = I the first shift is 0 and s = 1, and for At = I the
+    first shift is an eigenvalue of At. A shift that is 0 is skipped; when
+    every one is, At = 0 and G Qt = 0, so every eigenvalue of the
+    Hamiltonian is 0 and no stabilizing solution exists. Raises
+    SolverError when no shift is left.
+    """
+    n = At.shape[0]
+    eye = np.eye(n)
+    g0 = np.linalg.norm(At) / math.sqrt(n)
+    s = g0 + math.sqrt(np.linalg.norm(G) * np.linalg.norm(Qt) / n)
+    golden = 0.5 * (1.0 + math.sqrt(5.0))
+    for g in (g0, s, s * golden, s / golden):
+        if not g > 0.0:
+            continue
+        A_inv = _conditioned_inverse(At - g * eye)
+        if A_inv is None:
+            continue
+        AiG = A_inv @ G
+        W_inv = _conditioned_inverse(At.T - g * eye + Qt @ AiG)
+        if W_inv is not None:
+            return g, AiG, Qt @ A_inv, W_inv
+    raise SolverError("no doubling shift gives well-conditioned Cayley "
+                      "factors A - g I and W")
+
+
 def _doubling_solution(At, G, Qt):
     """X of At^T X + X At - X G X + Qt = 0 by structure-preserving
     doubling (Chu, Fan & Lin 2005, Linear Algebra Appl. 396; Huang, Li &
     Lin 2018, Structure-Preserving Doubling Algorithms for Nonlinear Matrix
     Equations, SIAM).
 
-    The start is the Cayley transform of the Hamiltonian with the shift
-    g = ||At||_F / sqrt(n), through A_g = At - g I and W = A_g^T + Qt A_g^-1
+    The start is the Cayley transform of the Hamiltonian with a shift g > 0
+    (`_cayley_factors`), through A_g = At - g I and W = A_g^T + Qt A_g^-1
     G (and V = W^T = A_g + G A_g^-T Qt, so one factorization serves both):
 
         E = I + 2 g V^-1,  G = 2 g A_g^-1 G W^-1,  H = 2 g W^-1 Qt A_g^-1.
@@ -518,37 +573,33 @@ def _doubling_solution(At, G, Qt):
     (`getrf`, `getri`) and applied by a product: with OpenBLAS, `getrs`
     on the 2n right-hand sides [E, G] took about twice as long.
 
-    H has settled when its relative 1-norm step is at most 1e-14, or at
-    most 1e-8 and not half the one before. X is returned once E has
-    decayed too, to a Frobenius norm of at most sqrt(eps): H can settle
-    while E has not, either early, while H still moves in small steps along
-    slow modes, or for good, on a stable mode that X does not weight. Both
-    end once E decays. On an eigenvalue on the axis E keeps its size, and
-    the iteration runs to the cap.
+    H has settled when its relative 1-norm step is at most 1e-14, and X is
+    returned once E has decayed too, to a Frobenius norm of at most
+    sqrt(eps). The step E^T H Y1 shrinks like ||E||^2, so no rounding floor
+    holds it above 1e-14 once E has decayed. H can settle while E has not,
+    either early, while H still moves in small steps along slow modes, or
+    for good, on a stable mode that X does not weight; both end once E
+    decays. On an eigenvalue on the axis E keeps its size, and the
+    iteration runs to the cap.
 
     Raises LinAlgError for a NaN or infinite entry, as `np.linalg.eig`
-    does. Raises SolverError if a Cayley factor (A_g or W) or a step
-    matrix is singular, an iterate is not finite (E grows on an unstable
-    mode that no input reaches), or after _DOUBLING_MAX_STEPS steps: named
-    as an eigenvalue on or near the axis if H had settled and E had not
-    decayed, and as no convergence otherwise.
+    does. Raises SolverError if no shift gives well-conditioned Cayley
+    factors, a step matrix is singular, an iterate is not finite (E grows
+    on an unstable mode that no input reaches), or after
+    _DOUBLING_MAX_STEPS steps: named as an eigenvalue on or near the axis
+    if H had settled and E had not decayed, and as no convergence
+    otherwise.
     """
     if not (np.isfinite(At).all() and np.isfinite(G).all()
             and np.isfinite(Qt).all()):
         raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
-    n = At.shape[0]
-    eye = np.eye(n)
-    g = np.linalg.norm(At) / math.sqrt(n)
-    A_inv = _inverse(At - g * eye, "doubling Cayley factor A - g I")
-    AiG = A_inv @ G
-    QtAi = Qt @ A_inv
-    W_inv = _inverse(At.T - g * eye + Qt @ AiG, "doubling Cayley factor W")
+    eye = np.eye(At.shape[0])
+    g, AiG, QtAi, W_inv = _cayley_factors(At, G, Qt)
     E = eye + 2.0 * g * W_inv.T
     G = AiG @ W_inv
     G = g * (G + G.T)
     H = W_inv @ QtAi
     H = g * (H + H.T)
-    last = np.inf
     # growth is caught below, as a non-finite norm
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(_DOUBLING_MAX_STEPS):
@@ -565,10 +616,8 @@ def _doubling_solution(At, G, Qt):
             if not (math.isfinite(step) and math.isfinite(norm_E)
                     and math.isfinite(np.linalg.norm(G))):
                 raise SolverError("doubling iterate is not finite")
-            settled = step <= 1e-14 or 1e-8 >= step > 0.5 * last
-            if settled and norm_E <= _SQRT_EPS:
+            if step <= 1e-14 and norm_E <= _SQRT_EPS:
                 return H
-            last = step
     if step <= 1e-8:
         raise SolverError(
             f"doubling factor E did not decay in {_DOUBLING_MAX_STEPS} "
@@ -604,7 +653,9 @@ def solve_are(A, B, C, D):
     below 32 it changes which of the benchmark's stress plants are refused.
     With the cutoff at 24, the n = 24 stress plant of seed 1, synthesized
     at 32, fails its Riccati residual gate (5.7e-1) and no stress plant is
-    rescued, so the set's refusals go from 14 to 15.
+    rescued, so the set's refusals go from 14 to 15. The shift is not the
+    cause: that equation's Cayley factors have reciprocal condition
+    numbers near 1e-4, well above _CAYLEY_RCOND.
 
     The result is symmetrized and verified on both paths: residual,
     positive semidefiniteness and the closed-loop property that A + B K has

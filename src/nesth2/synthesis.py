@@ -25,8 +25,8 @@ from .linalg import (RESIDUAL_TOL, SEPARATION_TOL, SolverError, _NOT_HURWITZ,
                      _check_separation, _h2_from_schur, _lyapunov_from_schur,
                      _real_schur, _require_hurwitz, screen_are, solve_are,
                      triangular_sylvester)
-from .plant import (AssumptionError, CostCovariance, Partition,
-                    TwoPlayerPlant, check_assumptions, cost_cov_matrices)
+from .plant import (AssumptionError, Partition, TwoPlayerPlant,
+                    check_assumptions, cost_cov_matrices)
 from .statespace import StateSpace, lft_lower
 
 CENTRALIZED_TOL = 1e-6
@@ -74,9 +74,7 @@ class CouplingSolution:
     subsystem 1's state); Y_cross plays the dual role on the filter side.
     `residuals` holds the verified residuals of the two matrix equations,
     `steps` the GMRES steps the solve took and `rank_bound` the bound r on
-    the rank of the coupling; `steps` never exceeds r + 1. `cost_cov` is
-    the plant's `cost_cov_matrices`, which the equations were formed from;
-    `structured_gains` reads the same instance.
+    the rank of the coupling; `steps` never exceeds r + 1.
     """
 
     X_cross: np.ndarray
@@ -84,7 +82,6 @@ class CouplingSolution:
     residuals: tuple
     steps: int
     rank_bound: int
-    cost_cov: CostCovariance
 
 
 @dataclass
@@ -227,7 +224,7 @@ class _CouplingTerms:
     """
 
     def __init__(self, plant, bundle):
-        self.cc = cc = cost_cov_matrices(plant)
+        cc = cost_cov_matrices(plant)
         n1 = plant.n1
         self.n1 = n1
         self.n2 = plant.n2
@@ -392,8 +389,7 @@ def solve_phi_psi(plant, bundle):
         raise terms.refusal("did not verify", Phi, Psi, steps)
     return CouplingSolution(X_cross=Phi, Y_cross=Psi,
                             residuals=(float(r_phi), float(r_psi)),
-                            steps=steps, rank_bound=terms.rank_bound,
-                            cost_cov=terms.cc)
+                            steps=steps, rank_bound=terms.rank_bound)
 
 
 def structured_gains(plant, bundle, coupling):
@@ -402,10 +398,9 @@ def structured_gains(plant, bundle, coupling):
     Returns (K_private, L_common). K_private is m x n with zero first block
     row and K_loc2 in its (2,2) block; its (2,1) block is the cross gain
     from the coupling solution. L_common is n x k with zero second block
-    column and L_loc1 in its (1,1) block. The weights are the coupling
-    solution's `cost_cov`.
+    column and L_loc1 in its (1,1) block.
     """
-    cc = coupling.cost_cov
+    cc = cost_cov_matrices(plant)
     n1, m1, k1 = plant.n1, plant.m1, plant.k1
     H = -np.linalg.solve(cc.R22, plant.B2_22.T @ coupling.X_cross + cc.S12.T)
     K_private = np.zeros((plant.m, plant.n))

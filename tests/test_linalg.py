@@ -568,8 +568,8 @@ def _doubling_refusal_cases():
     # until it overflows
     unstab = _regulator(scipy.linalg.block_diag(1.0, A2),
                         np.vstack([np.zeros((1, 2)), B2]))
-    # A = 0 and B = 0: the shift ||A||_F / sqrt(n) is 0, so the Cayley
-    # factor A - g I is the zero matrix
+    # A = 0 and B = 0: every Hamiltonian eigenvalue is 0, so no stabilizing
+    # solution exists, and every shift tried is 0
     cayley = _regulator(np.zeros((n, n)), np.zeros((n, 2)))
     A_nan = rng.standard_normal((n, n))
     A_nan[3, 5] = np.nan
@@ -582,8 +582,8 @@ def _doubling_refusal_cases():
         pytest.param(unstab, SolverError, "doubling iterate is not finite",
                      id="unstabilizable"),
         pytest.param(cayley, SolverError,
-                     "doubling Cayley factor A - g I is singular",
-                     id="cayley"),
+                     "no doubling shift gives well-conditioned Cayley "
+                     "factors A - g I and W", id="cayley"),
         pytest.param(nan, np.linalg.LinAlgError, "infs or NaNs", id="nan"),
     ]
 
@@ -592,6 +592,40 @@ def _doubling_refusal_cases():
 def test_are_sign_path_refuses(data, error, match):
     with pytest.raises(error, match=match):
         solve_are(*data)
+
+
+@pytest.mark.parametrize("a", [0.0, 1.0], ids=["zero", "identity"])
+def test_are_doubling_moves_a_shift_off_a_singular_cayley_factor(a):
+    # A = 0 makes the first shift ||A||_F / sqrt(n) zero, and A = I makes it
+    # 1, an eigenvalue of A: A - g I is the zero matrix either way. Both
+    # equations, A = a I, have X = (a + sqrt(a^2 + 1)) I, and a later shift
+    # finds it
+    n = linalg._SIGN_MIN_STATES
+    sol = solve_are(*_regulator(a * np.eye(n), np.eye(n)))
+    expected = (a + np.sqrt(a ** 2 + 1.0)) * np.eye(n)
+    assert np.linalg.norm(sol.X - expected) < 1e-12 * np.linalg.norm(expected)
+
+
+def test_are_doubling_refuses_an_ill_conditioned_cayley_factor(monkeypatch):
+    # A = diag(a, -1, ..., -3) with a chosen so that the first shift
+    # ||A||_F / sqrt(n) lies 1e-9 above a: A - g I is near singular, though
+    # not exactly, and is passed over for the next shift, as a zero pivot is
+    n = linalg._SIGN_MIN_STATES
+    shifts = []
+    original = linalg._conditioned_inverse
+
+    def recorded(M):
+        inverse = original(M)
+        shifts.append(inverse is not None)
+        return inverse
+    monkeypatch.setattr(linalg, "_conditioned_inverse", recorded)
+    d = np.linspace(-1.0, -3.0, n - 1)
+    a_ii = np.r_[np.sqrt(d @ d / (n * (1.0 + 1e-9) ** 2 - 1.0)), d]
+    sol = solve_are(*_regulator(np.diag(a_ii), np.eye(n)))
+    # the first shift's A - g I is refused, the second's factors both pass
+    assert shifts == [False, True, True]
+    expected = np.diag(a_ii + np.sqrt(a_ii ** 2 + 1.0))
+    assert np.linalg.norm(sol.X - expected) < 1e-12 * np.linalg.norm(expected)
 
 
 @pytest.mark.parametrize("n", [linalg._SIGN_MIN_STATES - 1,
@@ -751,12 +785,11 @@ def test_are_sign_path_refuses_at_the_step_cap(monkeypatch):
 
 def test_are_sign_path_stops_at_its_rounding_floor(monkeypatch):
     # A = -1e-5 I clusters 30 of the Hamiltonian's eigenvalue pairs at
-    # +-1e-5, and the shift ||A||_F / sqrt(n) = 1e-5 sends those modes to 0.
-    # The two controlled modes lie far from the shift, so H's first steps
-    # are near 2e-9 and double: the second step already passes the
-    # stagnation stop (at most 1e-8 and not half the one before). E has not
-    # decayed then, so the doubling runs on until it has, about 20 steps,
-    # and agrees with the eigenvector path
+    # +-1e-5. The first shift ||A||_F / sqrt(n) = 1e-5 is refused, W = -2e-5
+    # I - 500 B B^T being ill-conditioned, and the next, about 0.27, gives
+    # the clustered modes Cayley images near -1. E decays on them only
+    # after about 20 steps; the doubling runs on until it has, and agrees
+    # with the eigenvector path
     n, m = linalg._SIGN_MIN_STATES, 2
     B = np.random.default_rng(0).standard_normal((n, m))
     A, B, C, D = _regulator(-1e-5 * np.eye(n), B)
