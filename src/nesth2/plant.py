@@ -352,12 +352,27 @@ def check_assumptions(plant):
 _MATRIX_KEYS = ("A", "B1", "B2", "C1", "C2", "D12", "D21")
 
 
+def _numbers_only(entry):
+    # numpy converts a bool or a numeric string, but neither is a number
+    # here; the types of a row of leaves are read in one pass
+    if type(entry) is not list:
+        return type(entry) in (int, float)
+    types = set(map(type, entry))
+    if list in types:
+        return all(map(_numbers_only, entry))
+    return types <= {int, float}
+
+
 def _json_matrix(data, key):
     """data[key] as a float array; ValueError naming the key when the entry
-    is not a (nested list of) numbers, for instance a JSON object."""
+    is not a (nested list of) numbers, for instance a JSON object, a string
+    or a boolean, when its rows are ragged, or when an integer is beyond
+    the float range."""
+    if not _numbers_only(data[key]):
+        raise ValueError(f"matrix '{key}' is not a nested list of numbers")
     try:
         return np.array(data[key], dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, ValueError) as exc:
         raise ValueError(f"matrix '{key}' is not a nested list of numbers: "
                          f"{exc}") from exc
 

@@ -382,11 +382,6 @@ def _q_opt_halves(plant, synth, data):
             StateSpace(b.A_filt, g.L_d - b.L_cen, synth.K_private, zero))
 
 
-def _q_opt_display(plant, synth, data):
-    ctrl, filt = _q_opt_halves(plant, synth, data)
-    return ctrl + filt
-
-
 def _lft_values(P11, P12, P21, P22, K):
     """Values of the lower LFT P11 + P12 K (I - P22 K)^{-1} P21, from the
     values of P's four blocks and of K at the same points; one small solve
@@ -413,9 +408,9 @@ class ParameterFrame:
 
     Every transfer function is read at s_j = alpha z_j for the z_j of
     TF_POINTS. `halves` are Q_opt's two n-state diagonal blocks
-    (`_q_opt_halves`) and `Q_opt` their sum, the display realization of
-    `_q_opt_display`. `q_opt` and `controller` are the (values, size) pairs
-    of Q_opt and of the design's controller K, as `tf_mismatch` reads them.
+    (`_q_opt_halves`) and `Q_opt` their sum, the display realization.
+    `q_opt` and `controller` are the (values, size) pairs of Q_opt and of
+    the design's controller K, as `tf_mismatch` reads them.
     `q_lft` and `k_round` are the values of the two closures
     F_u(J_d^-1, K) and F_l(J_d, Q_opt), read pointwise.
     """
@@ -635,8 +630,8 @@ def _joint_realization(T11, T12, T21):
     The naive stacked realization carries every mode three times, which is
     poison for the eigenvector-based Riccati solver that `solve_are` uses
     below 32 states (repeated Hamiltonian eigenvalues), so the stack is
-    reduced to a minimal realization before being split back into the
-    four-block form.
+    reduced before being split back into the four-block form. This one
+    reduction sizes the Riccati pair of `_match_core`.
     """
     if T12.ny != T11.ny or T21.nu != T11.nu:
         raise ValueError("model-matching blocks have inconsistent dimensions")
@@ -677,24 +672,19 @@ def _match_core(A, B1, B2, C1, C2, D12, D21):
     return StateSpace(A_q, B_q, C_q, np.zeros((m, k)))
 
 
-def centralized_model_match(T11, T12, T21, verify=True):
+def centralized_model_match(T11, T12, T21):
     """Closest stable parameter in the unstructured model-matching problem.
 
     Solves min over stable Q of the H2 norm of T11 + T12 Q T21 through the
     pair of Riccati equations of the joint realization, and certifies the
-    result by checking that the two-sided weighted closed loop has no stable
-    causal content.
+    result by checking, at MATCH_TOL, that the two-sided weighted closed
+    loop has no stable causal content. The certificate's reductions are
+    load-bearing; the returned Q is not reduced.
 
     Parameters
     ----------
     T11, T12, T21 : StateSpace
         Stable model-matching data; T11 must be strictly proper.
-    verify : bool
-        Check the certificate, scaled by MATCH_TOL; skip it when False.
-        The vectorized oracle skips it because the product system there is
-        far too large for the dense certificate solves, and the oracle's
-        output is checked end to end against the closed-form design
-        instead.
 
     Returns
     -------
@@ -702,18 +692,15 @@ def centralized_model_match(T11, T12, T21, verify=True):
         The optimal parameter, strictly proper with twice the joint state
         dimension.
     """
-    joint = _joint_realization(T11, T12, T21)
-    Q = _match_core(*joint)
-    if verify:
-        T12b = balance_realization(T12)
-        T21b = balance_realization(T21)
-        cl = balance_realization(minreal(T11 + T12 * Q * T21))
-        stable = balance_realization(minreal(
-            _stable_sandwich(T12b, cl, T21b)))
-        res = _causal_size(stable)
-        if not res <= MATCH_TOL * (1.0 + h2_norm(cl)):
-            raise SolverError(
-                f"model-matching certificate failed: causal content {res:.3e}")
+    Q = _match_core(*_joint_realization(T11, T12, T21))
+    T12b = balance_realization(T12)
+    T21b = balance_realization(T21)
+    cl = balance_realization(minreal(T11 + T12 * Q * T21))
+    stable = balance_realization(minreal(_stable_sandwich(T12b, cl, T21b)))
+    res = _causal_size(stable)
+    if not res <= MATCH_TOL * (1.0 + h2_norm(cl)):
+        raise SolverError(
+            f"model-matching certificate failed: causal content {res:.3e}")
     return Q
 
 
@@ -759,6 +746,11 @@ def vectorization_oracle(T):
     the closed-form synthesis path beyond the Riccati solver, so agreement
     of the two is strong evidence both are right.
 
+    Only the lifted factor and then the joint realization are reduced, and
+    ORACLE_STATE_GUARD reads each; the second count sizes the Riccati pair.
+    No output is reduced: `h2_norm` needs a Hurwitz realization, not a
+    minimal one, and each rank cut at REDUCE_TOL would move the norm.
+
     Parameters
     ----------
     T : ModelMatchData
@@ -769,16 +761,15 @@ def vectorization_oracle(T):
     Returns
     -------
     (StateSpace, float)
-        The recovered parameter (reduced to a minimal realization) and the
-        achieved closed-loop norm.
+        The recovered parameter, not minimal, and the achieved closed-loop
+        norm.
 
     Raises
     ------
     SolverError
-        If more than ORACLE_STATE_GUARD joint states remain after reduction;
-        the lifted factor is reduced and tested alone first, so a problem
-        whose lifted factor is already too large is refused before the
-        target is reduced.
+        If more than ORACLE_STATE_GUARD states remain after either
+        reduction; a lifted factor that is already too large is refused
+        before the target is built.
     """
     partition = T.partition
     T11, T12, T21 = T.T11, T.T12, T.T21
@@ -791,37 +782,29 @@ def vectorization_oracle(T):
         keep = list(range(m * k))
     lifted = minreal(lifted.subsystem(cols=keep))
     # the joint count is at least the lifted one, so the guard can refuse
-    # before the target is reduced, the costlier of the two reductions
+    # before the target is built into the joint stack, the costlier of the
+    # two reductions
     if lifted.nx > ORACLE_STATE_GUARD:
         raise SolverError(
             f"lifted factor has {lifted.nx} states after reduction, "
             f"above the {ORACLE_STATE_GUARD}-state guard")
-    target = minreal(_vec_system(T11))
-
-    joint_states = target.nx + lifted.nx
+    joint = _joint_realization(_vec_system(T11), lifted,
+                               StateSpace.gain(np.eye(1)))
+    joint_states = joint[0].shape[0]
     if joint_states > ORACLE_STATE_GUARD:
         raise SolverError(
             f"vectorized problem has {joint_states} states after reduction, "
             f"above the {ORACLE_STATE_GUARD}-state guard")
-
-    q = centralized_model_match(target, lifted, StateSpace.gain(np.eye(1)),
-                                verify=False)
-    q = minreal(q)
+    q = _match_core(*joint)
 
     # Scatter the kept entries back into the full stacked vector, then peel
     # one column of the parameter off per input.
     C_full = np.zeros((m * k, q.nx))
-    D_full = np.zeros((m * k, 1))
     C_full[keep, :] = q.C
-    D_full[keep, :] = q.D
-    A_u = np.kron(np.eye(k), q.A)
-    B_u = np.kron(np.eye(k), q.B)
-    C_u = np.hstack([C_full[j * m:(j + 1) * m, :] for j in range(k)])
-    D_u = np.hstack([D_full[j * m:(j + 1) * m, :] for j in range(k)])
-    Q = minreal(StateSpace(A_u, B_u, C_u, D_u))
-
-    closed = minreal(T11 + T12 * Q * T21)
-    return Q, h2_norm(closed)
+    Q = StateSpace(np.kron(np.eye(k), q.A), np.kron(np.eye(k), q.B),
+                   np.hstack([C_full[j * m:(j + 1) * m] for j in range(k)]),
+                   np.zeros((m, k)))
+    return Q, h2_norm(T11 + T12 * Q * T21)
 
 
 # ---------------------------------------------------------------------------

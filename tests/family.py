@@ -4,11 +4,13 @@ the 400-plant family.
 The family is `random_plant(1000 + 97 i, n_split=(2, 2))` for i < 400.
 Every exit code and standard output is written to a JSON file keyed by
 plant seed and command, beside the BLAS thread settings of the run. With
-`--compare OLD.json` the run is then compared with an earlier one: each
-changed exit code is listed, and so is each report line whose value moved,
-old value against new. A warning line comes first when the two runs' thread
-settings differ. Pytest does not collect this file; run it from the
-repository root with the package on the path:
+`--compare OLD.json` the run is then compared with an earlier one. One
+line per command and report label gives how many plants' lines moved and
+the largest relative move. Then each changed exit code is listed, and so is
+each report line whose value moved, old value against new. A warning line
+comes first when the two runs' thread settings differ. The exit status is 1
+when any exit code changed, else 0. Pytest does not collect this file; run
+it from the repository root with the package on the path:
 
     PYTHONPATH=src python tests/family.py new.json --compare old.json
 
@@ -60,8 +62,13 @@ def run_family():
 
 
 def compare(old, new):
-    """Lines naming each changed exit code and each moved report line."""
-    lines = []
+    """Compare two runs' plant tables.
+
+    Returns the lines naming each changed exit code and each moved report
+    line, the moved lines as (command, old line, new line) for `summary`,
+    and whether any exit code changed.
+    """
+    lines, moved, exit_changed = [], [], False
     for seed in new:
         for name, got in new[seed].items():
             was = old.get(seed, {}).get(name)
@@ -69,6 +76,7 @@ def compare(old, new):
                 lines.append(f"{seed} {name}: not in the old run")
                 continue
             if was["exit"] != got["exit"]:
+                exit_changed = True
                 lines.append(f"{seed} {name}: exit {was['exit']} -> "
                              f"{got['exit']}")
             before = was["stdout"].splitlines()
@@ -78,10 +86,46 @@ def compare(old, new):
                              f"report lines")
             for a, b in zip(before, after):
                 if a != b:
+                    moved.append((name, a, b))
                     # the controller document is one long line; its head
                     # names what moved
                     lines.append(f"{seed} {name}: {a.strip()[:120]!r} -> "
                                  f"{b.strip()[:120]!r}")
+    return lines, moved, exit_changed
+
+
+def _labelled_value(line):
+    """(label, value) of a report line that ends in a number, else None."""
+    label, _, last = line.strip().rpartition(" ")
+    try:
+        return label.strip(), float(last)
+    except ValueError:
+        return None
+
+
+def summary(moved):
+    """One line per command and report label, sorted by both: how many of
+    its lines moved, one per plant, and the largest relative move
+    |new - old| / max(|old|, |new|). A line that does not end in a number
+    under the same label in both runs counts under "other lines", with no
+    move."""
+    groups = {}
+    for name, a, b in moved:
+        old, new = _labelled_value(a), _labelled_value(b)
+        if old is None or new is None or old[0] != new[0]:
+            key, move = (name, "other lines"), None
+        else:
+            scale = max(abs(old[1]), abs(new[1]))
+            key = (name, old[0])
+            move = abs(new[1] - old[1]) / scale if scale else 0.0
+        groups.setdefault(key, []).append(move)
+    lines = []
+    for (name, label), moves in sorted(groups.items()):
+        numeric = [m for m in moves if m is not None]
+        largest = f"largest relative move {max(numeric):.1e}" if numeric \
+            else "not numeric"
+        lines.append(f"{name}: {label}: {len(moves)} plants changed, "
+                     f"{largest}")
     return lines
 
 
@@ -109,10 +153,13 @@ def main(argv=None):
             print(f"warning: BLAS thread settings differ: "
                   f"{old_threads or 'not recorded'} in {args.compare}, "
                   f"{threads} here")
-        changes = compare(old.get("plants", old), results)
+        changes, moved, exit_changed = compare(old.get("plants", old),
+                                               results)
         print(f"{len(changes)} changes against {args.compare}")
-        for line in changes:
+        for line in summary(moved) + changes:
             print(line)
+        if exit_changed:
+            return 1
     return 0
 
 

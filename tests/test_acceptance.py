@@ -359,10 +359,10 @@ def test_11_partial_optimization_fixed_point():
     try:
         for seed, split in _ensemble():
             plant, synth, data = _solved(seed, split)
+            frame = va.parameter_frame(plant, synth, data)
             # Raises above 1e-7; the returned systems give the number.
-            g1, g2 = va.fixed_point_maps(
-                plant, va.parameter_frame(plant, synth, data))
-            Q_opt = va._q_opt_display(plant, synth, data)
+            g1, g2 = va.fixed_point_maps(plant, frame)
+            Q_opt = frame.Q_opt
             blk11 = Q_opt.subsystem(rows=slice(0, plant.m1),
                                     cols=slice(0, plant.k1))
             blk22 = Q_opt.subsystem(rows=slice(plant.m1, None),

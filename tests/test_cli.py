@@ -179,6 +179,7 @@ def test_malformed_partitions_are_input_errors(tmp_path, capsys, parts):
 
 @pytest.mark.parametrize("key, entry", [
     ("A", {"a": 1}), ("D11", {"a": 1}), ("B1", [[1.0, {"a": 1}]]),
+    ("A", [["-1", 0], [0, "-2"]]),
 ])
 def test_non_numeric_matrix_is_input_error(tmp_path, capsys, key, entry):
     def mangle(data):
@@ -188,6 +189,22 @@ def test_non_numeric_matrix_is_input_error(tmp_path, capsys, key, entry):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"matrix '{key}'" in err
+
+
+@pytest.mark.parametrize("key, entry, message", [
+    ("B2", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "B2 must be 2x2, got (2, 3)"),
+    ("A", [[float("nan"), 0.0], [0.0, -2.0]],
+     "plant matrices must be finite"),
+])
+def test_unusable_plant_matrix_is_input_error(tmp_path, capsys, key, entry,
+                                              message):
+    # numbers that the plant refuses: a wrong shape, or a NaN, which the
+    # json module writes and reads as a bare NaN token
+    def mangle(data):
+        data[key] = entry
+    path = _write_plant(tmp_path, make_decoupled(), mangle=mangle)
+    assert main(["check", path]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("option", [
@@ -265,6 +282,15 @@ def test_verify_with_oracle_passes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "vectorization oracle agreement" in out
     assert "verdict: pass" in out
+
+
+def test_readme_oracle_gap_is_at_rounding(tmp_path, capsys):
+    # the oracle reduces no output: rank cuts at REDUCE_TOL on its answer
+    # and closed loop move this gap to 1.75e-11
+    path = _write_plant(tmp_path, make_random_fixture())
+    assert main(["verify", path, "--oracle", "--seed", "7", "--json"]) == 0
+    values = json.loads(capsys.readouterr().out)["values"]
+    assert values["oracle relative gap"] <= 1e-13
 
 
 @pytest.mark.parametrize("n", [None, 8, 16, 20])

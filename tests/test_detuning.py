@@ -8,9 +8,10 @@ designs come from `detuning`: the two coupled gain blocks
 K_private[m1:, :n1] ("K") and L_common[n1:, :k1] ("L") scaled by
 1 + 1e-6, 1 + 1e-4 and the coarse 1 + 1e-1 (the norm-based oracle reads
 the detuning only to second order); player 2's rows of the controller's C
-scaled by 1 + 1e-4 ("C"); and one corrupted two-port. They are built on the random fixture and on plant
-1000, plus the 1 + 1e-6 "C" design of plant 14580, whose structured
-certificate used to abort instead of failing.
+scaled by 1 + 1e-4 and 1 + 1e-1 ("C"); and one corrupted two-port. They are
+built on the random fixture and on plant 1000, plus the 1 + 1e-6 "C" design
+of plant 14580, whose structured certificate used to abort instead of
+failing.
 """
 
 import functools
@@ -35,10 +36,6 @@ ARGS = cli._PARSER.parse_args(["verify", "p", "--oracle", "--seed", "7"])
 KNOWN_GAPS = {
     "fixed points": "item 3: both best-response maps compare a system with "
                     "itself; a real best-response solve replaces them",
-    "Monte Carlo": "item 5: a gain detuning moves the loop and its target "
-                   "Y_common alike, and the C rows read 7.2e-6 to 1.7e-4 "
-                   "against the 5 % gate; a gate as sharp as the sampling "
-                   "law would read the C rows",
 }
 
 _GAINS_FINE = {"chain", "gramian", "orthogonality", "certificate"}
@@ -74,6 +71,13 @@ EXPECTED = {
     # 369.44499 against 369.44461 from h2_norm of the loop itself, which the
     # cost certificate and the oracle both catch
     ("14580", "C 1e-6"): {"cost", "round trip", "certificate", "oracle"},
+    # the Monte Carlo check reads a gain detuning in the loop and its target
+    # Y_common alike, so only a loop that disagrees with its pair fails it,
+    # and only coarsely: 0.114 on the fixture and 4.9e-3 on plant 1000
+    # against the 5 % gate (the fixture's C at 1 + 1e-2 reads 0.016, at
+    # 1 + 1e-4 1.7e-4); ROADMAP item 6 would sharpen the gate
+    ("fixture", "C 1e-1"): _LOOP | {"Monte Carlo"},
+    ("1000", "C 1e-1"): _LOOP,
 }
 
 
@@ -90,7 +94,10 @@ def _designs(name, plant):
             synth = detuned_gains(plant, block, 1.0 + 10.0 ** -exponent)
             yield (f"{block} 1e-{exponent}", synth,
                    youla_data(plant, synth.bundle))
-    yield "C 1e-4", detuned_controller(plant, optimum, 1.0 + 1e-4), data
+    for exponent in (4, 1):
+        yield (f"C 1e-{exponent}",
+               detuned_controller(plant, optimum, 1.0 + 10.0 ** -exponent),
+               data)
     yield "two-port", optimum, corrupted_two_port(plant, data, 1.0 + 1e-4)
 
 

@@ -1,18 +1,26 @@
-"""The thread record of `tests/family.py` and its `--compare` warning, on a
-one-plant table in place of the 400-plant run."""
+"""The thread record of `tests/family.py`, its `--compare` warning, label
+summary and exit status, on small plant tables in place of the 400-plant
+run."""
 
 import json
 
 import family
 
 
-def _run(monkeypatch, capsys, argv, threads):
-    monkeypatch.setattr(family, "run_family", lambda: {
-        "1000": {name: {"exit": 0, "stdout": "report\n"}
-                 for name in family.COMMANDS}})
+def _table(stdouts, code=0):
+    """A plant table whose every command prints stdouts[seed] and exits
+    with `code`."""
+    return {seed: {name: {"exit": code, "stdout": text}
+                   for name in family.COMMANDS}
+            for seed, text in stdouts.items()}
+
+
+def _run(monkeypatch, capsys, argv, threads, table=None, status=0):
+    table = table or _table({"1000": "report\n"})
+    monkeypatch.setattr(family, "run_family", lambda: table)
     for var in family.THREAD_VARS:
         monkeypatch.setenv(var, threads)
-    assert family.main(argv) == 0
+    assert family.main(argv) == status
     return capsys.readouterr().out
 
 
@@ -40,3 +48,24 @@ def test_family_compares_with_a_run_that_kept_no_thread_record(
     out = _run(monkeypatch, capsys, [new, "--compare", old], "1")
     assert out.count("not recorded") == 1
     assert f"0 changes against {old}" in out
+
+
+def test_family_summarizes_each_label_and_fails_on_an_exit_change(
+        tmp_path, monkeypatch, capsys):
+    old, new = str(tmp_path / "old.json"), str(tmp_path / "new.json")
+    _run(monkeypatch, capsys, [old], "1", _table(
+        {"1000": "  oracle norm  2.0\n  pass  chain\n",
+         "1097": "  oracle norm  4.0\n  pass  chain\n"}))
+    moved = _table({"1000": "  oracle norm  2.2\n  pass  chain\n",
+                    "1097": "  oracle norm  4.1\n  FAIL  chain\n"})
+    out = _run(monkeypatch, capsys, [new, "--compare", old], "1", moved)
+    lines = out.splitlines()
+    head = lines.index(f"12 changes against {old}")
+    assert lines[head + 1:head + 3] == [
+        "analyze: oracle norm: 2 plants changed, "
+        "largest relative move 9.1e-02",
+        "analyze: other lines: 1 plants changed, not numeric"]
+    assert len(lines) == head + 1 + 8 + 12
+    moved["1097"]["analyze"]["exit"] = 2
+    out = _run(monkeypatch, capsys, [new, "--compare", old], "1", moved, 1)
+    assert "1097 analyze: exit 0 -> 2" in out

@@ -304,7 +304,8 @@ def test_json_missing_key_rejected():
 
 @pytest.mark.parametrize("key, entry", [
     ("A", {"a": 1}), ("D11", {"a": 1}), ("C2", [[1.0, {"a": 1}, 0.0]]),
-    ("D12", [[1.0], [1.0, 2.0]]),
+    ("D12", [[1.0], [1.0, 2.0]]), ("A", [["-1", 0], [0, "-2"]]),
+    ("B2", [[True, False], [False, True]]), ("A", [[10 ** 400, 0], [0, -2]]),
 ])
 def test_json_non_numeric_matrix_rejected(key, entry):
     d = plant_to_dict(make_decoupled())

@@ -656,6 +656,23 @@ def test_oracle_state_guard_trips(monkeypatch):
     assert calls == []
 
 
+def test_oracle_joint_guard_reads_the_riccati_size(monkeypatch):
+    # the reduced lifted factor has 15 states and passes; the second guard
+    # reads the joint realization, whose 71 states size the Riccati pair
+    plant = random_plant(0, n_split=(3, 2))
+    synth = optimal_controller(plant)
+    data = youla_data(plant, synth.bundle)
+    monkeypatch.setattr(va, "ORACLE_STATE_GUARD", 50)
+    calls = []
+    vec_system = va._vec_system
+    monkeypatch.setattr(va, "_vec_system",
+                        lambda sys: calls.append(sys) or vec_system(sys))
+    with pytest.raises(SolverError, match="vectorized problem has 71 states "
+                                          "after reduction"):
+        va.vectorization_oracle(data)
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # Fixed points and the Monte Carlo covariance check
 
@@ -707,7 +724,7 @@ def test_tf_mismatch_agrees_with_the_markov_oracle(make):
     plant = make()
     synth = optimal_controller(plant)
     data = youla_data(plant, synth.bundle)
-    Q_opt = va._q_opt_display(plant, synth, data)
+    Q_opt = va.parameter_frame(plant, synth, data).Q_opt
     Q_lft = q_from_controller(data, synth.controller)
     K_round = controller_from_q(data, Q_opt)
     for g1, g2 in ((Q_opt, Q_lft), (K_round, synth.controller)):
