@@ -354,20 +354,20 @@ _MATRIX_KEYS = ("A", "B1", "B2", "C1", "C2", "D12", "D21")
 
 def _numbers_only(entry):
     # numpy converts a bool or a numeric string, but neither is a number
-    # here; the types of a row of leaves are read in one pass
-    if type(entry) is not list:
-        return type(entry) in (int, float)
-    types = set(map(type, entry))
-    if list in types:
-        return all(map(_numbers_only, entry))
-    return types <= {int, float}
+    # here; a row of JSON leaves is read in one pass
+    if isinstance(entry, np.ndarray):
+        return entry.dtype.kind in "iuf"
+    if isinstance(entry, (list, tuple)):
+        return set(map(type, entry)) <= {int, float} or all(
+            map(_numbers_only, entry))
+    return (isinstance(entry, (int, float, np.integer, np.floating))
+            and not isinstance(entry, bool))
 
 
 def _json_matrix(data, key):
     """data[key] as a float array; ValueError naming the key when the entry
-    is not a (nested list of) numbers, for instance a JSON object, a string
-    or a boolean, when its rows are ragged, or when an integer is beyond
-    the float range."""
+    is not a (nested list of) numbers: a JSON object, a string, a boolean,
+    ragged rows or an integer beyond the float range."""
     if not _numbers_only(data[key]):
         raise ValueError(f"matrix '{key}' is not a nested list of numbers")
     try:
@@ -381,8 +381,9 @@ def plant_from_dict(data):
     """Build a TwoPlayerPlant from the documented JSON structure.
 
     Expects {"partitions": {"n": [n1, n2], "m": [m1, m2], "k": [k1, k2]},
-    "A": ..., ..., "D21": ...} with matrices as row-major nested lists.
-    Optional "D11"/"D22" entries must be zero if present.
+    "A": ..., ..., "D21": ...} with matrices as row-major nested lists (or
+    numpy arrays) of numbers, not strings or booleans. Optional "D11"/"D22"
+    entries must be zero if present.
     """
     if not isinstance(data, dict):
         raise ValueError("plant description must be a JSON object")

@@ -65,8 +65,8 @@ def compare(old, new):
     """Compare two runs' plant tables.
 
     Returns the lines naming each changed exit code and each moved report
-    line, the moved lines as (command, old line, new line) for `summary`,
-    and whether any exit code changed.
+    line, the moved lines as (seed, command, old line, new line) for
+    `summary`, and whether any exit code changed.
     """
     lines, moved, exit_changed = [], [], False
     for seed in new:
@@ -86,7 +86,7 @@ def compare(old, new):
                              f"report lines")
             for a, b in zip(before, after):
                 if a != b:
-                    moved.append((name, a, b))
+                    moved.append((seed, name, a, b))
                     # the controller document is one long line; its head
                     # names what moved
                     lines.append(f"{seed} {name}: {a.strip()[:120]!r} -> "
@@ -104,13 +104,13 @@ def _labelled_value(line):
 
 
 def summary(moved):
-    """One line per command and report label, sorted by both: how many of
-    its lines moved, one per plant, and the largest relative move
+    """One line per command and report label, sorted by both: on how many
+    plants a line under it moved, and the largest relative move
     |new - old| / max(|old|, |new|). A line that does not end in a number
     under the same label in both runs counts under "other lines", with no
     move."""
     groups = {}
-    for name, a, b in moved:
+    for seed, name, a, b in moved:
         old, new = _labelled_value(a), _labelled_value(b)
         if old is None or new is None or old[0] != new[0]:
             key, move = (name, "other lines"), None
@@ -118,13 +118,15 @@ def summary(moved):
             scale = max(abs(old[1]), abs(new[1]))
             key = (name, old[0])
             move = abs(new[1] - old[1]) / scale if scale else 0.0
-        groups.setdefault(key, []).append(move)
+        seeds, moves = groups.setdefault(key, (set(), []))
+        seeds.add(seed)
+        moves.append(move)
     lines = []
-    for (name, label), moves in sorted(groups.items()):
+    for (name, label), (seeds, moves) in sorted(groups.items()):
         numeric = [m for m in moves if m is not None]
         largest = f"largest relative move {max(numeric):.1e}" if numeric \
             else "not numeric"
-        lines.append(f"{name}: {label}: {len(moves)} plants changed, "
+        lines.append(f"{name}: {label}: {len(seeds)} plants changed, "
                      f"{largest}")
     return lines
 

@@ -55,17 +55,19 @@ def test_family_summarizes_each_label_and_fails_on_an_exit_change(
     old, new = str(tmp_path / "old.json"), str(tmp_path / "new.json")
     _run(monkeypatch, capsys, [old], "1", _table(
         {"1000": "  oracle norm  2.0\n  pass  chain\n",
-         "1097": "  oracle norm  4.0\n  pass  chain\n"}))
-    moved = _table({"1000": "  oracle norm  2.2\n  pass  chain\n",
-                    "1097": "  oracle norm  4.1\n  FAIL  chain\n"})
+         "1097": "  oracle norm  4.0\n  pass  chain\nverdict: PASS\n"}))
+    moved = _table(
+        {"1000": "  oracle norm  2.2\n  pass  chain\n",
+         "1097": "  oracle norm  4.1\n  FAIL  chain\nverdict: FAIL\n"})
     out = _run(monkeypatch, capsys, [new, "--compare", old], "1", moved)
     lines = out.splitlines()
-    head = lines.index(f"12 changes against {old}")
+    # plant 1097's two moved non-numeric lines count as one plant
+    head = lines.index(f"16 changes against {old}")
     assert lines[head + 1:head + 3] == [
         "analyze: oracle norm: 2 plants changed, "
         "largest relative move 9.1e-02",
         "analyze: other lines: 1 plants changed, not numeric"]
-    assert len(lines) == head + 1 + 8 + 12
+    assert len(lines) == head + 1 + 8 + 16
     moved["1097"]["analyze"]["exit"] = 2
     out = _run(monkeypatch, capsys, [new, "--compare", old], "1", moved, 1)
     assert "1097 analyze: exit 0 -> 2" in out

@@ -314,6 +314,23 @@ def test_json_non_numeric_matrix_rejected(key, entry):
         plant_from_dict(d)
 
 
+def test_dict_accepts_numpy_numbers_and_tuples():
+    # a library caller's dict may hold what numpy built; only strings and
+    # booleans (numpy's too) are refused
+    plant = make_decoupled()
+    d = plant_to_dict(plant)
+    d["A"] = plant.A
+    d["B1"] = [[np.float64(x) for x in row] for row in d["B1"]]
+    d["B2"] = tuple(tuple(np.int64(round(x)) for x in row)
+                    for row in d["B2"])
+    loaded = plant_from_dict(d)
+    for key in ("A", "B1", "B2"):
+        assert np.array_equal(getattr(loaded, key), getattr(plant, key))
+    d["B2"] = plant.B2.astype(bool)
+    with pytest.raises(ValueError, match="matrix 'B2'"):
+        plant_from_dict(d)
+
+
 def _mangle_partitions(data, parts):
     if isinstance(parts, dict):
         data["partitions"].update(parts)
