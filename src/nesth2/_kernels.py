@@ -24,7 +24,7 @@ result.
 import numpy as np
 import scipy.linalg as sla
 
-from .linalg import SolverError
+from .linalg import _gate
 
 USE_NUMBA = False  # no compiled backend; read by tools that record one
 
@@ -70,10 +70,9 @@ def noise_factor(Q):
     eigenvalue below -NEGATIVE_TOL * lambda_max.
     """
     w, V = np.linalg.eigh(Q)
-    floor = -NEGATIVE_TOL * max(w[-1], 0.0) if w.size else 0.0
-    if not np.all(w >= floor):
-        raise SolverError(f"step noise covariance is not positive "
-                          f"semidefinite: min eigenvalue {w.min():.3e}")
+    if w.size:
+        _gate("step noise covariance's most negative eigenvalue", -w.min(),
+              NEGATIVE_TOL, max(w[-1], 0.0))
     return V * np.sqrt(np.maximum(w, 0.0))
 
 

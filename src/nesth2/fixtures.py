@@ -149,9 +149,11 @@ def random_plant(seed, n_split=(2, 1), m_split=(1, 1), k_split=(1, 1),
     All structured matrices are dense below the diagonal blocks, the
     disturbance and performance channels have generic cross terms, and A is
     redrawn whenever one of its eigenvalues comes within AXIS_MARGIN of the
-    imaginary axis (stable/antistable splits in the verification layer need
-    the gap). A is block lower, so its spectrum is that of A11 and A22,
-    tested in that order. The draw is deterministic in `seed`.
+    imaginary axis. No check splits a spectrum at the axis any more, but the
+    margin stays: the seeded plants of the tests, of the 400-plant family
+    and of the benchmark are the draws it accepts, and any other margin
+    would draw other plants. A is block lower, so its spectrum is that of
+    A11 and A22, tested in that order. The draw is deterministic in `seed`.
 
     Draws whose centralized Riccati solutions or gains exceed `scale_cap` in
     norm are rejected as well (pass None to disable). Raw Gaussian draws

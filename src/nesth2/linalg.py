@@ -99,6 +99,15 @@ class SolverError(RuntimeError):
     """A solver's preconditions failed or its result did not verify."""
 
 
+def _gate(what, reading, gate, scale=1.0):
+    """`reading`, or SolverError "what: reading / scale against gate" unless
+    reading <= gate * scale; a NaN reading is refused."""
+    if not reading <= gate * scale:
+        raise SolverError(
+            f"{what}: {reading:.2e} / {scale:.2e} against gate {gate:g}")
+    return reading
+
+
 _MARGIN_BAND = ("Hamiltonian eigenvalue inside the margin band; "
                 "no strictly stabilizing solution")
 
@@ -159,13 +168,11 @@ def _check_separation(stage, M, zero_blocks, matched_blocks):
     target) pair of `matched_blocks` agrees, to SEPARATION_TOL * ||M||_F.
 
     Raises SolverError naming `stage`, with the largest residual against
-    the scale; a NaN residual is refused too.
+    the scale (see `_gate`); a NaN residual is refused too.
     """
-    scale = float(np.linalg.norm(M))
     res = float(np.max([np.linalg.norm(Z) for Z in zero_blocks]
                        + [np.linalg.norm(X - Y) for X, Y in matched_blocks]))
-    if not res <= SEPARATION_TOL * scale:
-        raise SolverError(f"{stage}: residual/scale {res:.2e}/{scale:.2e}")
+    _gate(stage, res, SEPARATION_TOL, float(np.linalg.norm(M)))
 
 
 def triangular_sylvester(R, S, F, trana, tranb, singular):
@@ -241,10 +248,9 @@ def _lyapunov_from_schur(A, schur, Q, trans):
     if np.linalg.norm(Q - Q.T) <= 1e-12 * max(1.0, np.linalg.norm(Q)):
         P = 0.5 * (P + P.T)
     opA = A if trans == "N" else A.T
-    res = np.linalg.norm(opA @ P + P @ opA.T + Q)
-    scale = 1.0 + np.linalg.norm(Q) + 2.0 * np.linalg.norm(A) * np.linalg.norm(P)
-    if not res <= RESIDUAL_TOL * scale:
-        raise SolverError(f"Lyapunov residual {res:.2e} exceeds tolerance")
+    _gate("Lyapunov residual", np.linalg.norm(opA @ P + P @ opA.T + Q),
+          RESIDUAL_TOL, 1.0 + np.linalg.norm(Q)
+          + 2.0 * np.linalg.norm(A) * np.linalg.norm(P))
     return P
 
 
@@ -278,11 +284,10 @@ def _sylvester_from_schur(A1, schur1, A0, A2, schur2):
     Om = _schur_sylvester(
         R, U, S, V, -A0, "N", "N",
         "singular Sylvester operator: A1 and -A2 share an eigenvalue")
-    res = np.linalg.norm(A1 @ Om + Om @ A2 + A0)
-    scale = (1.0 + np.linalg.norm(A0)
-             + (np.linalg.norm(A1) + np.linalg.norm(A2)) * np.linalg.norm(Om))
-    if not res <= RESIDUAL_TOL * scale:
-        raise SolverError(f"Sylvester residual {res:.2e} exceeds tolerance")
+    _gate("Sylvester residual", np.linalg.norm(A1 @ Om + Om @ A2 + A0),
+          RESIDUAL_TOL,
+          1.0 + np.linalg.norm(A0)
+          + (np.linalg.norm(A1) + np.linalg.norm(A2)) * np.linalg.norm(Om))
     return Om
 
 
@@ -711,14 +716,14 @@ def solve_are(A, B, C, D):
     X = 0.5 * (X + X.T)
     K = -Rinv @ (B.T @ X + D.T @ C)
     quad = (X @ B + S) @ Rinv @ (B.T @ X + S.T)
-    res = np.linalg.norm(A.T @ X + X @ A + Qm - quad)
-    scale = 1.0 + 2.0 * np.linalg.norm(A.T @ X) + np.linalg.norm(Qm) + np.linalg.norm(quad)
-    if not res <= RESIDUAL_TOL * scale:
-        raise SolverError(f"Riccati residual {res:.2e} exceeds tolerance")
+    res = _gate("Riccati residual",
+                np.linalg.norm(A.T @ X + X @ A + Qm - quad), RESIDUAL_TOL,
+                1.0 + 2.0 * np.linalg.norm(A.T @ X) + np.linalg.norm(Qm)
+                + np.linalg.norm(quad))
     definite = _exceeds(X, 0.0)
-    if not definite and (np.linalg.eigvalsh(X).min()
-                         < -1e-8 * (1.0 + np.linalg.norm(X))):
-        raise SolverError("Riccati solution is not positive semidefinite")
+    if not definite:
+        _gate("Riccati solution's most negative eigenvalue",
+              -np.linalg.eigvalsh(X).min(), 1e-8, 1.0 + np.linalg.norm(X))
     A_cl = A + B @ K
     if not (definite and _lyapunov_certifies(A_cl, X)):
         top = np.max(np.linalg.eigvals(A_cl).real, initial=-np.inf)
@@ -780,9 +785,8 @@ def _h2_from_schur(A, schur, B, C, Wc=None):
     """H2 norm of (A, B, C, 0) from `_gramian_traces`, whose two forms must
     agree to H2_CONSISTENCY_TOL."""
     sq_c, sq_o = _gramian_traces(A, schur, B, C, Wc)
-    if not abs(sq_c - sq_o) <= H2_CONSISTENCY_TOL * (1.0 + abs(sq_c)):
-        raise SolverError(
-            f"Gramian forms disagree: {sq_c:.12e} vs {sq_o:.12e}")
+    _gate("difference of the Gramian trace forms", abs(sq_c - sq_o),
+          H2_CONSISTENCY_TOL, 1.0 + abs(sq_c))
     return float(np.sqrt(max(sq_c, 0.0)))
 
 

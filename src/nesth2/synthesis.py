@@ -22,9 +22,9 @@ import numpy as np
 import scipy.linalg
 
 from .linalg import (RESIDUAL_TOL, SEPARATION_TOL, SolverError, _NOT_HURWITZ,
-                     _check_separation, _h2_from_schur, _lyapunov_from_schur,
-                     _real_schur, _require_hurwitz, screen_are, solve_are,
-                     triangular_sylvester)
+                     _check_separation, _gate, _h2_from_schur,
+                     _lyapunov_from_schur, _real_schur, _require_hurwitz,
+                     screen_are, solve_are, triangular_sylvester)
 from .plant import (AssumptionError, Partition, TwoPlayerPlant,
                     check_assumptions, cost_cov_matrices)
 from .statespace import StateSpace, lft_lower
@@ -344,8 +344,10 @@ def solve_phi_psi(plant, bundle):
     ------
     SolverError
         If a Sylvester operator or I - K is singular, or a residual check
-        fails. The message names the coupling equations and gives the
-        residual and scale of both equations, the Krylov steps and r.
+        fails. A singular operator's message names the coupling equations
+        and gives the residual and scale of both; a failed check gives the
+        residual of its equation against scale and gate. Both give the
+        Krylov steps and r.
     """
     terms = _CouplingTerms(plant, bundle)
     R, U = scipy.linalg.schur(terms.AJ, output="real")
@@ -385,8 +387,9 @@ def solve_phi_psi(plant, bundle):
         raise terms.refusal("are singular: I - K has a pivot at rounding "
                             "level", Phi, Psi, steps)
     r_phi, r_psi, s_phi, s_psi = terms.residuals(Phi, Psi)
-    if not (r_phi <= RESIDUAL_TOL * s_phi and r_psi <= RESIDUAL_TOL * s_psi):
-        raise terms.refusal("did not verify", Phi, Psi, steps)
+    after = f"after {steps} Krylov steps, rank bound r = {terms.rank_bound}"
+    _gate(f"coupling residual for X_cross {after}", r_phi, RESIDUAL_TOL, s_phi)
+    _gate(f"coupling residual for Y_cross {after}", r_psi, RESIDUAL_TOL, s_psi)
     return CouplingSolution(X_cross=Phi, Y_cross=Psi,
                             residuals=(float(r_phi), float(r_psi)),
                             steps=steps, rank_bound=terms.rank_bound)
@@ -583,7 +586,8 @@ def optimal_controller(plant):
         any stabilizing controller with the required structure).
     SolverError
         If a subproblem fails numerically or a post-condition does not hold;
-        a failed separation names the matrix and gives residual/scale.
+        a failed separation names the matrix and gives its residual
+        against scale and gate.
     """
     report = check_assumptions(plant)
     if not report.passed:
@@ -622,9 +626,8 @@ def _centralized_norm(B1, C1, D12, D21, X, K, Y, L):
     W, V = B1 @ B1.T, D21 @ D21.T
     cost_x = float(np.trace(X @ W) + np.trace(Y @ K.T @ R @ K))
     cost_y = float(np.trace(Y @ Q) + np.trace(X @ L @ V @ L.T))
-    if not abs(cost_x - cost_y) <= CENTRALIZED_TOL * (1.0 + abs(cost_y)):
-        raise SolverError(
-            f"centralized trace formulas disagree: {cost_x:.6e} vs {cost_y:.6e}")
+    _gate("difference of the centralized trace formulas",
+          abs(cost_x - cost_y), CENTRALIZED_TOL, 1.0 + abs(cost_y))
     return math.sqrt(max(0.5 * (cost_x + cost_y), 0.0))
 
 

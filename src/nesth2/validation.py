@@ -18,10 +18,10 @@ import numpy as np
 import scipy.linalg as sla
 
 from ._kernels import terminal_state_covariance
-from .linalg import (_NOT_HURWITZ, SolverError, _gramian_traces,
+from .linalg import (_NOT_HURWITZ, SolverError, _gate, _gramian_traces,
                      _h2_from_schur, _hurwitz_schur, _lyapunov_from_schur,
                      _require_hurwitz, _sylvester_from_schur, h2_norm,
-                     is_hurwitz, screen_are, solve_are, solve_lyapunov)
+                     screen_are, solve_are, solve_lyapunov)
 from .plant import (AssumptionError, TwoPlayerPlant, check_assumptions,
                     cost_cov_matrices)
 from .statespace import (TF_POINTS, StateSpace, balance_realization, minreal,
@@ -40,19 +40,15 @@ MONTE_CARLO_HORIZON = 50.0
 
 
 def _close(actual, expected, tol, label):
-    err = np.linalg.norm(np.asarray(actual) - np.asarray(expected))
-    scale = 1.0 + np.linalg.norm(np.asarray(expected))
-    if not err <= tol * scale:
-        raise SolverError(f"identity check '{label}' failed: "
-                          f"mismatch {err:.3e} against scale {scale:.3e}")
-    return err
+    return _gate(f"identity check '{label}' mismatch",
+                 np.linalg.norm(np.asarray(actual) - np.asarray(expected)),
+                 tol, 1.0 + np.linalg.norm(np.asarray(expected)))
 
 
 def _psd_floor(M, tol, label):
     lo = float(np.linalg.eigvalsh(0.5 * (M + M.T)).min())
-    if not lo >= -tol * (1.0 + np.linalg.norm(M)):
-        raise SolverError(f"'{label}' is not positive semidefinite: "
-                          f"min eigenvalue {lo:.3e}")
+    _gate(f"'{label}' most negative eigenvalue", -lo, tol,
+          1.0 + np.linalg.norm(M))
     return lo
 
 
@@ -213,12 +209,9 @@ def closed_loop_gramian(plant, synth, hats):
             _close(blk, diag_ref[i], CHECK_TOL,
                    f"Gramian diagonal block {i + 1}")
             continue
-        rel = np.linalg.norm(blk) / (1.0 + theta_scale)
-        worst = max(worst, rel)
-        if not rel <= CHECK_TOL:
-            raise SolverError(
-                f"Gramian off-diagonal block ({i + 1},{j + 1}) has norm "
-                f"{np.linalg.norm(blk):.3e}; expected zero")
+        worst = max(worst, _gate(
+            f"Gramian off-diagonal block ({i + 1},{j + 1}) relative norm",
+            np.linalg.norm(blk) / (1.0 + theta_scale), CHECK_TOL))
     for name, M in (("Z", Z), ("Y", b.Y_cen)):
         _psd_floor(M, CHECK_TOL, f"Gramian block {name}")
     return GramianTriple(Z=Z, mid=hats.Y_gap, Y=b.Y_cen, offdiag=worst)
@@ -243,7 +236,8 @@ def kalman_estimator(plant):
     -------
     StateSpace
         (A + L C2, [-L, B2], I, 0). The error system driven by the noise is
-        (A + L C2, B1 + L D21, I, 0) and is Hurwitz.
+        (A + L C2, B1 + L D21, I, 0) and is Hurwitz: `solve_are`
+        certifies A + L C2 with its margin.
     """
     A, B1, B2 = plant.A, plant.B1, plant.B2
     C2, D21 = plant.C2, plant.D21
@@ -257,10 +251,7 @@ def kalman_estimator(plant):
         screen_are(A.T, C2.T, B1.T, D21.T)
     n = A.shape[0]
     L = solve_are(A.T, C2.T, B1.T, D21.T).K.T
-    A_L = A + L @ C2
-    if not is_hurwitz(A_L, margin=0.0):
-        raise SolverError("estimator dynamics failed the Hurwitz check")
-    return StateSpace(A_L, np.hstack([-L, B2]), np.eye(n),
+    return StateSpace(A + L @ C2, np.hstack([-L, B2]), np.eye(n),
                       np.zeros((n, C2.shape[0] + B2.shape[1])))
 
 
@@ -353,19 +344,14 @@ def delta_cost(plant, synth, hats):
     dL = synth.L_common - b.L_cen
     d_trace_y = float(np.trace(hats.Y_gap @ dK.T @ cc.R @ dK))
     d_trace_x = float(np.trace(hats.X_gap @ dL @ cc.V @ dL.T))
-    if not abs(d_trace_y - d_trace_x) <= CHECK_TOL * (1.0 + abs(d_trace_y)):
-        raise SolverError(f"decentralization-cost forms disagree "
-                          f"(Y-trace vs X-trace): {d_trace_y:.12e} vs "
-                          f"{d_trace_x:.12e}")
-    if not d_trace_y >= -CHECK_TOL:
-        raise SolverError(
-            f"decentralization cost is negative: {d_trace_y:.3e}")
+    _gate("decentralization cost, Y-trace vs X-trace",
+          abs(d_trace_y - d_trace_x), CHECK_TOL, 1.0 + abs(d_trace_y))
+    _gate("decentralization cost below zero", -d_trace_y, CHECK_TOL)
 
     sq_opt = synth.loop_factors.h2_norm ** 2
     d_loop = sq_opt - synth.centralized_norm ** 2
-    if not abs(d_loop - d_trace_y) <= CHECK_TOL * (1.0 + sq_opt):
-        raise SolverError(f"cost gap mismatch: closed-loop gap {d_loop:.12e} "
-                          f"vs certificate {d_trace_y:.12e}")
+    _gate("decentralization cost, closed-loop gap vs Y-trace",
+          abs(d_loop - d_trace_y), CHECK_TOL, 1.0 + sq_opt)
     return d_trace_y, d_trace_x, d_loop
 
 
@@ -499,18 +485,14 @@ def youla_parameters(plant, synth, frame):
                               (plant.k1, plant.k2), CHECK_TOL):
         raise SolverError("optimal parameter is not block lower triangular")
 
-    gap = values_mismatch(q_values, q_size, frame.q_lft,
-                          np.abs(frame.q_lft).max(initial=0.0))
-    if not gap <= CHECK_TOL:
-        raise SolverError(f"parameter display disagrees with the two-port "
-                          f"extraction: transfer mismatch {gap:.3e}")
+    _gate("parameter display vs two-port extraction, transfer mismatch",
+          values_mismatch(q_values, q_size, frame.q_lft,
+                          np.abs(frame.q_lft).max(initial=0.0)), CHECK_TOL)
     k_values, k_size = frame.controller
-    gap = values_mismatch(frame.k_round,
+    _gate("parameter round trip, transfer mismatch",
+          values_mismatch(frame.k_round,
                           np.abs(frame.k_round).max(initial=0.0),
-                          k_values, k_size)
-    if not gap <= CHECK_TOL:
-        raise SolverError(f"parameter round trip failed: transfer mismatch "
-                          f"{gap:.3e}")
+                          k_values, k_size), CHECK_TOL)
 
     dK = synth.K_private - b.K_cen
     dL = synth.L_common - b.L_cen
@@ -697,10 +679,8 @@ def centralized_model_match(T11, T12, T21):
     T21b = balance_realization(T21)
     cl = balance_realization(minreal(T11 + T12 * Q * T21))
     stable = balance_realization(minreal(_stable_sandwich(T12b, cl, T21b)))
-    res = _causal_size(stable)
-    if not res <= MATCH_TOL * (1.0 + h2_norm(cl)):
-        raise SolverError(
-            f"model-matching certificate failed: causal content {res:.3e}")
+    _gate("model-matching certificate, causal content", _causal_size(stable),
+          MATCH_TOL, 1.0 + h2_norm(cl))
     return Q
 
 
@@ -842,10 +822,9 @@ def fixed_point_maps(plant, frame):
         values = frame.q_opt[0][:, rows, cols]
         size = point_size(frame.Q_opt.subsystem(rows, cols), values,
                           frame.alpha)
-        gap = values_mismatch(*point_values(g, frame.alpha), values, size)
-        if not gap <= CHECK_TOL:
-            raise SolverError(f"{who} fixed point fails: transfer mismatch "
-                              f"{gap:.3e}")
+        _gate(f"{who} fixed point, transfer mismatch",
+              values_mismatch(*point_values(g, frame.alpha), values, size),
+              CHECK_TOL)
     return g1, g2
 
 

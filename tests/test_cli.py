@@ -249,6 +249,17 @@ def test_synthesize_writes_round_trip_document(tmp_path, capsys):
     assert doc["controller"]["A"] == np.array(doc["controller"]["A"]).tolist()
 
 
+def test_synthesize_out_into_a_missing_directory_is_malformed_input(
+        tmp_path, capsys):
+    path = _write_plant(tmp_path, make_random_fixture())
+    out = tmp_path / "missing" / "controller.json"
+    assert main(["synthesize", path, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: [Errno 2] No such file or directory: "
+                            f"'{out}'\n")
+
+
 def test_synthesize_alternative_realization(tmp_path, capsys):
     plant = make_random_fixture()
     path = _write_plant(tmp_path, plant)

@@ -125,6 +125,19 @@ def test_sylvester_matches_kronecker_reference(n, m):
     assert np.linalg.norm(Om - Om_ref) < 1e-9 * (1.0 + np.linalg.norm(Om_ref))
 
 
+def test_sylvester_refuses_a_solution_off_its_residual_gate(monkeypatch):
+    # the quasi-triangular solve is moved by 1e-3; the residual against the
+    # original coefficients reads it
+    triangular = linalg.triangular_sylvester
+    monkeypatch.setattr(linalg, "triangular_sylvester",
+                        lambda *args: triangular(*args) + 1e-3)
+    rng = np.random.default_rng(113)
+    with pytest.raises(SolverError, match=r"^Sylvester residual: \S+ / \S+ "
+                       r"against gate 1e-08$"):
+        solve_sylvester(_stable_matrix(rng, 3), rng.standard_normal((3, 4)),
+                        _stable_matrix(rng, 4))
+
+
 def test_sylvester_singular_operator_raises():
     # A1 and -A2 share the eigenvalue 1
     with pytest.raises(SolverError, match="singular Sylvester operator"):

@@ -168,6 +168,28 @@ def test_phi_psi_residuals_random():
     assert np.linalg.norm(M @ z - rhs) < 1e-8 * (1.0 + np.linalg.norm(rhs))
 
 
+def test_coupling_solution_off_its_residual_gate_is_refused(monkeypatch):
+    # GMRES's answer is moved by 1e-3; Y_cross is recovered from it exactly,
+    # so the X_cross equation reads the move
+    import nesth2.synthesis as synthesis
+
+    plant = make_random_fixture()
+    bundle = solve_four_ares(plant)
+    sol = solve_phi_psi(plant, bundle)
+    gmres = synthesis._gmres
+
+    def moved(apply, c, max_steps):
+        x, steps, singular = gmres(apply, c, max_steps)
+        return x * (1.0 + 1e-3), steps, singular
+
+    monkeypatch.setattr(synthesis, "_gmres", moved)
+    with pytest.raises(SolverError, match=re.escape(
+            f"coupling residual for X_cross after {sol.steps} Krylov steps, "
+            f"rank bound r = {sol.rank_bound}: ")
+            + r"\S+ / \S+ against gate 1e-08$"):
+        solve_phi_psi(plant, bundle)
+
+
 def test_singular_coupling_system_is_refused():
     # On the scalar plant of the Cramer oracle, dX chosen so that
     # cvc dX brb dY = (aJ + aM)^2 makes the stacked determinant, and with it
@@ -307,7 +329,7 @@ def test_detuned_controller_fails_the_separation_certificate(plant,
                         _detuned(controller_realizations, 1e-8))
     with pytest.raises(SolverError, match=r"synthesized closed loop does not "
                        r"separate into A_ctrl, A_gap and A_filt .*: "
-                       r"residual/scale \S+/\S+"):
+                       r"\S+ / \S+ against gate 1e-12"):
         optimal_controller(plant)
 
 
@@ -320,10 +342,11 @@ def _detune_local_filter(K_private, L_common):
 
 
 @pytest.mark.parametrize("mutate, message", [
-    (_couple_players, "estimate-gap dynamics are not block lower: "
-                      "the (1,2) block is nonzero"),
-    (_detune_local_filter, "estimate-gap dynamics do not have diagonal "
-                           "blocks A_filt1 and A_ctrl2: residual/scale"),
+    (_couple_players, re.escape("estimate-gap dynamics are not block lower: "
+                                "the (1,2) block is nonzero")),
+    (_detune_local_filter, re.escape("estimate-gap dynamics do not have "
+                                     "diagonal blocks A_filt1 and A_ctrl2: ")
+     + r"\S+ / \S+ against gate 1e-12"),
 ], ids=["coupled", "detuned"])
 def test_gap_certificate_names_its_failure(monkeypatch, mutate, message):
     import nesth2.synthesis as synthesis
@@ -334,7 +357,7 @@ def test_gap_certificate_names_its_failure(monkeypatch, mutate, message):
         return K_private, L_common
 
     monkeypatch.setattr(synthesis, "structured_gains", gains)
-    with pytest.raises(SolverError, match=re.escape(message)):
+    with pytest.raises(SolverError, match=message):
         optimal_controller(make_random_fixture())
 
 
@@ -522,6 +545,17 @@ def test_centralized_h2_trace_formulas_agree():
     assert abs(via_x - via_y) < 1e-9
     assert abs(norm - np.sqrt(via_x)) < 1e-9
     assert abs(norm - h2_norm(_closed_loop(plant, K_cen))) < 1e-9
+
+
+def test_centralized_norm_refuses_trace_formulas_that_disagree():
+    import nesth2.synthesis as synthesis
+
+    plant = make_random_fixture()
+    b = solve_four_ares(plant)
+    with pytest.raises(SolverError, match=r"^difference of the centralized "
+                       r"trace formulas: \S+ / \S+ against gate 1e-06$"):
+        synthesis._centralized_norm(plant.B1, plant.C1, plant.D12, plant.D21,
+                                    2.0 * b.X_cen, b.K_cen, b.Y_cen, b.L_cen)
 
 
 def test_centralized_h2_matches_assembled_loop_on_filter_example():

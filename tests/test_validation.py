@@ -17,7 +17,7 @@ from nesth2.fixtures import (
     make_unstabilizable_pair,
     random_plant,
 )
-from nesth2.linalg import (SolverError, h2_norm, is_hurwitz,
+from nesth2.linalg import (SolverError, _h2_from_schur, h2_norm, is_hurwitz,
                            solve_lyapunov, stable_antistable_decompose)
 from nesth2.plant import AssumptionError
 from nesth2.stabilization import (controller_from_q, q_from_controller,
@@ -348,6 +348,15 @@ def test_design_norm_reads_the_loop_gramian(make):
     assert factors.h2_norm ** 2 == pytest.approx(sq, rel=1e-14)
 
 
+def test_design_norm_refuses_a_gramian_its_trace_forms_disown():
+    factors = optimal_controller(make_random_fixture()).loop_factors
+    loop = factors.loop
+    with pytest.raises(SolverError, match=r"^difference of the Gramian trace "
+                       r"forms: \S+ / \S+ against gate 1e-06$"):
+        _h2_from_schur(loop.A, factors.schur, loop.B, loop.C,
+                       2.0 * factors.gramian)
+
+
 def test_orthogonality_of_a_detuned_design_matches_its_own_tail():
     # away from the optimum r1 is far from zero, so a W read from the wrong
     # block of the loop's Gramian would show; the reference solves the
@@ -437,6 +446,23 @@ def test_delta_cost_random_fixture_frozen():
     assert abs(d_ty - (n_struct ** 2 - n_cen ** 2)) < 1e-6 * (1.0 + d_ty)
 
 
+@pytest.mark.parametrize("wrong, refusal", [
+    (lambda X_gap, Y_gap: (2.0 * X_gap, Y_gap),
+     "decentralization cost, Y-trace vs X-trace"),
+    (lambda X_gap, Y_gap: (-X_gap, -Y_gap),
+     "decentralization cost below zero"),
+], ids=["forms", "negative"])
+def test_delta_cost_refuses_a_wrong_gap_pair(wrong, refusal):
+    plant = make_random_fixture()
+    synth = optimal_controller(plant)
+    hats = va.hat_pair(plant, synth)
+    X_gap, Y_gap = wrong(hats.X_gap, hats.Y_gap)
+    with pytest.raises(SolverError, match=rf"^{refusal}: \S+ / \S+ against "
+                       r"gate 1e-07$"):
+        va.delta_cost(plant, synth,
+                      dataclasses.replace(hats, X_gap=X_gap, Y_gap=Y_gap))
+
+
 def test_readme_library_example_runs():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     example = readme.split("## Library", 1)[1] \
@@ -463,6 +489,19 @@ def test_youla_parameters_structure():
     assert is_hurwitz(Q_opt.A)
     assert np.array_equal(Q_you.A, synth.A_gap)
     assert Q_you.ny == plant.m and Q_you.nu == plant.k
+
+
+def test_youla_parameters_refuses_a_coupled_parameter():
+    plant = make_random_fixture()
+    synth = optimal_controller(plant)
+    frame = va.parameter_frame(plant, synth, youla_data(plant, synth.bundle))
+    values, size = frame.q_opt
+    values = values.copy()
+    values[:, :plant.m1, plant.k1:] += 1e-3 * size
+    with pytest.raises(SolverError, match="^optimal parameter is not block "
+                       "lower triangular$"):
+        va.youla_parameters(plant, synth,
+                            dataclasses.replace(frame, q_opt=(values, size)))
 
 
 def test_structured_residual_zero_at_optimum():
